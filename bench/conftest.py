@@ -1,0 +1,6 @@
+"""Self-test set-up: import the program from this checkout's source tree."""
+
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
