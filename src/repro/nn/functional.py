@@ -18,6 +18,7 @@ honest baseline for ``benchmarks/bench_substrate_micro.py``.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,6 +39,8 @@ __all__ = [
     "linear",
     "scaled_dot_product_attention",
     "multi_head_attention_qkv",
+    "attribute_attention",
+    "TokenMajorScratch",
     "mse_loss",
     "masked_mse_loss",
     "bce_loss",
@@ -53,6 +56,7 @@ __all__ = [
     "layer_norm_into",
     "gelu_into",
     "mha_qkv_into",
+    "attribute_attention_into",
     "sigmoid_rescale_into",
 ]
 
@@ -310,6 +314,142 @@ def multi_head_attention_qkv(qkv: Tensor, num_heads: int,
     return (result, probs) if need_weights else result
 
 
+class TokenMajorScratch(NamedTuple):
+    """Buffers of :func:`attribute_attention_into`, laid out token-major
+    with the cell axis innermost and padded to :meth:`lanes` columns.
+
+    ``xhat`` and ``normed`` may be the same array (the engine aliases them;
+    the autograd node keeps ``xhat`` for its backward).  ``stats`` holds the
+    layer-norm mean and then ``1/std``; ``red`` the softmax row max and then
+    the row sum; ``y`` the layer-norm square scratch and then the output
+    projection.
+    """
+
+    xt: np.ndarray       # (d, t, lanes) token-major input
+    xhat: np.ndarray     # (d, t, lanes) normalised input
+    normed: np.ndarray   # (d, t, lanes) layer-norm output
+    stats: np.ndarray    # (t, lanes)
+    qkv: np.ndarray      # (3d, t, lanes)
+    scores: np.ndarray   # (heads, t, t, lanes) scores, then exp(s - max)
+    red: np.ndarray      # (heads, t, 1, lanes)
+    ctx: np.ndarray      # (d, t, lanes) == (heads, head_dim, t, lanes)
+    y: np.ndarray        # (d, t, lanes)
+
+    @staticmethod
+    def lanes(cells: int) -> int:
+        """``cells`` rounded up to a multiple of :data:`_CELL_LANES`."""
+        return -(-cells // _CELL_LANES) * _CELL_LANES
+
+    @classmethod
+    def empty(cls, cells: int, t: int, d: int, heads: int,
+              dtype) -> "TokenMajorScratch":
+        lanes = cls.lanes(cells)
+        x_shape = (d, t, lanes)
+        return cls(
+            xt=np.empty(x_shape, dtype), xhat=np.empty(x_shape, dtype),
+            normed=np.empty(x_shape, dtype), stats=np.empty((t, lanes), dtype),
+            qkv=np.empty((3 * d, t, lanes), dtype),
+            scores=np.empty((heads, t, t, lanes), dtype),
+            red=np.empty((heads, t, 1, lanes), dtype),
+            ctx=np.empty(x_shape, dtype), y=np.empty(x_shape, dtype))
+
+
+# Token-major buffers carry a multiple of 16 cells.  OpenBLAS computes the
+# rows of a GEMM that fall in a partial M-panel with edge kernels whose sums
+# round differently, and the token-major projections put the cell axis on
+# that dimension: padding to whole panels keeps every real cell's bytes
+# independent of how many cells share the call.  It also keeps the cell axis
+# the innermost loop of every reduction (a length-1 axis would be dropped,
+# and numpy would reduce the key axis pairwise instead of in order).
+_CELL_LANES = 16
+
+
+def attribute_attention(x: Tensor, w_qkv: Tensor, w_out: Tensor,
+                        num_heads: int, gamma: Tensor | None = None,
+                        beta: Tensor | None = None, bias: Tensor | None = None,
+                        residual: bool = True, eps: float = 1e-5,
+                        need_weights: bool = False):
+    """Pre-norm multi-head self-attention over short token axes, one node.
+
+    ``x`` is ``(..., t, d)``: every leading index is a *cell* whose ``t``
+    tokens attend to each other — HIM's MBA, where a cell is a (user, item)
+    pair and its tokens are the ``h`` attribute embeddings.  Computes
+    ``x + (attn(layer_norm(x)) @ w_out + bias)``, with the layer norm used
+    when ``gamma``/``beta`` are given and the residual when ``residual``.
+
+    The forward is :func:`attribute_attention_into` (token-major, cell axis
+    innermost), so the inference engine's replay is bitwise identical.
+    ``need_weights`` also returns the attention as ``(..., heads, t, t)``
+    (outside the graph).
+    """
+    *lead, t, d = x.shape
+    cells = math.prod(lead)
+    head_dim = d // num_heads
+    scale = 1.0 / math.sqrt(head_dim)
+    dtype = x.data.dtype
+    scratch = TokenMajorScratch.empty(cells, t, d, num_heads, dtype)
+    lanes = scratch.xt.shape[-1]
+    out = np.empty(x.shape, dtype)
+    norm = gamma is not None
+    attribute_attention_into(
+        x.data, w_qkv.data, w_out.data, num_heads, out, scratch,
+        gamma=gamma.data if norm else None, beta=beta.data if norm else None,
+        bias=None if bias is None else bias.data, residual=residual, eps=eps)
+    parents = (x, w_qkv, w_out)
+    if norm:
+        parents += (gamma, beta)
+    if bias is not None:
+        parents += (bias,)
+
+    def backward(g):
+        # Padding lanes get a zero upstream gradient, so they add exact
+        # zeros to every parameter gradient.
+        n2 = t * lanes
+        heads5 = (num_heads, head_dim, t, lanes)
+        gt = np.zeros((d, t, lanes), dtype=dtype)
+        gt[..., :cells] = g.reshape(cells, t, d).transpose(2, 1, 0)
+        g2 = gt.reshape(d, n2)
+        grads = [(w_out, scratch.ctx.reshape(d, n2) @ g2.T)]
+        if bias is not None:
+            grads.append((bias, g2.sum(axis=1)))
+        # Attention core: ``scores`` holds exp(s - max), ``red`` its row sums.
+        dctx = (w_out.data @ g2).reshape(heads5)
+        probs = scratch.scores / scratch.red
+        q, k, v = scratch.qkv.reshape(3, *heads5)   # q carries the scale
+        dqkv = np.empty((3, *heads5), dtype=dtype)
+        np.einsum("nabc,nxac->nxbc", probs, dctx, out=dqkv[2])
+        ds = np.einsum("nxac,nxbc->nabc", dctx, v)
+        # sum_b dP·P == sum_x dctx·ctx, on the t-times smaller context.
+        ds -= np.einsum("nxac,nxac->nac", dctx,
+                        scratch.ctx.reshape(heads5))[:, :, None, :]
+        ds *= probs
+        np.einsum("nabc,nxbc->nxac", ds, k, out=dqkv[0])
+        dqkv[0] *= scale
+        np.einsum("nabc,nxac->nxbc", ds, q, out=dqkv[1])
+        dqkv2 = dqkv.reshape(3 * d, n2)
+        src = scratch.normed if norm else scratch.xt
+        grads.append((w_qkv, src.reshape(d, n2) @ dqkv2.T))
+        dx = (w_qkv.data @ dqkv2).reshape(d, t, lanes)
+        if norm:
+            xhat = scratch.xhat
+            grads.append((gamma, (dx * xhat).sum(axis=(1, 2))))
+            grads.append((beta, dx.sum(axis=(1, 2))))
+            dxhat = dx * gamma.data[:, None, None]
+            m1 = dxhat.mean(axis=0)
+            m2 = np.mean(dxhat * xhat, axis=0)
+            dx = scratch.stats * (dxhat - m1 - xhat * m2)
+        if residual:
+            dx += gt
+        grads.append((x, dx[..., :cells].transpose(2, 1, 0).reshape(x.shape)))
+        return tuple(grads)
+
+    result = Tensor._from_op(out, parents, backward)
+    if not need_weights:
+        return result
+    probs = (scratch.scores / scratch.red)[..., :cells].transpose(3, 0, 1, 2)
+    return result, probs.reshape(*lead, num_heads, t, t)
+
+
 def mse_loss(prediction: Tensor, target: Tensor | np.ndarray) -> Tensor:
     """Mean squared error over all elements."""
     if not isinstance(target, Tensor):
@@ -546,6 +686,75 @@ def mha_qkv_into(qkv: np.ndarray, num_heads: int, out: np.ndarray,
             softmax_into(scores_s, red_s)
             np.matmul(scores_s, v_s, out=ctx_s)
     out.reshape(*lead, t, num_heads, head_dim)[...] = np.swapaxes(ctx, -3, -2)
+    return out
+
+
+def attribute_attention_into(x: np.ndarray, w_qkv: np.ndarray,
+                             w_out: np.ndarray, num_heads: int,
+                             out: np.ndarray, scratch: TokenMajorScratch,
+                             gamma: np.ndarray | None = None,
+                             beta: np.ndarray | None = None,
+                             bias: np.ndarray | None = None,
+                             residual: bool = True,
+                             eps: float = 1e-5) -> np.ndarray:
+    """Token-major attribute attention into ``out`` — the forward of
+    :func:`attribute_attention`, which runs exactly this function.
+
+    ``x`` and ``out`` are C-contiguous ``(..., t, d)`` arrays, possibly the
+    same one; ``scratch`` holds at least ``TokenMajorScratch.lanes(cells)``
+    columns.  The activation is transposed once to ``(d, t, lanes)``, so the
+    layer norm reduces over the outer ``d`` axis, both projections are
+    single ``Wᵀ @ X`` GEMMs, the score and ``probs·v`` contractions are
+    einsums with cells innermost, and the softmax reduces over the key axis
+    while the cells stay the long contiguous inner loop.  The softmax divide
+    is applied to the ``(d, t, lanes)`` context instead of the ``t``-times
+    larger score tensor.
+
+    A cell's result depends only on that cell: every step is elementwise
+    over cells or a GEMM column, and the lane padding (zeros) keeps the
+    GEMMs on whole panels — so batching or padding contexts never changes
+    a real cell's bytes.
+    """
+    t, d = x.shape[-2:]
+    s = scratch
+    cells = x.size // (t * d)
+    lanes = s.xt.shape[-1]
+    head_dim = d // num_heads
+    scale = 1.0 / math.sqrt(head_dim)
+    np.copyto(s.xt[..., :cells], x.reshape(cells, t, d).transpose(2, 1, 0))
+    s.xt[..., cells:] = 0.0
+    if gamma is not None:
+        np.mean(s.xt, axis=0, out=s.stats)
+        np.subtract(s.xt, s.stats, out=s.xhat)      # centered
+        np.multiply(s.xhat, s.xhat, out=s.y)
+        np.mean(s.y, axis=0, out=s.stats)           # var
+        np.add(s.stats, eps, out=s.stats)
+        np.sqrt(s.stats, out=s.stats)
+        np.divide(1.0, s.stats, out=s.stats)        # inv_std
+        np.multiply(s.xhat, s.stats, out=s.xhat)
+        np.multiply(s.xhat, gamma[:, None, None], out=s.normed)
+        np.add(s.normed, beta[:, None, None], out=s.normed)
+        src = s.normed
+    else:
+        src = s.xt
+    n2 = t * lanes
+    np.matmul(w_qkv.T, src.reshape(d, n2), out=s.qkv.reshape(3 * d, n2))
+    q, k, v = s.qkv.reshape(3, num_heads, head_dim, t, lanes)
+    np.multiply(q, scale, out=q)
+    np.einsum("nxac,nxbc->nabc", q, k, out=s.scores)
+    np.amax(s.scores, axis=2, keepdims=True, out=s.red)
+    np.subtract(s.scores, s.red, out=s.scores)
+    np.exp(s.scores, out=s.scores)
+    np.sum(s.scores, axis=2, keepdims=True, out=s.red)
+    ctx = s.ctx.reshape(num_heads, head_dim, t, lanes)
+    np.einsum("nabc,nxbc->nxac", s.scores, v, out=ctx)
+    np.divide(ctx, s.red.reshape(num_heads, 1, t, lanes), out=ctx)
+    np.matmul(w_out.T, s.ctx.reshape(d, n2), out=s.y.reshape(d, n2))
+    if bias is not None:
+        np.add(s.y, bias[:, None, None], out=s.y)
+    if residual:
+        np.add(s.xt, s.y, out=s.y)
+    np.copyto(out.reshape(cells, t, d), s.y[..., :cells].transpose(2, 1, 0))
     return out
 
 

@@ -219,6 +219,12 @@ class _AttnStep:
                  "scores", "red", "ctx", "attn_out")
 
 
+class _MbaStep:
+    """One MBA layer bound to the shared token-major scratch."""
+
+    __slots__ = ("attention", "norm", "residual", "x", "scratch")
+
+
 class _EncodeSlot:
     """Encoder views for one context slab of ``h`` (possibly sliced)."""
 
@@ -308,17 +314,24 @@ class InferencePlan:
         # x-shaped buffers hold exactly ``cells * e`` elements (e = h·f);
         # scores/red vary per kind.  The layer-norm square scratch shares
         # the scores arena (they are never alive simultaneously).
+        # MBA's token-major buffers carry its cells padded to whole lanes.
         x_count = cells * e
         scores_count = x_count
         red_count = 0
+        wide_count = x_count
         for kind in self._enabled_kinds():
             bshape, t, d, heads = self._attn_shapes(kind)
             batch = prod(bshape) if bshape else 1
+            if kind == "attr":
+                batch = F.TokenMajorScratch.lanes(batch)
+                wide_count = batch * e
             scores_count = max(scores_count, batch * heads * t * t)
             red_count = max(red_count, batch * heads * t, batch * t)
-        for name in ("normed", "attn", "q", "k", "v", "ctx"):
+        for name in ("k", "v"):
             ws.reserve(name, x_count)
-        ws.reserve("qkv", 3 * x_count)
+        for name in ("normed", "attn", "q", "ctx"):
+            ws.reserve(name, wide_count)
+        ws.reserve("qkv", 3 * wide_count)
         ws.reserve("scores", scores_count)
         ws.reserve("red", red_count)
 
@@ -403,6 +416,35 @@ class InferencePlan:
         step.attn_out = ws.view("attn", xshape)
         return step
 
+    def _bind_mba(self) -> F.TokenMajorScratch:
+        """Token-major MBA scratch over the attention arenas (shared by
+        every block: the MBA steps never overlap)."""
+        ws = self.workspace
+        bshape, t, d, heads = self._attn_shapes("attr")
+        lanes = F.TokenMajorScratch.lanes(prod(bshape))
+        x_shape = (d, t, lanes)
+        normed = ws.view("normed", x_shape)
+        return F.TokenMajorScratch(
+            xt=ws.view("attn", x_shape), xhat=normed, normed=normed,
+            stats=ws.view("red", (t, lanes)),
+            qkv=ws.view("qkv", (3 * d, t, lanes)),
+            scores=ws.view("scores", (heads, t, t, lanes)),
+            red=ws.view("red", (heads, t, 1, lanes)),
+            ctx=ws.view("ctx", x_shape), y=ws.view("q", x_shape))
+
+    @staticmethod
+    def _exec_mba(step: _MbaStep) -> None:
+        at, norm = step.attention, step.norm
+        bias = at.w_output.bias
+        F.attribute_attention_into(
+            step.x, at.w_qkv.data, at.w_output.weight.data, at.num_heads,
+            step.x, step.scratch,
+            gamma=None if norm is None else norm.gamma.data,
+            beta=None if norm is None else norm.beta.data,
+            bias=None if bias is None else bias.data,
+            residual=step.residual,
+            eps=1e-5 if norm is None else norm.eps)
+
     @staticmethod
     def _exec_attn(step: _AttnStep, spans=None) -> None:
         at = step.attention
@@ -436,7 +478,9 @@ class InferencePlan:
         reshape-copy the Tensor path performs on a non-contiguous input).
         """
         lead, n, m, e = self.lead, self.n, self.m, self.e
-        steps = []  # ("attn", _AttnStep) | ("copy", dst, src)
+        steps = []  # ("attn", _AttnStep) | ("mba", _MbaStep) | ("copy", dst, src)
+        mba_scratch = (self._bind_mba() if "attr" in self._enabled_kinds()
+                       else None)
 
         for block in self.model.blocks:
             in_h = True  # activation currently lives in self.h
@@ -459,11 +503,13 @@ class InferencePlan:
                     steps.append(("copy", self.h,
                                   self.h_user.swapaxes(-3, -2)))
                     in_h = True
-                x = self.h.reshape(*lead, n, m, self.num_attrs, self.f)
-                norm = block.attr_norm if block.use_layer_norm else None
-                steps.append(("attn", self._bind_attention(
-                    block.attr_attention, norm, "attr", x, x,
-                    block.use_residual)))
+                mba = _MbaStep()
+                mba.attention = block.attr_attention
+                mba.norm = block.attr_norm if block.use_layer_norm else None
+                mba.residual = block.use_residual
+                mba.x = self.h.reshape(*lead, n, m, self.num_attrs, self.f)
+                mba.scratch = mba_scratch
+                steps.append(("mba", mba))
             if not in_h:
                 steps.append(("copy", self.h, self.h_user.swapaxes(-3, -2)))
         return steps
@@ -525,6 +571,8 @@ class InferencePlan:
         for step in self._steps:
             if step[0] == "copy":
                 np.copyto(step[1], step[2])
+            elif step[0] == "mba":
+                self._exec_mba(step[1])
             else:
                 attn = step[1]
                 spans = (attn_spans.get(attn.kind)

@@ -32,8 +32,9 @@ __all__ = [
     "op_hooks",
 ]
 
-# The single-autograd-node kernels of the HIRE hot path plus the loss —
-# the ops whose fused-vs-reference split PR 1 benchmarked.
+# The single-autograd-node kernels of the HIRE hot path plus the loss: the
+# ops with a fused-vs-reference split.  ``attribute_attention`` is MBA's
+# whole layer (norm, attention and residual) as one node.
 HOT_OPS = (
     "linear",
     "layer_norm",
@@ -41,6 +42,7 @@ HOT_OPS = (
     "softmax",
     "scaled_dot_product_attention",
     "multi_head_attention_qkv",
+    "attribute_attention",
     "embedding_lookup",
     "masked_mse_loss",
 )

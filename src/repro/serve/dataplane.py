@@ -103,6 +103,27 @@ class UpdateResult:
     generation: int = 0
 
 
+def _validate_deltas(graph: RatingGraph, ratings: np.ndarray) -> None:
+    """Reject a ``(k, 3)`` delta batch with a bad id or rating.
+
+    Ids must be integral and inside the graph; ratings must be finite.
+    Checked before :func:`dedupe_deltas` builds its keys: ``astype(int64)``
+    would truncate an id of 3.7 to 3, and a NaN rating compares unequal to
+    every stored value, so it would survive the dedupe into the graph and
+    the rating log.
+    """
+    users, items, values = ratings[:, 0], ratings[:, 1], ratings[:, 2]
+    bad = ~np.isfinite(values)
+    for ids, size in ((users, graph.num_users), (items, graph.num_items)):
+        bad |= (ids != np.floor(ids)) | ~((ids >= 0) & (ids < size))
+    if bad.any():
+        row = int(np.flatnonzero(bad)[0])
+        raise ValueError(
+            f"rating delta {row} {tuple(ratings[row].tolist())} needs integral "
+            f"ids inside the {graph.num_users}x{graph.num_items} graph and a "
+            "finite rating; the batch was not applied")
+
+
 def dedupe_deltas(graph: RatingGraph, ratings: np.ndarray) -> np.ndarray:
     """Collapse a delta batch to its effective updates.
 
@@ -256,11 +277,14 @@ class GraphStore:
         invalidation race-free against in-flight assemblies (see the
         module docstring).  Returns the batch's :class:`UpdateResult`;
         ``applied == 0`` means nothing changed (and nothing was
-        invalidated or teed).
+        invalidated or teed).  Raises ``ValueError``, applying nothing, when
+        any delta has a non-integral or out-of-range id or a non-finite
+        rating.
         """
         ratings = np.asarray(ratings, dtype=np.float64).reshape(-1, 3)
         with self._lock:
             graph, users_pool, items_pool, generation, epoch = self._state
+            _validate_deltas(graph, ratings)
             applied = dedupe_deltas(graph, ratings)
             skipped = len(ratings) - len(applied)
             self._updates_total += 1

@@ -23,9 +23,7 @@ Ties the serving pieces together behind ``submit()`` / ``predict()`` /
   rounded up to ``pack_bucket`` multiples, bounded by ``pack_max_waste``
   — and each bucket executes as one padded, stacked
   :func:`repro.nn.inference.forward_inference_packed` call whose real
-  rows are bitwise identical to unpadded per-request forwards (the
-  historical ``share_contexts`` flag now aliases this exact path; the old
-  approximate jointly-sampled mode is retired);
+  rows are bitwise identical to unpadded per-request forwards;
 * a warm-entity :class:`repro.nn.inference.EmbeddingStore` reuses encoder
   attribute rows across requests, dropped on registry hot swaps and
   invalidated per-entity on ``update_ratings``;
@@ -124,11 +122,6 @@ class ServiceConfig:
     pack_contexts: bool = True
     pack_bucket: int = 8
     pack_max_waste: float = 1.0
-    # Historical alias for the packed path.  Earlier versions implemented
-    # share_contexts as an approximate jointly-sampled mode; that mode is
-    # retired — the flag now simply forces pack_contexts on and serving
-    # stays bit-identical to sequential prediction.
-    share_contexts: bool = False
     # Reuse encoder attribute rows for warm entities across requests
     # (repro.nn.inference.EmbeddingStore; bitwise identical, invalidated
     # on hot swap and update_ratings).
@@ -196,8 +189,6 @@ class ServiceConfig:
                         "(deeper queue -> smaller contexts)")
             if any(n < 2 or m < 2 for _, n, m in self.budget_ladder):
                 raise ValueError("ladder context budgets must be >= 2")
-        if self.share_contexts:
-            self.pack_contexts = True
 
 
 class PredictionService:
@@ -474,7 +465,9 @@ class PredictionService:
         embedding rows whose assembly read a changed user/item are dropped;
         the rest survive (pool growth forces a full drop — see
         ``docs/scaling.md``).  Returns the number of deltas applied — zero
-        means nothing changed (and nothing was invalidated).
+        means nothing changed (and nothing was invalidated).  A batch with
+        a non-integral or out-of-range id or a non-finite rating raises
+        ``ValueError`` and applies nothing.
 
         In-flight requests are unaffected: each request pins the graph
         snapshot it was admitted under and executes against it, so a

@@ -116,6 +116,26 @@ class TestAttentionCapture:
                                    atol=1e-10)
 
 
+    def test_attr_capture_matches_reference(self, him, h_input):
+        """MBA's captured weights keep the documented (n, m, heads, h, h)
+        layout on the token-major path, with the reference's values."""
+        from repro.nn import functional as F
+
+        him.set_capture(True)
+        captured = {}
+        for fused in (True, False):
+            with F.fused_kernels(fused):
+                him(h_input)
+            captured[fused] = him.captured_attention()["attr"]
+        heads = him.attr_attention.num_heads
+        assert captured[True].shape == (4, 6, heads, H_ATTRS, H_ATTRS)
+        assert captured[True].shape == captured[False].shape
+        np.testing.assert_allclose(captured[True], captured[False],
+                                   atol=1e-10, rtol=0)
+        np.testing.assert_allclose(captured[True].sum(axis=-1), 1.0,
+                                   atol=1e-12)
+
+
 class TestAttrHeadFallback:
     def test_heads_reduced_to_divide_attr_dim(self):
         """attr_dim=6 with 4 heads falls back to 3 heads (largest divisor)."""

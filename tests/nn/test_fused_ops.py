@@ -72,6 +72,28 @@ class TestGradchecks:
         mhsa = MultiHeadSelfAttention(4, 2, rng)
         check_grad(lambda t: mhsa(t), rng.normal(size=(3, 4)), tol=1e-5)
 
+    @pytest.mark.parametrize("norm", [True, False])
+    @pytest.mark.parametrize("residual", [True, False])
+    def test_attribute_attention_each_input(self, rng, norm, residual):
+        # (2, 3) cells of t = 4 tokens, d = 6 in 3 heads; with a bias.
+        x0 = rng.normal(size=(2, 3, 4, 6))
+        params = {"w_qkv": rng.normal(size=(6, 18)) * 0.5,
+                  "w_out": rng.normal(size=(6, 6)) * 0.5,
+                  "bias": rng.normal(size=(6,))}
+        if norm:
+            params["gamma"] = 1.0 + 0.3 * rng.normal(size=(6,))
+            params["beta"] = rng.normal(size=(6,))
+
+        def op(x, **swap):
+            kw = {name: Tensor(value) for name, value in params.items()}
+            kw.update(swap)
+            return F.attribute_attention(x, kw.pop("w_qkv"), kw.pop("w_out"),
+                                         3, residual=residual, **kw)
+
+        check_grad(lambda t: op(t), x0, tol=1e-5)
+        for name, value in params.items():
+            check_grad(lambda t: op(Tensor(x0), **{name: t}), value, tol=1e-5)
+
 
 class TestFusedVsReferenceEquivalence:
     def test_layer_norm(self, rng):
@@ -138,6 +160,36 @@ class TestFusedVsReferenceEquivalence:
         np.testing.assert_allclose(out_fused.data, out_ref.data, atol=EQ_TOL, rtol=0)
         np.testing.assert_allclose(grad_fused, grad_ref, atol=EQ_TOL, rtol=0)
 
+    @pytest.mark.parametrize("flags", [
+        {}, {"use_layer_norm": False}, {"use_residual": False},
+        {"use_layer_norm": False, "use_residual": False},
+    ])
+    def test_attribute_attention_matches_row_major_reference(self, flags):
+        """HIM's MBA: the token-major node vs the decomposed row-major
+        ``_wrap`` path, outputs and every gradient within 1e-10."""
+        from repro.core.him import HIM
+
+        him = HIM(5, 8, 2, np.random.default_rng(0), use_user=False,
+                  use_item=False, **flags)
+        x = np.random.default_rng(1).normal(size=(2, 3, 4, 40))
+        upstream = np.random.default_rng(2).normal(size=x.shape)
+        results = []
+        for fused in (True, False):
+            with F.fused_kernels(fused):
+                him.zero_grad()
+                h = Tensor(x, requires_grad=True)
+                out = him.interact_attributes(h)
+                (out * Tensor(upstream)).sum().backward()
+                results.append((out.data, h.grad, {
+                    name: p.grad.copy() for name, p in him.named_parameters()}))
+        (out_f, gx_f, grads_f), (out_r, gx_r, grads_r) = results
+        np.testing.assert_allclose(out_f, out_r, atol=EQ_TOL, rtol=0)
+        np.testing.assert_allclose(gx_f, gx_r, atol=EQ_TOL, rtol=0)
+        assert grads_f.keys() == grads_r.keys()
+        for name in grads_f:
+            np.testing.assert_allclose(grads_f[name], grads_r[name],
+                                       atol=EQ_TOL, rtol=0, err_msg=name)
+
     def test_sdpa_matches_manual_composition(self, rng):
         q = rng.normal(size=(2, 4, 6))
         k = rng.normal(size=(2, 4, 6))
@@ -146,6 +198,32 @@ class TestFusedVsReferenceEquivalence:
         scores = (Tensor(q) @ Tensor(k).swapaxes(-1, -2)) * (1.0 / np.sqrt(6.0))
         ref = F.softmax(scores, axis=-1) @ Tensor(v)
         np.testing.assert_allclose(fused.data, ref.data, atol=EQ_TOL, rtol=0)
+
+
+class TestAttributeAttentionBatchInvariance:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_cell_bytes_do_not_depend_on_batch(self, dtype):
+        """A cell's output bytes are the same whether it runs alone, in a
+        small batch or at any offset of a large one — what lets batched and
+        padded engine forwards match one-context Tensor forwards."""
+        rng = np.random.default_rng(3)
+        t, d, heads = 9, 16, 8   # the paper's MBA: h = 9 tokens, 8 heads
+        x = rng.normal(size=(1100, t, d)).astype(dtype)
+        w_qkv = Tensor((0.3 * rng.normal(size=(d, 3 * d))).astype(dtype))
+        w_out = Tensor((0.3 * rng.normal(size=(d, d))).astype(dtype))
+        gamma = Tensor(rng.normal(size=d).astype(dtype))
+        beta = Tensor(rng.normal(size=d).astype(dtype))
+
+        def run(cells):
+            return F.attribute_attention(Tensor(cells), w_qkv, w_out, heads,
+                                         gamma=gamma, beta=beta).data
+
+        full = run(x)
+        for count in (1, 2, 3, 7, 16, 17, 99, 144, 253, 255, 256, 257):
+            for offset in (0, 5):
+                part = run(x[offset:offset + count])
+                assert part.tobytes() == full[offset:offset + count].tobytes(), (
+                    count, offset)
 
 
 class TestCheckpointCompatibility:

@@ -43,8 +43,12 @@ def make_contexts(graph, n=8, m=6):
 
 
 def make_model(dataset, **flags):
-    return HIRE(dataset, HIREConfig(num_blocks=2, num_heads=2, attr_dim=4,
-                                    **flags))
+    return HIRE(dataset, HIREConfig(**{"num_blocks": 2, "num_heads": 2,
+                                       "attr_dim": 4, **flags}))
+
+
+# The paper's head shape: MBA runs 8 heads of width 2 over d = 16.
+PAPER_HEADS = {"num_heads": 8, "attr_dim": 16}
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -56,6 +60,7 @@ def make_model(dataset, **flags):
     {"use_attr": False},
     {"use_layer_norm": False},
     {"use_residual": False},
+    PAPER_HEADS,
 ])
 def test_engine_bitwise_identical_to_tensor_path(dataset, graph, dtype, flags):
     with nn.dtype_policy(dtype):
@@ -69,6 +74,28 @@ def test_engine_bitwise_identical_to_tensor_path(dataset, graph, dtype, flags):
         out_many = inference.forward_inference_many(model, [ctx, ctx2]).copy()
     assert ref.tobytes() == out.tobytes()
     assert ref_many.tobytes() == out_many.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("flags", [{}, PAPER_HEADS])
+def test_batched_slices_equal_one_context_forward(dataset, graph, dtype,
+                                                  flags):
+    """Every slice of a stacked forward — Tensor or engine — carries the
+    bytes of that context's own one-context Tensor forward."""
+    with nn.dtype_policy(dtype):
+        model = make_model(dataset, **flags)
+        model.eval()
+        rng = np.random.default_rng(7)
+        contexts = [build_context(graph, rng.choice(50, 7, replace=False),
+                                  rng.choice(40, 5, replace=False), rng,
+                                  reveal_fraction=0.3) for _ in range(3)]
+        with nn.no_grad():
+            solos = [model.forward(c).data.copy() for c in contexts]
+            tensor_many = model.forward_many(contexts).data.copy()
+        engine_many = inference.forward_inference_many(model, contexts).copy()
+    for index, solo in enumerate(solos):
+        assert tensor_many[index].tobytes() == solo.tobytes()
+        assert engine_many[index].tobytes() == solo.tobytes()
 
 
 def test_predict_routes_through_engine_and_escape_hatch(dataset, graph):
@@ -254,6 +281,7 @@ def make_mixed_contexts(graph):
     {"use_attr": False},
     {"use_layer_norm": False},
     {"use_residual": False},
+    PAPER_HEADS,
 ])
 def test_packed_identical_to_unpadded(dataset, graph, dtype, flags):
     """Padded packing is exact: every real row of a packed forward matches

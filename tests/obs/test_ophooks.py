@@ -93,7 +93,9 @@ class TestAttribution:
         with ophooks.op_hooks():
             trainer.train_step()
         recorded = set(obs.span_totals())
-        # The HIRE hot path exercises at least these kernels.
+        # The HIRE hot path exercises at least these kernels; MBA runs as
+        # one attribute_attention node.
         for op in ("linear", "layer_norm", "embedding_lookup",
-                   "multi_head_attention_qkv", "masked_mse_loss"):
+                   "multi_head_attention_qkv", "attribute_attention",
+                   "masked_mse_loss"):
             assert f"op/{op}[fused]" in recorded

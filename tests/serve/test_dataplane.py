@@ -196,6 +196,30 @@ class TestGraphStore:
         assert len(log.batches) == 1
         assert np.array_equal(log.batches[0], np.array([[0, 1, 5.0]]))
 
+    @pytest.mark.parametrize("bad", [
+        [1, 1, np.nan],        # NaN would pass the dedupe (NaN != anything)
+        [1, 1, np.inf],
+        [3.7, 0, 4.0],         # astype(int64) would truncate it to user 3
+        [0, 1.5, 4.0],
+        [4, 0, 4.0],           # out of range (4 users)
+        [0, -1, 4.0],
+        [np.nan, 0, 4.0],
+    ])
+    def test_bad_delta_rejects_whole_batch(self, bad):
+        logged = []
+        store = self.make_store()
+        store.rating_log = type("Log", (), {"append": logged.append})()
+        seen = []
+        store.subscribe(seen.append)
+        before = store.state
+        with pytest.raises(ValueError):
+            store.apply(np.array([[0, 1, 5.0], bad]))
+        assert store.state is before
+        assert store.generation == 0
+        assert store.state.graph.rating(0, 1) != 5.0
+        assert seen == [] and logged == []
+        assert store.stats()["updates_total"] == 0
+
     def test_snapshot_positional_compatibility(self):
         """GraphSnapshot must stay a 5-tuple with generation at index 3
         (the batcher's coalescing key reads graph_state[3])."""

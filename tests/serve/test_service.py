@@ -273,24 +273,6 @@ class TestObservability:
         assert "cache" in stats
 
 
-class TestSharedContexts:
-    def test_share_contexts_is_now_exact(self, serve_model, ml_split,
-                                         serve_tasks, sequential_scores):
-        """``share_contexts`` aliases the exact packed path: scores are
-        bit-identical to sequential prediction (the historical approximate
-        jointly-sampled mode is retired)."""
-        with make_service(serve_model, ml_split, serve_tasks,
-                          share_contexts=True, max_batch_size=8,
-                          num_workers=1, max_wait_seconds=0.25,
-                          cache_enabled=False) as service:
-            assert service.config.pack_contexts  # forced on by the alias
-            futures = [service.submit(t.user, t.query_items, t.support_items)
-                       for t in serve_tasks]
-            got = [f.result(60) for f in futures]
-        for expected, scores in zip(sequential_scores, got):
-            assert np.array_equal(expected, scores)
-
-
 class TestPackedServing:
     BUDGETS = [(20, 26), (24, 30), (18, 28)]  # all bucket to (24, 32)
 
