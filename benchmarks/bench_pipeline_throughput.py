@@ -1,6 +1,6 @@
 """Throughput benchmark of the training-context pipeline.
 
-Sweeps prefetch workers × buffer depth × backend against the sequential
+Sweeps prefetch workers × buffer depth against the sequential
 per-step-RNG baseline and asserts ``loss_history`` bit-identity on every
 grid point — the pipeline may reorder *when* contexts are sampled, never
 *what* is sampled.  The full run writes ``BENCH_pipeline.json`` at the

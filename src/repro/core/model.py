@@ -76,8 +76,11 @@ class HIRE(nn.Module):
             for _ in range(self.config.num_blocks)
         )
         self.decoder = nn.Linear(self.encoder.embed_dim, 1, rng)
-        # α rescales the sigmoid to the rating range upper bound (Eq. 16).
-        self.alpha = float(dataset.rating_range[1])
+        # α rescales the sigmoid to the rating range upper bound (Eq. 16);
+        # the full range is kept so serving can reject out-of-scale deltas.
+        self.rating_range = (float(dataset.rating_range[0]),
+                             float(dataset.rating_range[1]))
+        self.alpha = self.rating_range[1]
 
     def forward(self, context: PredictionContext) -> nn.Tensor:
         """Predicted rating matrix ``R̂`` of shape (n, m)."""
@@ -119,16 +122,14 @@ class HIRE(nn.Module):
         """
         return nn.inference.forward_inference(self, context)
 
-    def predict(self, context: PredictionContext,
-                use_inference_engine: bool = True) -> np.ndarray:
+    def predict(self, context: PredictionContext) -> np.ndarray:
         """Inference-only forward returning a numpy matrix.
 
         Uses the graph-free inference engine when supported (bitwise
-        identical, allocation-free); ``use_inference_engine=False`` forces
-        the Tensor path.
+        identical, allocation-free), else a ``no_grad`` Tensor forward.
         """
         self.eval()
-        if use_inference_engine and nn.inference.engine_supported(self):
+        if nn.inference.engine_supported(self):
             out_data = nn.inference.forward_inference(self, context).copy()
         else:
             with nn.no_grad():
@@ -136,8 +137,7 @@ class HIRE(nn.Module):
         self.train()
         return out_data
 
-    def predict_many(self, contexts: list[PredictionContext],
-                     use_inference_engine: bool = True) -> np.ndarray:
+    def predict_many(self, contexts: list[PredictionContext]) -> np.ndarray:
         """Inference-only stacked forward: (B, n, m) ratings as numpy.
 
         Bit-identical per slice to :meth:`predict` on each context (the
@@ -147,7 +147,7 @@ class HIRE(nn.Module):
         inference engine when supported, like :meth:`predict`.
         """
         self.eval()
-        if use_inference_engine and nn.inference.engine_supported(self):
+        if nn.inference.engine_supported(self):
             out_data = nn.inference.forward_inference_many(self, contexts).copy()
         else:
             with nn.no_grad():

@@ -210,22 +210,19 @@ class HIREPredictor:
         generator per ``(task, sample, chunk)`` via :func:`task_chunk_rng`,
         making every task's scores independent of evaluation order — the
         mode :class:`repro.serve.PredictionService` reproduces bit-exactly.
-    use_inference_engine:
-        On by default: chunk forwards run through the graph-free
-        :mod:`repro.nn.inference` engine when supported (bitwise identical
-        to the Tensor path).  ``False`` is the escape hatch back to the
-        ``no_grad`` Tensor forward.
+
+    Chunk forwards go through :meth:`HIRE.predict`, which uses the
+    graph-free :mod:`repro.nn.inference` engine when supported.
     """
 
     def __init__(self, model: HIRE, split: ColdStartSplit, tasks: list[EvalTask],
                  sampler: ContextSampler | None = None, context_users: int = 32,
                  context_items: int = 32, reveal_fraction: float = 0.1,
                  num_context_samples: int = 1, seed: int = 0,
-                 per_task_rng: bool = False, use_inference_engine: bool = True):
+                 per_task_rng: bool = False):
         if num_context_samples < 1:
             raise ValueError("num_context_samples must be >= 1")
         self.model = model
-        self.use_inference_engine = use_inference_engine
         self.split = split
         self.sampler = sampler or NeighborhoodSampler()
         self.context_users = context_users
@@ -274,8 +271,7 @@ class HIREPredictor:
         )
         scores = np.empty(len(task.query_items), dtype=np.float64)
         for chunk in chunks:
-            predicted = self.model.predict(
-                chunk.context, use_inference_engine=self.use_inference_engine)
+            predicted = self.model.predict(chunk.context)
             scores[chunk.start:chunk.start + len(chunk)] = (
                 predicted[chunk.user_row, chunk.cols])
 

@@ -61,21 +61,15 @@ class TrainerConfig:
     validate_every: int = 10
     # Context-prefetching pipeline (repro.pipeline).  prefetch_workers > 0
     # samples step batches on that many workers ahead of the optimiser;
-    # prefetch_buffer bounds how many steps they may run ahead.  The
-    # "process" backend trades pickling overhead for true parallelism.
+    # prefetch_buffer bounds how many steps they may run ahead.
     prefetch_workers: int = 0
     prefetch_buffer: int = 4
-    prefetch_backend: str = "thread"
     # Per-step RNG derivation (derive_step_rng(seed, step, slot)): each
     # context is a pure function of the step index instead of one shared
     # advancing stream.  None = auto: on exactly when prefetching is on.
     # Setting it True with prefetch_workers=0 gives the sequential
     # baseline that any pipelined run is bit-identical to.
     per_step_rng: bool | None = None
-    # Zero gradient buffers in place between steps instead of dropping
-    # them (skips one allocation + backward-pass takeover per parameter
-    # per step; bit-identical loss trajectory).
-    zero_grads_in_place: bool = False
 
     def __post_init__(self):
         if self.steps < 1:
@@ -90,8 +84,6 @@ class TrainerConfig:
             raise ValueError("prefetch_workers must be >= 0")
         if self.prefetch_buffer < 1:
             raise ValueError("prefetch_buffer must be >= 1")
-        if self.prefetch_backend not in ("thread", "process"):
-            raise ValueError("prefetch_backend must be 'thread' or 'process'")
         if self.per_step_rng is False and self.prefetch_workers > 0:
             raise ValueError(
                 "prefetch_workers > 0 requires per-step RNG derivation; "
@@ -208,7 +200,6 @@ class HIRETrainer:
             ContextBatchSource.from_trainer(self),
             num_workers=max(cfg.prefetch_workers, 1),
             buffer_depth=cfg.prefetch_buffer,
-            backend=cfg.prefetch_backend,
             metrics=metrics,
         )
 
@@ -225,7 +216,7 @@ class HIRETrainer:
             )
         step = len(self.loss_history)
         with obs.span("train_step"):
-            self.optimizer.zero_grad(set_to_zero=cfg.zero_grads_in_place)
+            self.optimizer.zero_grad()
             if self._active_pipeline is not None:
                 # Workers sampled this batch ahead of time; the span now
                 # measures only how long the optimiser waited on the

@@ -165,9 +165,7 @@ def _cmd_serve(args) -> int:
     from ..serve import (
         ModelRegistry,
         PredictionService,
-        RouterConfig,
         ServiceConfig,
-        ShardRouter,
         load_workload,
         replay_workload,
         synthesize_update_bursts,
@@ -216,15 +214,8 @@ def _cmd_serve(args) -> int:
         cache_enabled=not args.no_cache,
         seed=args.seed,
     )
-    if args.shards > 1:
-        service = ShardRouter.from_split(
-            registry, split, tasks, config=config,
-            router_config=RouterConfig(num_shards=args.shards))
-        store = service.store
-    else:
-        service = PredictionService.from_split(registry, split, tasks,
-                                               config=config)
-        store = service.graph_store
+    service = PredictionService.from_split(registry, split, tasks,
+                                           config=config)
     segments = np.array_split(np.arange(len(requests)), len(bursts) + 1)
     start = time.perf_counter()
     for index, segment in enumerate(segments):
@@ -234,11 +225,10 @@ def _cmd_serve(args) -> int:
     elapsed = time.perf_counter() - start
     service.close()
 
-    updates = store.stats()
+    updates = service.graph_store.stats()
     lines = [
         f"== serve replay ({args.dataset}, scale={args.scale}, "
-        f"model={registry.active_name}"
-        + (f", shards={args.shards}" if args.shards > 1 else "") + ") ==",
+        f"model={registry.active_name}) ==",
         f"{len(requests)} requests in {elapsed:.2f}s "
         f"({len(requests) / elapsed:.1f} req/s)"
         + (f"; updates: {updates['applied_total']} applied / "
@@ -444,9 +434,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--batch-size", type=int, default=8)
     serve.add_argument("--workers", type=int, default=1)
     serve.add_argument("--queue-size", type=int, default=64)
-    serve.add_argument("--shards", type=int, default=1,
-                       help="route across N service shards (>1 uses the "
-                            "ShardRouter; see docs/scaling.md)")
     serve.add_argument("--update-bursts", type=int, default=0,
                        help="apply N rating-update bursts between replay "
                             "segments (exercises the incremental data plane)")

@@ -1,7 +1,7 @@
 """Throughput benchmark of the ``repro.pipeline`` training-context pipeline.
 
 Trains the same model over a grid of prefetch configurations
-(workers × buffer depth × backend) and compares step throughput against a
+(workers × buffer depth) and compares step throughput against a
 **sequential baseline**: the identical trainer with
 ``per_step_rng=True, prefetch_workers=0``, i.e. the same derived-RNG
 sampling executed inline.  Every grid point must reproduce the baseline's
@@ -54,19 +54,14 @@ def _setup(smoke: bool):
         model_cfg = dict(num_blocks=1, num_heads=2, attr_dim=4, seed=0)
         trainer_cfg = dict(steps=6, batch_size=2, context_users=8,
                            context_items=8, seed=0)
-        grid = [("thread", 1, 2), ("thread", 2, 4)]
+        grid = [(1, 2), (2, 4)]
     else:
         dataset = movielens_like(num_users=600, num_items=400, seed=0,
                                  ratings_per_user=120.0)
         model_cfg = dict(num_blocks=1, num_heads=2, attr_dim=4, seed=0)
         trainer_cfg = dict(steps=30, batch_size=8, context_users=12,
                            context_items=12, seed=0)
-        grid = [
-            ("thread", 1, 2), ("thread", 1, 8),
-            ("thread", 2, 2), ("thread", 2, 8),
-            ("thread", 4, 8),
-            ("process", 2, 8), ("process", 4, 8),
-        ]
+        grid = [(1, 2), (1, 8), (2, 2), (2, 8), (4, 8)]
     split = make_cold_start_split(dataset, 0.2, 0.2, seed=0)
     return dataset, split, model_cfg, trainer_cfg, grid
 
@@ -118,14 +113,12 @@ def run_pipeline_benchmark(smoke: bool = False) -> dict:
 
     runs = []
     bit_identical = True
-    for backend, workers, depth in grid:
+    for workers, depth in grid:
         history, seconds, trainer = _fit_once(
             dataset, split, model_cfg, trainer_cfg,
-            prefetch_workers=workers, prefetch_buffer=depth,
-            prefetch_backend=backend)
+            prefetch_workers=workers, prefetch_buffer=depth)
         snapshot = trainer.last_pipeline.snapshot()
         result = {
-            "backend": backend,
             "workers": workers,
             "buffer_depth": depth,
             "seconds": seconds,
@@ -170,8 +163,7 @@ def run_pipeline_benchmark(smoke: bool = False) -> dict:
         "runs": runs,
         "bit_identical_all_runs": bit_identical,
         "best_speedup": best["speedup_vs_sequential"],
-        "best_config": {"backend": best["backend"],
-                        "workers": best["workers"],
+        "best_config": {"workers": best["workers"],
                         "buffer_depth": best["buffer_depth"]},
     }
 
@@ -189,7 +181,7 @@ def render_pipeline_bench(payload: dict) -> str:
     ]
     for run in payload["runs"]:
         lines.append(
-            f"{run['backend']:<7s} workers={run['workers']} "
+            f"workers={run['workers']} "
             f"depth={run['buffer_depth']}: "
             f"{run['steps_per_second']:6.2f} steps/s "
             f"({run['speedup_vs_sequential']:.2f}x)  "
@@ -198,7 +190,7 @@ def render_pipeline_bench(payload: dict) -> str:
             f"bit-identical: {run['bit_identical_to_sequential']}")
     best = payload["best_config"]
     lines.append(
-        f"best: {best['backend']} workers={best['workers']} "
+        f"best: workers={best['workers']} "
         f"depth={best['buffer_depth']} -> {payload['best_speedup']:.2f}x "
         f"(cpu_count={payload['cpu_count']})")
     return "\n".join(lines)

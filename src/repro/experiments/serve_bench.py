@@ -2,8 +2,7 @@
 
 Replays one skewed workload (hot users dominate, as real traffic does)
 through :class:`repro.serve.PredictionService` across a grid of micro-batch
-sizes × context cache on/off × inference engine on/off
-(:mod:`repro.nn.inference`), against a **sequential baseline** that scores
+sizes × context cache on/off, against a **sequential baseline** that scores
 one request at a time through the same predictor code path — no queue, no
 batching, no cache, Tensor-path forwards.
 
@@ -38,14 +37,6 @@ once with the ladder on, recording the p99 each regime reaches, the SLO
 health verdict, and a bit-identity check of every degraded score against
 a sequential replay at the same effective ``(n, m)``.
 
-A **sharding** section drives a :class:`repro.serve.ShardRouter` (verify
-mode on) with a power-law workload interleaved with tail-biased flash
-update bursts, against a segmented sequential baseline that fully rebuilds
-the graph between segments — recording per-shard routed counts and p99s,
-the ``balance`` and ``invalidation_precision`` headline ratios, the
-incremental-vs-rebuild update timing, and the end-to-end bit-identity of
-the sharded, incrementally-updated deployment.
-
 ``benchmarks/bench_serve_throughput.py`` writes the result as
 ``BENCH_serve.json`` at the repo root; ``--smoke`` runs a shrunken grid in
 seconds and skips the JSON write.
@@ -65,20 +56,16 @@ from ..core import HIRE, HIREConfig
 from ..nn import inference
 from ..core.predictor import assemble_user_chunks, build_serving_graph, task_chunk_rng
 from ..core.sampling import NeighborhoodSampler
-from ..data import RatingGraph, make_cold_start_split, movielens_like
+from ..data import make_cold_start_split, movielens_like
 from ..eval.tasks import build_eval_tasks
 from ..obs import TRACE_STAGES, default_serve_rules, read_run
 from ..serve import (
     PredictionService,
     QueueFullError,
-    RouterConfig,
     ServiceConfig,
-    ShardRouter,
     WorkloadRequest,
-    dedupe_deltas,
     replay_workload,
     synthesize_power_law_workload,
-    synthesize_update_bursts,
     synthesize_workload,
 )
 
@@ -122,14 +109,6 @@ def _score_sequential(model, split, tasks, workload, config: ServiceConfig):
     Per-request context-budget overrides are honored, mirroring
     ``PredictionService.submit``."""
     graph, candidate_users, candidate_items = build_serving_graph(split, tasks)
-    return _score_sequential_graph(model, graph, candidate_users,
-                                   candidate_items, workload, config)
-
-
-def _score_sequential_graph(model, graph, candidate_users, candidate_items,
-                            workload, config: ServiceConfig):
-    """Sequential reference against an explicit graph state (the sharding
-    section scores each inter-burst segment against its own graph)."""
     sampler = NeighborhoodSampler()
     scores = []
     for request in workload:
@@ -173,7 +152,6 @@ def _run_service(model, split, tasks, workload, config: ServiceConfig):
         result = {
             "batch_size": config.max_batch_size,
             "cache": config.cache_enabled,
-            "engine": config.use_inference_engine,
             "num_workers": config.num_workers,
             "seconds": seconds,
             "requests_per_second": len(workload) / seconds,
@@ -377,115 +355,6 @@ def _run_tracing_benchmark(model, split, tasks, workload, expected,
         "trace_sink_records": len(trace_records),
         "export_snapshots": exports,
         "export_file_records": len(export_records),
-    }
-
-
-def _run_shard_benchmark(model, split, tasks, config: ServiceConfig,
-                         smoke: bool) -> dict:
-    """Sharded serving of a power-law workload with flash update bursts.
-
-    A :class:`~repro.serve.ShardRouter` (verify mode on: every incremental
-    graph is asserted bitwise identical to a from-scratch rebuild) replays
-    a Zipf-skewed workload split into segments, applying a tail-biased
-    update burst between segments.  The reference is a *segmented
-    sequential baseline*: each segment scored one-request-at-a-time
-    against a graph fully rebuilt after the preceding bursts — so the
-    bit-identity check covers routing, shared-store snapshots, incremental
-    delta application, and fine-grained invalidation at once.
-
-    The two headline numbers are deterministic (seeded workload + stable
-    user hash), which is what makes them gateable by
-    ``tools/check_bench_regression.py`` where wall-clock latencies are
-    not: ``balance`` (mean/max requests routed per shard, 1.0 = perfectly
-    even) and ``invalidation_precision`` (fraction of cache entries spared
-    across the bursts' eviction sweeps — identically 0 under the old
-    invalidate-everything scheme).  Per-shard p99s are *recorded* for the
-    report but deliberately not gated.
-    """
-    num_shards = 2 if smoke else 3
-    num_requests = 18 if smoke else 96
-    num_bursts = 2 if smoke else 3
-    burst_size = 2 if smoke else 4
-    workload = synthesize_power_law_workload(tasks, num_requests, seed=2)
-    bursts = synthesize_update_bursts(split, tasks, num_bursts=num_bursts,
-                                      burst_size=burst_size, seed=3)
-    segments = np.array_split(np.arange(num_requests), num_bursts + 1)
-
-    # Reference: segmented sequential scoring with full rebuilds between
-    # segments (the pre-incremental update path).
-    graph, candidate_users, candidate_items = build_serving_graph(split, tasks)
-    expected = []
-    rebuild_seconds = 0.0
-    ref_graph = graph
-    for index, segment in enumerate(segments):
-        expected.extend(_score_sequential_graph(
-            model, ref_graph, candidate_users, candidate_items,
-            [workload[i] for i in segment], config))
-        if index < len(bursts):
-            applied = dedupe_deltas(ref_graph, bursts[index])
-            start = time.perf_counter()
-            ref_graph = RatingGraph(
-                np.concatenate([ref_graph.triples(), applied]),
-                ref_graph.num_users, ref_graph.num_items)
-            rebuild_seconds += time.perf_counter() - start
-
-    # The same bursts through the O(deltas) copy-on-write path, timed
-    # head-to-head against the rebuilds above.
-    incremental_seconds = 0.0
-    inc_graph = graph
-    for burst in bursts:
-        applied = dedupe_deltas(inc_graph, burst)
-        start = time.perf_counter()
-        inc_graph = inc_graph.apply_deltas(applied)
-        incremental_seconds += time.perf_counter() - start
-    assert inc_graph.identical_to(ref_graph)
-
-    run_config = ServiceConfig(max_batch_size=8,
-                               queue_size=max(num_requests, 8),
-                               incremental_verify=True,
-                               seed=config.seed)
-    router = ShardRouter(model, graph, candidate_users, candidate_items,
-                         config=run_config,
-                         router_config=RouterConfig(num_shards=num_shards))
-    try:
-        routed_scores = []
-        start = time.perf_counter()
-        for index, segment in enumerate(segments):
-            routed_scores.extend(replay_workload(
-                router, [workload[i] for i in segment]))
-            if index < len(bursts):
-                router.update_ratings(bursts[index])
-        router_seconds = time.perf_counter() - start
-        stats = router.stats()
-        per_shard_p99_ms = []
-        for shard_stats in stats["shards"]:
-            latency = shard_stats["metrics"].get("serve.latency_seconds")
-            per_shard_p99_ms.append(latency["p99"] * 1e3
-                                    if latency and latency["count"] else None)
-    finally:
-        router.close()
-
-    bit_identical = all(
-        np.array_equal(a, b) for a, b in zip(expected, routed_scores))
-    routed = stats["routed_per_shard"]
-    return {
-        "num_shards": num_shards,
-        "num_requests": num_requests,
-        "num_bursts": num_bursts,
-        "burst_size": burst_size,
-        "router_seconds": router_seconds,
-        "requests_per_second": num_requests / router_seconds,
-        "routed_per_shard": routed,
-        "balance": (sum(routed) / len(routed)) / max(routed),
-        "load_imbalance": stats["load_imbalance"],
-        "per_shard_p99_ms": per_shard_p99_ms,
-        "invalidation_precision": stats["invalidation_precision"],
-        "updates": stats["updates"],
-        "bit_identical_to_sequential": bit_identical,
-        "update_rebuild_seconds": rebuild_seconds,
-        "update_incremental_seconds": incremental_seconds,
-        "update_speedup": (rebuild_seconds / incremental_seconds
-                           if incremental_seconds else None),
     }
 
 
@@ -809,50 +678,36 @@ def run_serve_benchmark(smoke: bool = False) -> dict:
 
     runs = []
     bit_identical = True
-    # Engine on/off is the innermost, time-adjacent dimension, and the
-    # repeats interleave across it: machine speed drifts over the
-    # multi-minute grid, so measuring every engine-off config first and
-    # every engine-on config last would fold the drift straight into
-    # ``engine_gain``.  Adjacent measurement cancels it from the ratio.
     for cache_enabled in (False, True):
         for batch_size in batch_sizes:
-            best = {}
+            run_config = ServiceConfig(
+                max_batch_size=batch_size,
+                cache_enabled=cache_enabled,
+                queue_size=max(len(workload), 8),
+                seed=config.seed,
+            )
+            best = None
             for _ in range(repeats):
-                for use_engine in (False, True):
-                    run_config = ServiceConfig(
-                        max_batch_size=batch_size,
-                        cache_enabled=cache_enabled,
-                        use_inference_engine=use_engine,
-                        queue_size=max(len(workload), 8),
-                        seed=config.seed,
-                    )
-                    result, scores = _run_service(model, split, tasks,
-                                                  workload, run_config)
-                    held = best.get(use_engine)
-                    if held is None or result["seconds"] < held[0]["seconds"]:
-                        best[use_engine] = (result, scores)
-            for use_engine in (False, True):
-                result, scores = best[use_engine]
-                result["bit_identical_to_sequential"] = all(
-                    np.array_equal(a, b) for a, b in zip(expected, scores))
-                bit_identical = (bit_identical
-                                 and result["bit_identical_to_sequential"])
-                result["speedup_vs_sequential"] = (
-                    baseline_seconds / result["seconds"])
-                runs.append(result)
+                result, scores = _run_service(model, split, tasks, workload,
+                                              run_config)
+                if best is None or result["seconds"] < best[0]["seconds"]:
+                    best = (result, scores)
+            result, scores = best
+            result["bit_identical_to_sequential"] = all(
+                np.array_equal(a, b) for a, b in zip(expected, scores))
+            bit_identical = (bit_identical
+                             and result["bit_identical_to_sequential"])
+            result["speedup_vs_sequential"] = (
+                baseline_seconds / result["seconds"])
+            runs.append(result)
 
     packing = _run_packing_benchmark(model, split, tasks, mixed, config,
                                      repeats=repeats)
     tracing = _run_tracing_benchmark(model, split, tasks, workload, expected,
                                      smoke)
     assembly = _run_assembly_benchmark(model, split, tasks, config, smoke)
-    sharding = _run_shard_benchmark(model, split, tasks, config, smoke)
 
     best = max(runs, key=lambda r: r["speedup_vs_sequential"])
-    best_on = max((r for r in runs if r["engine"]),
-                  key=lambda r: r["speedup_vs_sequential"])
-    best_off = max((r for r in runs if not r["engine"]),
-                   key=lambda r: r["speedup_vs_sequential"])
     return {
         "benchmark": "serve_throughput",
         "smoke": smoke,
@@ -879,16 +734,10 @@ def run_serve_benchmark(smoke: bool = False) -> dict:
         "packing": packing,
         "tracing": tracing,
         "assembly": assembly,
-        "sharding": sharding,
         "bit_identical_all_runs": bit_identical,
         "best_speedup": best["speedup_vs_sequential"],
         "best_config": {"batch_size": best["batch_size"],
-                        "cache": best["cache"],
-                        "engine": best["engine"]},
-        "best_speedup_engine_on": best_on["speedup_vs_sequential"],
-        "best_speedup_engine_off": best_off["speedup_vs_sequential"],
-        "engine_gain": (best_on["speedup_vs_sequential"]
-                        / best_off["speedup_vs_sequential"]),
+                        "cache": best["cache"]},
     }
 
 

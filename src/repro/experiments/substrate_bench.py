@@ -33,7 +33,6 @@ from ..data import make_cold_start_split, movielens_like
 __all__ = [
     "run_substrate_microbench",
     "run_observability_overhead",
-    "run_zero_grad_delta",
     "write_bench_json",
     "BENCH_FILENAME",
 ]
@@ -197,33 +196,6 @@ def run_observability_overhead(smoke: bool = False,
     payload["overhead_sinks_spans_and_ophooks"] = (
         enabled["train_step_seconds"] / disabled["train_step_seconds"] - 1.0)
     return payload
-
-
-def run_zero_grad_delta(smoke: bool = False, steps: int | None = None) -> dict:
-    """``zero_grad(set_to_zero=True)`` vs. the default drop-to-None mode.
-
-    Times the same seeded fused-float32 ``fit`` in both modes; the shared
-    seed makes the identical ``loss_history`` double as the bit-identity
-    check (zeroing buffers in place may not change a single update).
-    """
-    dataset, split, model_cfg, train_cfg = _paper_setup(smoke)
-    train_cfg = dict(train_cfg, steps=steps or (8 if smoke else 40))
-
-    with nn.dtype_policy(np.float32), nn.functional.fused_kernels(True):
-        dropped = _time_fit(dataset, split, model_cfg, train_cfg)
-        in_place = _time_fit(dataset, split, model_cfg,
-                             dict(train_cfg, zero_grads_in_place=True))
-    return {
-        "steps_timed": train_cfg["steps"],
-        "dropped": {"fit_seconds": dropped["fit_seconds"],
-                    "train_step_seconds": dropped["train_step_seconds"]},
-        "in_place": {"fit_seconds": in_place["fit_seconds"],
-                     "train_step_seconds": in_place["train_step_seconds"]},
-        "train_step_delta": (in_place["train_step_seconds"]
-                             / dropped["train_step_seconds"] - 1.0),
-        "loss_history_identical": (dropped["loss_history"]
-                                   == in_place["loss_history"]),
-    }
 
 
 def write_bench_json(payload: dict, repo_root: Path | None = None) -> Path:

@@ -86,9 +86,9 @@ class Module:
     def eval(self) -> "Module":
         return self.train(False)
 
-    def zero_grad(self, set_to_zero: bool = False) -> None:
+    def zero_grad(self) -> None:
         for p in self.parameters():
-            p.zero_grad(set_to_zero=set_to_zero)
+            p.zero_grad()
 
     # ------------------------------------------------------------------ #
     # Serialisation

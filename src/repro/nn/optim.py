@@ -30,11 +30,10 @@ class Optimizer:
             raise ValueError(f"learning rate must be positive, got {lr}")
         self.lr = lr
 
-    def zero_grad(self, set_to_zero: bool = False) -> None:
-        """Clear gradients; with ``set_to_zero``, zero owned buffers in place
-        instead of dropping them so dense grads are not reallocated each step."""
+    def zero_grad(self) -> None:
+        """Clear every parameter's gradient."""
         for p in self.parameters:
-            p.zero_grad(set_to_zero=set_to_zero)
+            p.zero_grad()
 
     @staticmethod
     def _grad_of(p: Parameter) -> np.ndarray:
@@ -176,8 +175,8 @@ class Lookahead:
     def lr(self, value: float) -> None:
         self.inner.lr = value
 
-    def zero_grad(self, set_to_zero: bool = False) -> None:
-        self.inner.zero_grad(set_to_zero=set_to_zero)
+    def zero_grad(self) -> None:
+        self.inner.zero_grad()
 
     def step(self) -> None:
         self.inner.step()

@@ -160,8 +160,7 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 class Tensor:
     """A numpy-backed tensor participating in reverse-mode autodiff."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents",
-                 "_grad_owned")
+    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents")
 
     def __init__(self, data, requires_grad: bool = False):
         if isinstance(data, Tensor):
@@ -176,10 +175,6 @@ class Tensor:
         self.requires_grad = bool(requires_grad) and _GRAD_STATE.enabled
         self._backward = None
         self._parents: tuple[Tensor, ...] = ()
-        # True iff .grad is a buffer this tensor exclusively owns (allocated
-        # by zero_grad(set_to_zero=True) or freshly built by a sweep), so the
-        # backward pass may np.add into it in place across sweeps.
-        self._grad_owned = False
 
     # ------------------------------------------------------------------ #
     # Construction helpers
@@ -229,26 +224,9 @@ class Tensor:
         """Return a tensor sharing data but cut off from the graph."""
         return Tensor(self.data)
 
-    def zero_grad(self, set_to_zero: bool = False) -> None:
-        """Clear the gradient.
-
-        With ``set_to_zero`` the existing ``.grad`` buffer is zeroed in place
-        (allocated once if absent) instead of dropped to ``None``, so dense
-        parameter gradients stop being reallocated every step; the backward
-        sweep then accumulates into the owned buffer directly.
-        """
-        if set_to_zero:
-            if self.grad is None or not self._grad_owned:
-                # A held grad may alias an array shared with another tensor
-                # (a first accumulation hands the upstream array over) — a
-                # fresh buffer breaks the aliasing before in-place reuse.
-                self.grad = np.zeros(self.data.shape, dtype=self.data.dtype)
-            else:
-                self.grad.fill(0.0)
-            self._grad_owned = True
-        else:
-            self.grad = None
-            self._grad_owned = False
+    def zero_grad(self) -> None:
+        """Clear the gradient (drop it to ``None``)."""
+        self.grad = None
 
     # ------------------------------------------------------------------ #
     # Backward pass
@@ -284,8 +262,9 @@ class Tensor:
 
         # Tensors whose .grad buffer was allocated by this sweep: those are
         # safe to np.add into in place.  A first accumulation may alias an
-        # upstream array (or a read-only broadcast view), so it is never
-        # mutated — the second accumulation allocates the owned buffer once
+        # upstream array (or a read-only broadcast view), and a grad held
+        # from an earlier sweep may have been handed out, so neither is ever
+        # mutated — the next accumulation allocates the owned buffer once
         # and every further one reuses it.
         owned: set[int] = set()
 
@@ -293,11 +272,9 @@ class Tensor:
             if isinstance(pgrad, SparseRowGrad):
                 if target.grad is None:
                     target.grad = np.zeros(target.data.shape, dtype=target.data.dtype)
-                    target._grad_owned = True
                     owned.add(id(target))
-                elif id(target) not in owned and not target._grad_owned:
+                elif id(target) not in owned:
                     target.grad = target.grad.copy()
-                    target._grad_owned = True
                     owned.add(id(target))
                 target.grad[pgrad.rows] += pgrad.values
                 return
@@ -308,12 +285,10 @@ class Tensor:
                 # Takes over pgrad, which may alias an upstream array — not
                 # safe for in-place reuse until reallocated.
                 target.grad = pgrad
-                target._grad_owned = False
-            elif id(target) in owned or target._grad_owned:
+            elif id(target) in owned:
                 np.add(target.grad, pgrad, out=target.grad)
             else:
                 target.grad = target.grad + pgrad
-                target._grad_owned = True
                 owned.add(id(target))
 
         accumulate(self, grad)

@@ -171,7 +171,7 @@ class Histogram:
         """Fold ``other``'s observations into this histogram, in place.
 
         Both histograms must share the same bucket ``growth`` — merging is
-        a lossless sum of bucket counts, so per-shard or per-window
+        a lossless sum of bucket counts, so per-service or per-window
         histograms aggregate without losing bucket resolution.  Returns
         ``self`` so merges chain.
         """

@@ -11,8 +11,8 @@ from ``(config seed, log offset)``, so a round is a pure function of
 
     (base checkpoint, log offset, seed)
 
-— re-running it, at any prefetch worker count and on any backend, produces a
-bit-identical candidate model.
+— re-running it, at any prefetch worker count, produces a bit-identical
+candidate model.
 
 Fresh deltas are emphasised by *seed-pair boosting*: the triple pool that
 training contexts are seeded from repeats each fresh delta ``fresh_boost``
@@ -107,7 +107,6 @@ class FineTuneConfig:
     # produces bit-identical rounds thanks to per-step RNG derivation.
     prefetch_workers: int = 0
     prefetch_buffer: int = 4
-    prefetch_backend: str = "thread"
 
     def __post_init__(self):
         if self.steps < 1:
@@ -229,7 +228,6 @@ class IncrementalTrainer:
             per_step_rng=True,
             prefetch_workers=cfg.prefetch_workers,
             prefetch_buffer=cfg.prefetch_buffer,
-            prefetch_backend=cfg.prefetch_backend,
         )
         start = time.perf_counter()
         trainer = HIRETrainer(candidate, view, sampler=self.sampler,

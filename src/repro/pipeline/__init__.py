@@ -17,19 +17,19 @@ giving up determinism:
   drain-aware shutdown, and worker-failure propagation (built on the
   shared :mod:`repro.concurrency` primitives);
 * :mod:`~repro.pipeline.runner` — :class:`ContextPipeline`: worker
-  threads (or opt-in worker processes) keeping the buffer full ahead of
+  threads keeping the buffer full ahead of
   ``HIRETrainer.fit``, with hit/starvation/wait/depth metrics through
   :mod:`repro.obs`.
 
 The determinism contract: with ``TrainerConfig.per_step_rng`` (implied by
 ``prefetch_workers > 0``), ``fit``'s ``loss_history`` is **bit-identical**
-for any worker count, buffer depth, or backend — see
+for any worker count or buffer depth — see
 ``docs/training_pipeline.md`` and ``benchmarks/bench_pipeline_throughput.py``.
 """
 
 from .buffer import PipelineError, PrefetchBuffer
 from .rng import STEP_RNG_DOMAIN, derive_step_rng
-from .runner import BACKENDS, ContextPipeline
+from .runner import ContextPipeline
 from .source import ContextBatchSource
 
 __all__ = [
@@ -39,5 +39,4 @@ __all__ = [
     "PipelineError",
     "ContextBatchSource",
     "ContextPipeline",
-    "BACKENDS",
 ]

@@ -1,11 +1,11 @@
 """:class:`ContextPipeline` — prefetching orchestration of source + buffer.
 
-Worker threads (or, opt-in, worker processes) claim step indices from the
+Worker threads claim step indices from the
 :class:`~repro.pipeline.buffer.PrefetchBuffer`, sample that step's context
 batch through the :class:`~repro.pipeline.source.ContextBatchSource`, and
 publish it; the trainer takes steps in order.  Because every batch is a
 pure function of ``(seed, step, slot)``, the result is bit-identical to a
-sequential loop no matter the worker count, backend, or completion order.
+sequential loop no matter the worker count or completion order.
 
 Telemetry goes through a :class:`repro.obs.MetricsRegistry` (own instance
 by default, like :class:`repro.serve.PredictionService`):
@@ -29,47 +29,27 @@ from ..concurrency import WorkerPool
 from .buffer import PipelineError, PrefetchBuffer
 from .source import ContextBatchSource
 
-__all__ = ["ContextPipeline", "BACKENDS"]
-
-BACKENDS = ("thread", "process")
-
-# Set by the process-backend initializer inside each worker process.
-_PROCESS_SOURCE: ContextBatchSource | None = None
-
-
-def _process_init(source: ContextBatchSource) -> None:
-    global _PROCESS_SOURCE
-    _PROCESS_SOURCE = source
-
-
-def _process_sample_step(step: int):
-    return _PROCESS_SOURCE.sample_step(step)
+__all__ = ["ContextPipeline"]
 
 
 class ContextPipeline:
     """Produces training-context batches ahead of the optimiser.
 
-    ``backend="thread"`` (default) samples on daemon threads inside the
-    training process: zero serialisation cost, overlap limited to the time
-    the main thread spends outside the GIL (BLAS kernels).
-    ``backend="process"`` adds true parallelism: worker processes hold a
-    copy of the source and stream sampled batches back (one feeder thread
-    per worker keeps the claim/publish protocol unchanged).  Both are
-    bit-identical to sequential sampling — the RNG derivation, not the
-    execution schedule, decides every draw.
+    Workers are daemon threads inside the training process: zero
+    serialisation cost, overlap limited to the time the main thread spends
+    outside the GIL (BLAS kernels).  Output is bit-identical to sequential
+    sampling — the RNG derivation, not the execution schedule, decides
+    every draw.
     """
 
     def __init__(self, source: ContextBatchSource, num_workers: int = 1,
-                 buffer_depth: int = 4, backend: str = "thread",
+                 buffer_depth: int = 4,
                  metrics: obs.MetricsRegistry | None = None):
         if num_workers < 1:
             raise ValueError("num_workers must be >= 1")
-        if backend not in BACKENDS:
-            raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
         self.source = source
         self.num_workers = num_workers
         self.buffer_depth = buffer_depth
-        self.backend = backend
         self.metrics = metrics if metrics is not None else obs.MetricsRegistry()
         self._hits = self.metrics.counter("pipeline.buffer_hits")
         self._starvations = self.metrics.counter("pipeline.starvations")
@@ -79,7 +59,6 @@ class ContextPipeline:
         self._depth = self.metrics.gauge("pipeline.buffer_depth")
         self._buffer: PrefetchBuffer | None = None
         self._pool: WorkerPool | None = None
-        self._executor = None
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -89,30 +68,17 @@ class ContextPipeline:
         if self._buffer is not None:
             raise RuntimeError("pipeline already started (one fit per pipeline)")
         self._buffer = PrefetchBuffer(self.buffer_depth, limit=total_steps)
-        if self.backend == "process":
-            import multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
-
-            methods = multiprocessing.get_all_start_methods()
-            ctx = multiprocessing.get_context(
-                "fork" if "fork" in methods else "spawn")
-            self._executor = ProcessPoolExecutor(
-                max_workers=self.num_workers, mp_context=ctx,
-                initializer=_process_init, initargs=(self.source,))
         self._pool = WorkerPool(self._worker_loop, self.num_workers,
-                                name=f"pipeline-{self.backend}")
+                                name="pipeline-thread")
         self._pool.start()
         return self
 
     def close(self, timeout: float = 10.0) -> None:
-        """Stop production, join workers, shut the executor down."""
+        """Stop production and join the workers."""
         if self._buffer is not None:
             self._buffer.close()
         if self._pool is not None:
             self._pool.close(timeout)
-        if self._executor is not None:
-            self._executor.shutdown(wait=False, cancel_futures=True)
-            self._executor = None
 
     @property
     def started(self) -> bool:
@@ -146,7 +112,7 @@ class ContextPipeline:
             return None
         start = time.perf_counter()
         try:
-            batch = self._sample_step(step)
+            batch = self.source.sample_step(step)
         except BaseException as exc:  # noqa: BLE001 — propagate to consumer
             if not self._buffer.closed:
                 self._buffer.fail(exc)
@@ -159,11 +125,6 @@ class ContextPipeline:
     def _claims_remaining(self) -> bool:
         buffer = self._buffer
         return buffer.limit is None or buffer._next_claim < buffer.limit
-
-    def _sample_step(self, step: int):
-        if self._executor is not None:
-            return self._executor.submit(_process_sample_step, step).result()
-        return self.source.sample_step(step)
 
     # ------------------------------------------------------------------ #
     # Consumer side

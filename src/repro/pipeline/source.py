@@ -5,9 +5,7 @@
 candidate pools, context budgets) so that ``sample_step(step)`` is a pure
 function of the step index — each slot of the batch draws from its own
 :func:`~repro.pipeline.rng.derive_step_rng` generator.  Purity is what
-makes the source safe to call from any thread (all inputs are read-only)
-and picklable for the opt-in process backend (plain numpy arrays and
-stateless samplers throughout).
+makes the source safe to call from any thread (all inputs are read-only).
 """
 
 from __future__ import annotations

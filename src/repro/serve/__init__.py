@@ -18,8 +18,6 @@ pipeline into an always-on prediction service:
 * :mod:`~repro.serve.service` — the :class:`PredictionService` façade tying
   these together behind ``submit()`` / ``predict()`` / ``close()``, with
   latency/queue/cache telemetry through :mod:`repro.obs`;
-* :mod:`~repro.serve.shard` — the :class:`ShardRouter`: user-hash routing
-  across N services sharing one graph store (``docs/scaling.md``);
 * :mod:`~repro.serve.workload` — workload synthesis (skewed, power-law,
   update bursts), JSONL persistence, and replay (the ``repro-experiments
   serve`` CLI builds on this).
@@ -56,7 +54,6 @@ from .errors import (
 )
 from .registry import ModelRegistry, ModelVersion
 from .service import PredictionService, ServiceConfig
-from .shard import RouterConfig, ShardRouter, shard_of_user
 from .workers import BoundedQueue, WorkerPool
 from .workload import (
     WorkloadRequest,
@@ -100,10 +97,6 @@ __all__ = [
     # service
     "PredictionService",
     "ServiceConfig",
-    # sharding
-    "ShardRouter",
-    "RouterConfig",
-    "shard_of_user",
     # workload
     "WorkloadRequest",
     "synthesize_workload",

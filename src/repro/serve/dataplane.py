@@ -1,18 +1,15 @@
-"""The incremental serving data plane: shared graph state + fine-grained
+"""The incremental serving data plane: graph state + fine-grained
 invalidation.
 
 One :class:`GraphStore` owns the mutable serving state — the visible
 :class:`~repro.data.bipartite.RatingGraph`, the candidate pools, and two
-monotonic counters — and is safely shared by any number of
-:class:`~repro.serve.service.PredictionService` shards (that sharing is
-what keeps a sharded deployment bit-identical to a single service: context
-sampling draws warm neighbours across the *whole* graph, so every shard
-must see the same one).
+monotonic counters — behind a lock, so request workers read consistent
+snapshots while updates land.
 
-``apply()`` dedupes a delta batch (last value per pair wins, no-op
-restatements dropped), derives the next graph — by default through the
-O(deltas) copy-on-write :meth:`RatingGraph.apply_deltas` path instead of a
-full rebuild — and publishes a new immutable :class:`GraphSnapshot`.
+``apply()`` validates and dedupes a delta batch (last value per pair wins,
+no-op restatements dropped), derives the next graph through the O(deltas)
+copy-on-write :meth:`RatingGraph.apply_deltas` path, and publishes a new
+immutable :class:`GraphSnapshot`.
 Subscribed services are then told exactly *which* entities changed, via an
 :class:`UpdateResult`, so their caches evict only the entries whose
 assembly read a changed user or item.
@@ -24,7 +21,7 @@ Two counters with distinct jobs:
   result) and the per-entity version map.
 * **epoch** increments only on *full* invalidations — candidate-pool
   growth (uniform padding draws depend on pool contents, so every cached
-  assembly is suspect) or ``incremental=False``.  It keys the context
+  assembly is suspect).  It keys the context
   cache, so entries survive updates that did not touch their entities.
 
 The per-entity version map (:class:`EntityVersions`) records, per user and
@@ -91,8 +88,8 @@ class UpdateResult:
     within the batch plus restatements of the graph's current values);
     ``changed_users``/``changed_items`` are the deduplicated entities the
     applied deltas touched; ``full_invalidation`` means entity-level
-    eviction is insufficient (pool growth or incremental mode off) and
-    subscribers must drop everything.
+    eviction is insufficient (the candidate pools grew) and subscribers
+    must drop everything.
     """
 
     applied: int
@@ -103,17 +100,20 @@ class UpdateResult:
     generation: int = 0
 
 
-def _validate_deltas(graph: RatingGraph, ratings: np.ndarray) -> None:
+def _validate_deltas(graph: RatingGraph, ratings: np.ndarray,
+                     rating_range: tuple[float, float]) -> None:
     """Reject a ``(k, 3)`` delta batch with a bad id or rating.
 
-    Ids must be integral and inside the graph; ratings must be finite.
-    Checked before :func:`dedupe_deltas` builds its keys: ``astype(int64)``
-    would truncate an id of 3.7 to 3, and a NaN rating compares unequal to
-    every stored value, so it would survive the dedupe into the graph and
-    the rating log.
+    Ids must be integral and inside the graph; ratings must lie inside
+    ``rating_range`` (which also rejects NaN and infinities).  Checked
+    before :func:`dedupe_deltas` builds its keys: ``astype(int64)`` would
+    truncate an id of 3.7 to 3, and a NaN rating compares unequal to every
+    stored value, so it would survive the dedupe into the graph and the
+    rating log.
     """
     users, items, values = ratings[:, 0], ratings[:, 1], ratings[:, 2]
-    bad = ~np.isfinite(values)
+    low, high = rating_range
+    bad = ~((values >= low) & (values <= high))
     for ids, size in ((users, graph.num_users), (items, graph.num_items)):
         bad |= (ids != np.floor(ids)) | ~((ids >= 0) & (ids < size))
     if bad.any():
@@ -121,7 +121,7 @@ def _validate_deltas(graph: RatingGraph, ratings: np.ndarray) -> None:
         raise ValueError(
             f"rating delta {row} {tuple(ratings[row].tolist())} needs integral "
             f"ids inside the {graph.num_users}x{graph.num_items} graph and a "
-            "finite rating; the batch was not applied")
+            f"rating in [{low:g}, {high:g}]; the batch was not applied")
 
 
 def dedupe_deltas(graph: RatingGraph, ratings: np.ndarray) -> np.ndarray:
@@ -158,7 +158,7 @@ class EntityVersions:
     Writes happen under the owning store's lock; reads are lock-free numpy
     gathers.  The publication order in :meth:`GraphStore.apply` (bump
     versions → publish snapshot → notify subscribers) plus the cache's
-    put-time guard makes that race-safe — see ``docs/scaling.md``.
+    put-time guard makes that race-safe — see ``docs/serving.md``.
     """
 
     def __init__(self, num_users: int, num_items: int):
@@ -181,27 +181,28 @@ class EntityVersions:
 
 
 class GraphStore:
-    """Shared, thread-safe owner of the serving graph state.
+    """Thread-safe owner of the serving graph state.
 
     ``apply()`` is the single write path; everything else reads the
-    atomically-swapped :attr:`state` snapshot.  Subscribers (each
+    atomically-swapped :attr:`state` snapshot.  Subscribers (the
     :class:`~repro.serve.service.PredictionService` built on this store)
     receive every applied update's :class:`UpdateResult` and translate it
     into cache/embedding-store invalidation; with a ``rating_log``
     attached, applied deltas also tee into the :mod:`repro.online`
     fine-tuning loop.
 
-    ``incremental=True`` (default) derives graphs via
-    :meth:`RatingGraph.apply_deltas`; ``verify=True`` additionally rebuilds
-    from scratch on every update and asserts the two graphs bitwise
-    identical (``identical_to``) — the belt-and-braces mode the benchmark
-    runs under.
+    ``rating_range`` is the ``(low, high)`` scale deltas must fall in —
+    the served model's :attr:`~repro.core.HIRE.rating_range`.  Graphs are
+    derived via :meth:`RatingGraph.apply_deltas`; ``verify=True``
+    additionally rebuilds from scratch on every update and asserts the two
+    graphs bitwise identical (``identical_to``).
     """
 
     def __init__(self, graph: RatingGraph, candidate_users: np.ndarray,
-                 candidate_items: np.ndarray, *, incremental: bool = True,
-                 verify: bool = False, rating_log=None):
-        self.incremental = incremental
+                 candidate_items: np.ndarray, *,
+                 rating_range: tuple[float, float], verify: bool = False,
+                 rating_log=None):
+        self.rating_range = (float(rating_range[0]), float(rating_range[1]))
         self.verify = verify
         self.rating_log = rating_log
         # Warm the flat CSR adjacency views up front: the vectorised
@@ -252,7 +253,6 @@ class GraphStore:
             return {
                 "generation": self._state.generation,
                 "epoch": self._state.epoch,
-                "incremental": self.incremental,
                 "updates_total": self._updates_total,
                 "applied_total": self._applied_total,
                 "skipped_total": self._skipped_total,
@@ -278,13 +278,13 @@ class GraphStore:
         module docstring).  Returns the batch's :class:`UpdateResult`;
         ``applied == 0`` means nothing changed (and nothing was
         invalidated or teed).  Raises ``ValueError``, applying nothing, when
-        any delta has a non-integral or out-of-range id or a non-finite
-        rating.
+        any delta has a non-integral or out-of-range id or a rating outside
+        :attr:`rating_range`.
         """
         ratings = np.asarray(ratings, dtype=np.float64).reshape(-1, 3)
         with self._lock:
             graph, users_pool, items_pool, generation, epoch = self._state
-            _validate_deltas(graph, ratings)
+            _validate_deltas(graph, ratings, self.rating_range)
             applied = dedupe_deltas(graph, ratings)
             skipped = len(ratings) - len(applied)
             self._updates_total += 1
@@ -307,12 +307,11 @@ class GraphStore:
                 # rebuild lands here instead of on a request.
                 new_graph.user_adjacency()
                 new_graph.item_adjacency()
-                full = pool_grew or not self.incremental
                 generation += 1
                 # Bump before publishing: a reader that sees the new
                 # snapshot is guaranteed to see the new versions too.
                 self.versions.bump(changed_users, changed_items, generation)
-                if full:
+                if pool_grew:
                     epoch += 1
                     self._full_invalidations += 1
                 else:
@@ -328,7 +327,7 @@ class GraphStore:
                 result = UpdateResult(
                     applied=len(applied), skipped=skipped,
                     changed_users=changed_users, changed_items=changed_items,
-                    full_invalidation=full, generation=generation)
+                    full_invalidation=pool_grew, generation=generation)
                 listeners = tuple(self._listeners)
         for listener in listeners:
             listener(result)
@@ -337,11 +336,8 @@ class GraphStore:
         return result
 
     def _derive(self, graph: RatingGraph, applied: np.ndarray) -> RatingGraph:
-        """The next graph: incremental by default, rebuild otherwise —
-        with ``verify`` asserting the two paths bitwise identical."""
-        if not self.incremental:
-            return RatingGraph(np.concatenate([graph.triples(), applied]),
-                               graph.num_users, graph.num_items)
+        """The next graph, via :meth:`RatingGraph.apply_deltas` — with
+        ``verify`` asserting it bitwise identical to a full rebuild."""
         derived = graph.apply_deltas(applied)
         if self.verify:
             rebuilt = RatingGraph(np.concatenate([graph.triples(), applied]),

@@ -106,13 +106,8 @@ class ServiceConfig:
     # Pareto bench (BENCH_pareto.json).
     adaptive_budgets: bool = False
     budget_ladder: tuple = ()
-    # Incremental data plane: apply rating deltas through
-    # RatingGraph.apply_deltas (O(deltas), copy-on-write) instead of a full
-    # rebuild, with fine-grained per-entity cache invalidation.  False
-    # restores the rebuild-everything/invalidate-everything behaviour.
-    incremental_updates: bool = True
     # Belt-and-braces: rebuild from scratch on every update too and assert
-    # the incremental graph bitwise identical (the bench runs with this on).
+    # the incremental graph bitwise identical.
     incremental_verify: bool = False
     # Padded packing: contexts whose (n, m) land in the same bucket —
     # dimensions rounded up to the next pack_bucket multiple, unless that
@@ -126,10 +121,6 @@ class ServiceConfig:
     # (repro.nn.inference.EmbeddingStore; bitwise identical, invalidated
     # on hot swap and update_ratings).
     embed_store_enabled: bool = True
-    # Run forwards through the graph-free repro.nn.inference engine when
-    # supported (bitwise identical to the Tensor path); False is the escape
-    # hatch back to no_grad Tensor forwards.
-    use_inference_engine: bool = True
     metrics_prefix: str = "serve"
     # Telemetry plane (all passive — see docs/observability.md).
     # Per-request stage tracing into a bounded ring buffer; trace_sink
@@ -204,11 +195,6 @@ class PredictionService:
         ratings plus any revealed cold supports).
     candidate_users / candidate_items:
         Entity pools the context sampler may draw from.
-    graph_store:
-        An existing :class:`~repro.serve.dataplane.GraphStore` to share
-        (the :class:`~repro.serve.shard.ShardRouter` passes one store to
-        every shard so all shards serve one consistent graph).  ``None``
-        builds a private store from ``graph`` and the candidate pools.
     """
 
     def __init__(self, models: ModelRegistry | HIRE, graph: RatingGraph,
@@ -217,7 +203,6 @@ class PredictionService:
                  config: ServiceConfig | None = None,
                  metrics: obs.MetricsRegistry | None = None,
                  rating_log=None,
-                 graph_store: GraphStore | None = None,
                  clock=time.monotonic):
         self.config = config or ServiceConfig()
         self._registry = models if isinstance(models, ModelRegistry) else None
@@ -238,23 +223,17 @@ class PredictionService:
             FrontierCache(self.config.frontier_cache_entries,
                           self.config.cache_ttl_seconds)
             if self.config.frontier_cache_enabled else None)
-        if graph_store is not None:
-            if rating_log is not None:
-                raise ValueError(
-                    "attach the rating_log to the shared GraphStore, not to "
-                    "individual services (it would tee every delta N times)")
-            self._store = graph_store
-        else:
-            # The store owns the optional repro.online.RatingLog tee:
-            # apply() appends every *applied* delta, so the incremental-
-            # training loop consumes exactly what the graph absorbed.
-            self._store = GraphStore(
-                graph,
-                np.asarray(candidate_users, dtype=np.int64),
-                np.asarray(candidate_items, dtype=np.int64),
-                incremental=self.config.incremental_updates,
-                verify=self.config.incremental_verify,
-                rating_log=rating_log)
+        # The store owns the optional repro.online.RatingLog tee: apply()
+        # appends every *applied* delta, so the incremental-training loop
+        # consumes exactly what the graph absorbed.  Deltas are checked
+        # against the served model's rating scale.
+        self._store = GraphStore(
+            graph,
+            np.asarray(candidate_users, dtype=np.int64),
+            np.asarray(candidate_items, dtype=np.int64),
+            rating_range=self._resolve_model().rating_range,
+            verify=self.config.incremental_verify,
+            rating_log=rating_log)
         self._store.subscribe(self._on_graph_update)
         self._embed_store = None
         # Bucket-homogeneous batches keep each micro-batch a single packed
@@ -456,17 +435,18 @@ class PredictionService:
         Deltas are deduped before application: within the batch the most
         recent rating per ``(user, item)`` pair wins (a re-rated pair keeps
         only its last value), and triples that restate the graph's current
-        value are no-ops.  When anything survives, the shared
-        :class:`~repro.serve.dataplane.GraphStore` derives the next graph —
-        incrementally via :meth:`RatingGraph.apply_deltas` by default — the
+        value are no-ops.  When anything survives, the
+        :class:`~repro.serve.dataplane.GraphStore` derives the next graph
+        incrementally via :meth:`RatingGraph.apply_deltas`, the
         candidate pools grow with any new entities, the graph generation
         bumps, and the applied deltas tee into the store's ``rating_log``.
         Invalidation is **fine-grained**: only cache entries and warm
         embedding rows whose assembly read a changed user/item are dropped;
         the rest survive (pool growth forces a full drop — see
-        ``docs/scaling.md``).  Returns the number of deltas applied — zero
+        ``docs/serving.md``).  Returns the number of deltas applied — zero
         means nothing changed (and nothing was invalidated).  A batch with
-        a non-integral or out-of-range id or a non-finite rating raises
+        a non-integral or out-of-range id, or a rating that is non-finite
+        or outside the served model's ``rating_range``, raises
         ``ValueError`` and applies nothing.
 
         In-flight requests are unaffected: each request pins the graph
@@ -511,7 +491,7 @@ class PredictionService:
 
     @property
     def graph_store(self) -> GraphStore:
-        """The (possibly shared) data plane this service serves from."""
+        """The data plane this service serves from."""
         return self._store
 
     @property
@@ -928,8 +908,9 @@ class PredictionService:
         Contexts whose exact shape already fills its bucket (the common
         case under uniform budgets) take the unpadded ``forward_many``
         path; mixed-shape buckets pad each context up to the bucket shape
-        and run once.  Without the engine (or with ``pack_contexts``
-        off) grouping falls back to exact shapes.
+        and run once.  With ``pack_contexts`` off, or when the engine does
+        not support the model (reference kernels, attention capture),
+        grouping falls back to exact shapes.
         """
         entries = []  # (plan_index, sample_index, chunk)
         for plan_index, (_requests, samples) in enumerate(plans):
@@ -939,8 +920,7 @@ class PredictionService:
         if not entries:
             return []
 
-        use_engine = (self.config.use_inference_engine
-                      and nn.inference.engine_supported(model))
+        use_engine = nn.inference.engine_supported(model)
         pack = use_engine and self.config.pack_contexts
         store = self._embed_store_for(model) if use_engine else None
 

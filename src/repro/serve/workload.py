@@ -105,10 +105,10 @@ def synthesize_power_law_workload(tasks: list[EvalTask], num_requests: int,
     Tasks are ranked by a seeded shuffle and task at rank ``r`` receives
     traffic proportional to ``1 / r**exponent`` — the heavy-tailed shape of
     real request streams, and deliberately harsher than
-    :func:`synthesize_workload`'s two-tier hot set: the head users hammer
-    one shard's cache while the long tail keeps every shard busy, which is
-    what the sharding benchmark uses to measure load imbalance under
-    realistic skew.
+    :func:`synthesize_workload`'s two-tier hot set: the head users keep
+    their caches hot while the long tail keeps missing, which is what the
+    frontier-cache benchmark and the ledger's hot-traffic workload use to
+    measure cache behaviour under realistic skew.
     """
     if not tasks:
         raise ValueError("need at least one task to synthesize a workload")

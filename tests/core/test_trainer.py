@@ -93,18 +93,3 @@ class TestValidation:
                                             attr_dim=4, seed=0))
         with pytest.raises(ValueError, match="no warm"):
             HIRETrainer(model, empty)
-
-
-class TestZeroGradsInPlace:
-    def test_loss_history_bit_identical(self, ml_dataset, ml_split):
-        histories = []
-        for in_place in (False, True):
-            model = HIRE(ml_dataset, HIREConfig(num_blocks=1, num_heads=2,
-                                                attr_dim=4, seed=0))
-            config = TrainerConfig(steps=10, batch_size=2, context_users=8,
-                                   context_items=8, seed=0,
-                                   zero_grads_in_place=in_place)
-            trainer = HIRETrainer(model, ml_split, config=config)
-            trainer.fit()
-            histories.append(np.asarray(trainer.loss_history))
-        assert histories[0].tobytes() == histories[1].tobytes()

@@ -115,14 +115,12 @@ class TestServeCommand:
         text = (tmp_path / "serve.txt").read_text()
         assert "serve.requests_total" in text
 
-    def test_serve_sharded_with_update_bursts(self, capsys):
+    def test_serve_with_update_bursts(self, capsys):
         code = main(["serve", "--requests", "6", "--max-tasks", "4",
-                     "--train-steps", "2", "--shards", "2",
+                     "--train-steps", "2",
                      "--update-bursts", "1", "--burst-size", "2"])
         assert code == 0
         out = capsys.readouterr().out
-        assert "shards=2" in out
-        assert "shard router: 2 shards" in out
         # The summary line surfaces applied/skipped delta counts.
         assert "applied" in out and "skipped" in out
         assert "across 1 bursts" in out

@@ -99,13 +99,17 @@ def test_batched_slices_equal_one_context_forward(dataset, graph, dtype,
 
 
 def test_predict_routes_through_engine_and_escape_hatch(dataset, graph):
+    """predict()/predict_many() take the engine and match the no_grad
+    Tensor forward bit for bit."""
     model = make_model(dataset)
     ctx, ctx2 = make_contexts(graph)
     engine = model.predict(ctx)
-    tensor_path = model.predict(ctx, use_inference_engine=False)
+    model.eval()
+    with nn.no_grad():
+        tensor_path = model.forward(ctx).data.copy()
+        tensor_many = model.forward_many([ctx, ctx2]).data.copy()
     assert engine.tobytes() == tensor_path.tobytes()
     engine_many = model.predict_many([ctx, ctx2])
-    tensor_many = model.predict_many([ctx, ctx2], use_inference_engine=False)
     assert engine_many.tobytes() == tensor_many.tobytes()
     # predict() copies out of the workspace: results must survive more calls.
     again = model.predict(ctx2)
@@ -116,7 +120,7 @@ def test_predict_routes_through_engine_and_escape_hatch(dataset, graph):
 def test_reference_kernels_fall_back_to_tensor_path(dataset, graph):
     model = make_model(dataset)
     ctx, _ = make_contexts(graph)
-    expected = model.predict(ctx, use_inference_engine=False)
+    expected = model.predict(ctx)
     nn.functional.set_fused_kernels(False)
     try:
         assert not inference.engine_supported(model)

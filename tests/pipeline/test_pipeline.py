@@ -1,5 +1,5 @@
 """ContextPipeline + trainer integration: bit-identity across worker
-counts and backends, failure propagation, shutdown, and metrics."""
+counts, failure propagation, shutdown, and metrics."""
 
 import threading
 
@@ -36,13 +36,6 @@ class TestBitIdentity:
             self, ml_dataset, ml_split, sequential_history, workers):
         trainer = make_trainer(ml_dataset, ml_split,
                                prefetch_workers=workers, prefetch_buffer=4)
-        history = trainer.fit()
-        assert history == sequential_history
-
-    def test_process_backend_matches_sequential(
-            self, ml_dataset, ml_split, sequential_history):
-        trainer = make_trainer(ml_dataset, ml_split, prefetch_workers=2,
-                               prefetch_buffer=4, prefetch_backend="process")
         history = trainer.fit()
         assert history == sequential_history
 
@@ -148,10 +141,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             TrainerConfig(prefetch_buffer=0)
 
-    def test_backend_validated(self):
-        with pytest.raises(ValueError, match="prefetch_backend"):
-            TrainerConfig(prefetch_backend="fiber")
-
     def test_prefetching_requires_per_step_rng(self):
         with pytest.raises(ValueError, match="per-step RNG"):
             TrainerConfig(prefetch_workers=2, per_step_rng=False)
@@ -161,11 +150,9 @@ class TestConfigValidation:
         assert TrainerConfig(prefetch_workers=2).uses_per_step_rng
         assert TrainerConfig(per_step_rng=True).uses_per_step_rng
 
-    def test_pipeline_rejects_bad_backend(self, ml_dataset, ml_split):
+    def test_pipeline_rejects_zero_workers(self, ml_dataset, ml_split):
         trainer = make_trainer(ml_dataset, ml_split, per_step_rng=True)
         source = ContextBatchSource.from_trainer(trainer)
-        with pytest.raises(ValueError, match="backend"):
-            ContextPipeline(source, backend="fiber")
         with pytest.raises(ValueError, match="num_workers"):
             ContextPipeline(source, num_workers=0)
 

@@ -122,7 +122,8 @@ class TestEntityVersions:
 class TestGraphStore:
     def make_store(self, **kwargs):
         graph = RatingGraph(np.array([[0, 0, 3.0], [1, 1, 4.0]]), 4, 4)
-        return GraphStore(graph, np.array([0, 1]), np.array([0, 1]), **kwargs)
+        return GraphStore(graph, np.array([0, 1]), np.array([0, 1]),
+                          rating_range=(1.0, 5.0), **kwargs)
 
     def test_apply_bumps_generation_not_epoch(self):
         store = self.make_store()
@@ -139,12 +140,6 @@ class TestGraphStore:
         assert store.epoch == 1
         # The pool grew to contain the new entity.
         assert 2 in store.state.candidate_users
-
-    def test_incremental_off_is_always_full(self):
-        store = self.make_store(incremental=False)
-        result = store.apply(np.array([[0, 1, 5.0]]))
-        assert result.full_invalidation
-        assert store.epoch == 1
 
     def test_noop_batch_notifies_but_does_not_bump(self):
         store = self.make_store()
@@ -190,7 +185,7 @@ class TestGraphStore:
         log = Log()
         graph = RatingGraph(np.array([[0, 0, 3.0]]), 4, 4)
         store = GraphStore(graph, np.array([0]), np.array([0]),
-                           rating_log=log)
+                           rating_range=(1.0, 5.0), rating_log=log)
         store.apply(np.array([[0, 0, 3.0]]))  # restatement: no tee
         store.apply(np.array([[0, 1, 5.0], [0, 0, 3.0]]))
         assert len(log.batches) == 1
@@ -204,6 +199,9 @@ class TestGraphStore:
         [4, 0, 4.0],           # out of range (4 users)
         [0, -1, 4.0],
         [np.nan, 0, 4.0],
+        [1, 1, 9.0],           # a 9 on the 1-5 scale
+        [1, 1, 0.5],           # below the scale
+        [1, 1, -np.inf],
     ])
     def test_bad_delta_rejects_whole_batch(self, bad):
         logged = []
@@ -219,6 +217,16 @@ class TestGraphStore:
         assert store.state.graph.rating(0, 1) != 5.0
         assert seen == [] and logged == []
         assert store.stats()["updates_total"] == 0
+
+    def test_rating_scale_bounds_are_inclusive(self):
+        store = self.make_store()
+        result = store.apply(np.array([[0, 1, 1.0], [1, 0, 5.0]]))
+        assert result.applied == 2
+
+    def test_out_of_scale_message_names_the_range(self):
+        store = self.make_store()
+        with pytest.raises(ValueError, match=r"rating in \[1, 5\]"):
+            store.apply(np.array([[0, 1, 9.0]]))
 
     def test_snapshot_positional_compatibility(self):
         """GraphSnapshot must stay a 5-tuple with generation at index 3
@@ -302,3 +310,39 @@ class TestServiceIncrementalInvalidation:
             reference = rebuilt.predict(task.user, task.query_items,
                                         task.support_items)
         assert np.array_equal(incremental, reference)
+
+
+class TestServiceRatingScale:
+    """The served model's rating scale guards ``update_ratings``."""
+
+    def test_store_takes_the_models_rating_range(
+            self, serve_model, ml_split, serve_tasks):
+        with PredictionService.from_split(serve_model, ml_split, serve_tasks) \
+                as service:
+            assert service.graph_store.rating_range == serve_model.rating_range
+            assert serve_model.rating_range == tuple(
+                ml_split.dataset.rating_range)
+
+    def test_out_of_scale_update_rejected_and_nothing_applied(
+            self, serve_model, ml_split, serve_tasks):
+        logged = []
+        log = type("Log", (), {"append": logged.append})()
+        task = serve_tasks[0]
+        with PredictionService.from_split(serve_model, ml_split, serve_tasks,
+                                          rating_log=log) as service:
+            before = service.graph_store.state
+            user = int(before.candidate_users[0])
+            item = next(int(i) for i in before.candidate_items
+                        if not before.graph.has_rating(user, int(i)))
+            low, high = serve_model.rating_range
+            with pytest.raises(ValueError, match="rating in"):
+                service.update_ratings(np.array([[user, item, low],
+                                                 [user, item, high + 4.0]]))
+            assert service.graph_store.state is before
+            assert service.graph_generation == 0
+            assert not service.graph_store.state.graph.has_rating(user, item)
+            assert logged == []
+            # The service keeps serving, and an in-scale delta still lands.
+            service.predict(task.user, task.query_items, task.support_items)
+            assert service.update_ratings(np.array([[user, item, high]])) == 1
+            assert len(logged) == 1

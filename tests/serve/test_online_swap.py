@@ -155,11 +155,12 @@ class TestConcurrentUpdatesAndSubmits:
         with make_service(serve_model, ml_split, serve_tasks, num_workers=2,
                           max_batch_size=4, queue_size=512) as service:
             def writer():
-                # 99.0 can never equal an existing rating, so every delta
-                # is a real change regardless of the pair's prior state.
+                # Stored ratings are whole stars, so an in-scale 4.5 never
+                # equals one: every delta is a real change regardless of the
+                # pair's prior state.
                 for user, item in update_pairs:
                     applied_total.append(
-                        service.update_ratings([[user, item, 99.0]]))
+                        service.update_ratings([[user, item, 4.5]]))
 
             thread = threading.Thread(target=writer)
             futures = []

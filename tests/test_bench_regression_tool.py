@@ -21,15 +21,12 @@ tool = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(tool)
 
 
-def serve_payload(best_speedup=2.0, pack_gain=1.5, balance=0.8,
-                  precision=0.4, smoke=False):
+def serve_payload(best_speedup=2.0, pack_gain=1.5, smoke=False):
     return {
         "benchmark": "serve_throughput",
         "smoke": smoke,
         "best_speedup": best_speedup,
         "packing": {"pack_gain": pack_gain},
-        "sharding": {"balance": balance,
-                     "invalidation_precision": precision},
     }
 
 
@@ -92,21 +89,23 @@ class TestVerdicts:
         write(baseline, "BENCH_serve.json", serve_payload(pack_gain=1.6))
         assert run_tool(current, baseline) == 1
 
-    def test_sharding_balance_drop_fails(self, roots):
-        """A collapsed shard (balance falling toward 1/num_shards) is a
-        routing regression even when throughput holds."""
+    def test_headline_missing_from_current_fails(self, roots):
+        """A headline the baseline reports but the current file dropped is
+        a failure, not a skip: retiring one means deleting it from
+        HEADLINE."""
         current, baseline = roots
-        write(current, "BENCH_serve.json", serve_payload(balance=0.4))
-        write(baseline, "BENCH_serve.json", serve_payload(balance=0.8))
+        dropped = serve_payload()
+        del dropped["packing"]
+        write(current, "BENCH_serve.json", dropped)
+        write(baseline, "BENCH_serve.json", serve_payload())
         assert run_tool(current, baseline) == 1
 
-    def test_invalidation_precision_drop_fails(self, roots):
-        """Precision falling to ~0 means updates went back to evicting
-        everything — the incremental data plane's headline property."""
+    def test_null_headline_in_current_fails(self, roots, capsys):
         current, baseline = roots
-        write(current, "BENCH_serve.json", serve_payload(precision=0.05))
-        write(baseline, "BENCH_serve.json", serve_payload(precision=0.4))
+        write(current, "BENCH_serve.json", serve_payload(pack_gain=None))
+        write(baseline, "BENCH_serve.json", serve_payload())
         assert run_tool(current, baseline) == 1
+        assert "packing.pack_gain" in capsys.readouterr().err
 
     def test_tolerance_is_configurable(self, roots):
         current, baseline = roots
@@ -162,22 +161,12 @@ class TestSkips:
         write(baseline, "BENCH_serve.json", old)
         assert run_tool(current, baseline) == 0
 
-    def test_sharding_absent_from_baseline_skipped(self, roots):
-        """The first payload carrying the sharding section has no baseline
-        for its metrics — clean skip, not a crash or a false failure."""
+    def test_null_in_baseline_skipped(self, roots):
+        """A headline the baseline holds as null has nothing to regress
+        against — clean skip, whatever the current value."""
         current, baseline = roots
-        write(current, "BENCH_serve.json", serve_payload(balance=0.1))
-        old = serve_payload()
-        del old["sharding"]
-        write(baseline, "BENCH_serve.json", old)
-        assert run_tool(current, baseline) == 0
-
-    def test_null_precision_skipped(self, roots):
-        """invalidation_precision is null until a sweep saw a non-empty
-        cache; a null on either side must skip, never compare."""
-        current, baseline = roots
-        write(current, "BENCH_serve.json", serve_payload(precision=None))
-        write(baseline, "BENCH_serve.json", serve_payload(precision=0.4))
+        write(current, "BENCH_serve.json", serve_payload(pack_gain=0.1))
+        write(baseline, "BENCH_serve.json", serve_payload(pack_gain=None))
         assert run_tool(current, baseline) == 0
 
     def test_corrupt_baseline_file_skipped(self, roots):

@@ -16,7 +16,10 @@ moves them tens of percent with no code change.  Files or metrics absent
 from the baseline are skipped — a new benchmark cannot regress against
 nothing — and so are payloads whose ``measurement`` field (the benchmark's
 own methodology marker: repeat counts, interleaving) differs from the
-baseline's, because a protocol change resets the trajectory.
+baseline's, because a protocol change resets the trajectory.  A headline
+the baseline reports as a number but the current file drops (or nulls)
+fails: the only way to retire a headline is to delete it from
+``HEADLINE``.
 
 Usage::
 
@@ -35,17 +38,10 @@ import sys
 from pathlib import Path
 
 # file -> dotted paths of higher-is-better headline metrics (ratios only).
-# The sharding metrics are deterministic ratios (seeded workload + stable
-# user hash): balance = mean/max requests per shard, precision = fraction
-# of cache entries spared by fine-grained invalidation.  Per-shard p99s
-# are recorded in the payload but deliberately not gated — absolute
-# latencies move with machine state, not code.
 HEADLINE = {
     "BENCH_serve.json": (
         "best_speedup",
         "packing.pack_gain",
-        "sharding.balance",
-        "sharding.invalidation_precision",
         # Context-assembly fast path: CSR-vectorized BFS over the loop
         # reference, and the frontier cache's steady-state hit rate on
         # repeat traffic (deterministic under the seeded workload).
@@ -117,9 +113,15 @@ def compare(current: dict, baseline: dict, filename: str,
     for metric in HEADLINE[filename]:
         new = dotted_get(current, metric)
         old = dotted_get(baseline, metric)
-        if not isinstance(new, (int, float)) or not isinstance(old, (int, float)):
-            lines.append(f"  {metric}: skipped (missing in "
-                         f"{'current' if new is None else 'baseline'})")
+        if not isinstance(old, (int, float)):
+            lines.append(f"  {metric}: skipped (missing in baseline)")
+            continue
+        if not isinstance(new, (int, float)):
+            failures.append(
+                f"{filename}: {metric} is {old:.4g} in the baseline but "
+                f"{new!r} now; retire a headline by deleting it from "
+                "HEADLINE")
+            lines.append(f"  {metric}: {old:.4g} -> missing REGRESSION")
             continue
         change = (new - old) / old if old else 0.0
         verdict = "ok"
