@@ -116,7 +116,7 @@ def assemble_user_chunks(graph: RatingGraph, sampler: ContextSampler, user: int,
                          context_users: int, context_items: int,
                          reveal_fraction: float, candidate_users: np.ndarray,
                          candidate_items: np.ndarray,
-                         rng_factory, frontier=None) -> list[AssembledChunk]:
+                         rng_factory) -> list[AssembledChunk]:
     """Sample and build the contexts that score ``query_items`` for a user.
 
     ``rng_factory`` maps a chunk's query offset to the generator driving its
@@ -124,17 +124,6 @@ def assemble_user_chunks(graph: RatingGraph, sampler: ContextSampler, user: int,
     advancing stream, the serving layer passes :func:`task_chunk_rng`.
     Model-free by design: callers run the forward pass (individually, or
     stacked across users via :meth:`HIRE.forward_many`).
-
-    ``frontier`` optionally memoises the sampling step (the serving layer
-    passes a :class:`repro.serve.FrontierBinding`): ``load(start)`` may
-    return a previously sampled ``(users, items, rng_state)`` for this
-    chunk, in which case the BFS is skipped and the cached rng state —
-    captured right after the original ``sampler.sample`` call — is
-    restored onto the fresh chunk generator, so the subsequent reveal
-    draw consumes exactly the stream it would have seen.  Cache hit or
-    miss, the resulting contexts are bit-identical.  Only meaningful
-    under per-chunk rng derivation (a fresh generator per ``start``);
-    callers passing one shared advancing stream must not pass a frontier.
     """
     query_items = np.asarray(query_items, dtype=np.int64)
     support_items = np.asarray(support_items, dtype=np.int64)
@@ -148,22 +137,15 @@ def assemble_user_chunks(graph: RatingGraph, sampler: ContextSampler, user: int,
         chunk = query_items[start:start + chunk_size]
         target_items = np.concatenate([chunk, support_items[:reserve]])
         rng = rng_factory(start)
-        cached = frontier.load(start) if frontier is not None else None
-        if cached is not None:
-            users, items, rng_state = cached
-            rng.bit_generator.state = rng_state
-        else:
-            users, items = sampler.sample(
-                graph,
-                target_users=np.array([user]),
-                target_items=target_items,
-                n=context_users, m=context_items,
-                rng=rng,
-                candidate_users=candidate_users,
-                candidate_items=candidate_items,
-            )
-            if frontier is not None:
-                frontier.store(start, users, items, rng.bit_generator.state)
+        users, items = sampler.sample(
+            graph,
+            target_users=np.array([user]),
+            target_items=target_items,
+            n=context_users, m=context_items,
+            rng=rng,
+            candidate_users=candidate_users,
+            candidate_items=candidate_items,
+        )
         users, items = ensure_targets(users, items, user, target_items)
 
         user_row = int(np.flatnonzero(users == user)[0])

@@ -174,41 +174,22 @@ class ContextSampler:
 class NeighborhoodSampler(ContextSampler):
     """BFS sampler over the user-item bipartite graph (the paper's default).
 
-    Two implementations of the same sampling process:
-
-    * the **vectorised** fast path (default) expands each hop with numpy
-      array ops over the graph's flat CSR adjacency views
-      (:meth:`RatingGraph.user_adjacency` / ``item_adjacency``) — one
-      fancy-indexed gather + ``np.unique`` + boolean-mask filter per hop
-      instead of per-entity Python loops;
-    * the **loop** reference mode (``vectorized=False``) is the original
-      per-entity implementation, kept as the executable specification.
-
-    Both consume the generator identically (``rng.choice`` fires only when
-    a frontier pool exceeds the remaining budget, in the same order), so
-    they produce **bit-identical** choices from the same rng state —
-    property-tested by ``tests/core/test_sampling_equivalence.py``.  The
-    shared ``name`` is deliberate: equal outputs mean cache keys built
-    from either mode stay interchangeable.
+    Each hop expands with numpy array ops over the graph's flat CSR
+    adjacency views (:meth:`RatingGraph.user_adjacency` /
+    ``item_adjacency``): one fancy-indexed gather + ``np.unique`` +
+    boolean-mask filter per hop instead of per-entity Python loops.  The
+    generator is consumed only when a frontier pool exceeds the remaining
+    budget (one ``rng.choice`` per such hop), exactly as the original
+    per-entity loop did; that loop lives on as the test oracle in
+    ``tests/core/loop_sampler.py`` and
+    ``tests/core/test_sampling_equivalence.py`` property-tests the two
+    **bit-identical** from the same rng state.
     """
 
     name = "neighborhood"
 
-    def __init__(self, vectorized: bool = True):
-        self.vectorized = vectorized
-
     def sample(self, graph, target_users, target_items, n, m, rng,
                candidate_users, candidate_items):
-        if self.vectorized:
-            return self._sample_vectorized(graph, target_users, target_items,
-                                           n, m, rng, candidate_users,
-                                           candidate_items)
-        return self._sample_loop(graph, target_users, target_items, n, m,
-                                 rng, candidate_users, candidate_items)
-
-    # -- vectorised fast path ------------------------------------------ #
-    def _sample_vectorized(self, graph, target_users, target_items, n, m,
-                           rng, candidate_users, candidate_items):
         users, items = self._prepare_targets(target_users, target_items, n, m)
         candidate_users = np.asarray(candidate_users, dtype=np.int64)
         candidate_items = np.asarray(candidate_items, dtype=np.int64)
@@ -261,69 +242,11 @@ class NeighborhoodSampler(ContextSampler):
     @staticmethod
     def _take_array(pool: np.ndarray, budget: int,
                     rng: np.random.Generator) -> np.ndarray:
-        """Array twin of :meth:`_take`: same rng consumption, same order."""
+        """Up to ``budget`` entries of ``pool``; draws only when it must."""
         if pool.size <= budget:
             return pool
         picks = rng.choice(pool.size, size=budget, replace=False)
         return pool[picks]
-
-    # -- loop reference mode ------------------------------------------- #
-    def _sample_loop(self, graph, target_users, target_items, n, m, rng,
-                     candidate_users, candidate_items):
-        users, items = self._prepare_targets(target_users, target_items, n, m)
-        chosen_users = list(users)
-        chosen_items = list(items)
-        user_set = set(chosen_users)
-        item_set = set(chosen_items)
-        frontier_users = list(users)
-        frontier_items = list(items)
-        allowed_users = set(np.asarray(candidate_users, dtype=np.int64).tolist()) | user_set
-        allowed_items = set(np.asarray(candidate_items, dtype=np.int64).tolist()) | item_set
-
-        # Hop-by-hop expansion until both budgets fill or frontier dries up.
-        while (len(chosen_users) < n or len(chosen_items) < m) and (frontier_users or frontier_items):
-            next_users: list[int] = []
-            next_items: list[int] = []
-            # Neighbours of frontier items are users; of frontier users, items.
-            if len(chosen_users) < n:
-                neighbor_users: set[int] = set()
-                for item in frontier_items:
-                    neighbor_users.update(
-                        int(u) for u in graph.users_of_item(item)
-                        if u not in user_set and u in allowed_users
-                    )
-                picked = self._take(sorted(neighbor_users), n - len(chosen_users), rng)
-                chosen_users.extend(picked)
-                user_set.update(picked)
-                next_users = picked
-            if len(chosen_items) < m:
-                neighbor_items: set[int] = set()
-                for user in frontier_users:
-                    neighbor_items.update(
-                        int(i) for i in graph.items_of_user(user)
-                        if i not in item_set and i in allowed_items
-                    )
-                picked = self._take(sorted(neighbor_items), m - len(chosen_items), rng)
-                chosen_items.extend(picked)
-                item_set.update(picked)
-                next_items = picked
-            if not next_users and not next_items:
-                break
-            frontier_users = next_users
-            frontier_items = next_items
-
-        users_final = self._pad_uniform(np.asarray(chosen_users, dtype=np.int64), n,
-                                        np.asarray(candidate_users, dtype=np.int64), rng)
-        items_final = self._pad_uniform(np.asarray(chosen_items, dtype=np.int64), m,
-                                        np.asarray(candidate_items, dtype=np.int64), rng)
-        return users_final, items_final
-
-    @staticmethod
-    def _take(pool: list[int], budget: int, rng: np.random.Generator) -> list[int]:
-        if len(pool) <= budget:
-            return list(pool)
-        picks = rng.choice(len(pool), size=budget, replace=False)
-        return [pool[p] for p in picks]
 
 
 class RandomSampler(ContextSampler):

@@ -26,16 +26,12 @@ trace-derived per-stage latency breakdown (queue wait / batch form /
 assemble / pack / forward / respond), and a bit-identity check proving
 the plane is passive.
 
-An **assembly** section measures context assembly itself: the vectorized
-CSR-based neighbourhood sampler against the reference loop sampler
-(bit-identical contexts, min-of-interleaved-repeats speedup), the
-frontier cache's cold→hot hit-rate trajectory on a power-law workload
-(with served scores still bit-identical to the sequential baseline), and
-the adaptive budget ladder under synthetic overload — a one-worker
-service flooded faster than it can drain, once with fixed budgets and
-once with the ladder on, recording the p99 each regime reaches, the SLO
-health verdict, and a bit-identity check of every degraded score against
-a sequential replay at the same effective ``(n, m)``.
+An **adaptive** section measures the budget ladder under synthetic
+overload on a power-law workload — a one-worker service flooded faster
+than it can drain, once with fixed budgets and once with the ladder on,
+recording the p99 each regime reaches, the SLO health verdict, and a
+bit-identity check of every degraded score against a sequential replay
+at the same effective ``(n, m)``.
 
 ``benchmarks/bench_serve_throughput.py`` writes the result as
 ``BENCH_serve.json`` at the repo root; ``--smoke`` runs a shrunken grid in
@@ -358,55 +354,6 @@ def _run_tracing_benchmark(model, split, tasks, workload, expected,
     }
 
 
-def _assemble_workload(graph, sampler, workload, config: ServiceConfig,
-                       candidate_users, candidate_items):
-    """Assemble (no forward) every request's chunks with per-chunk RNG."""
-    assembled = []
-    for request in workload:
-        query_items = np.asarray(request.item_ids, dtype=np.int64)
-        support_items = np.asarray(request.support_items, dtype=np.int64)
-
-        def rng_factory(start, _user=request.user):
-            return task_chunk_rng(config.seed, _user, 0, start)
-
-        assembled.append(assemble_user_chunks(
-            graph, sampler, request.user, query_items, support_items,
-            context_users=config.context_users,
-            context_items=config.context_items,
-            reveal_fraction=config.reveal_fraction,
-            candidate_users=candidate_users,
-            candidate_items=candidate_items,
-            rng_factory=rng_factory))
-    return assembled
-
-
-def _sample_workload(graph, sampler, workload, config: ServiceConfig,
-                     candidate_users, candidate_items):
-    """Run only the sampling step of every chunk the workload assembles.
-
-    Mirrors the chunking arithmetic of
-    :func:`repro.core.predictor.assemble_user_chunks` (support reserve,
-    chunk size) but skips ``build_context``, so the timed ratio isolates
-    the BFS the vectorized fast path replaces.
-    """
-    for request in workload:
-        query_items = np.asarray(request.item_ids, dtype=np.int64)
-        support_items = np.asarray(request.support_items, dtype=np.int64)
-        reserve = min(len(support_items), max(config.context_items // 4, 1))
-        chunk_size = max(config.context_items - reserve, 1)
-        for start in range(0, len(query_items), chunk_size):
-            chunk = query_items[start:start + chunk_size]
-            target_items = np.concatenate([chunk, support_items[:reserve]])
-            sampler.sample(
-                graph,
-                target_users=np.array([request.user]),
-                target_items=target_items,
-                n=config.context_users, m=config.context_items,
-                rng=task_chunk_rng(config.seed, request.user, 0, start),
-                candidate_users=candidate_users,
-                candidate_items=candidate_items)
-
-
 def _rotate_repeats(workload) -> list[WorkloadRequest]:
     """Make a repeat-heavy workload coalescing-proof.
 
@@ -428,26 +375,6 @@ def _rotate_repeats(workload) -> list[WorkloadRequest]:
         rotated.append(WorkloadRequest(user=request.user, item_ids=items,
                                        support_items=request.support_items))
     return rotated
-
-
-def _contexts_identical(a_runs, b_runs) -> bool:
-    """Bitwise equality of two assembled-workload chunk lists."""
-    if len(a_runs) != len(b_runs):
-        return False
-    for a_chunks, b_chunks in zip(a_runs, b_runs):
-        if len(a_chunks) != len(b_chunks):
-            return False
-        for a, b in zip(a_chunks, b_chunks):
-            ca, cb = a.context, b.context
-            if not (np.array_equal(ca.users, cb.users)
-                    and np.array_equal(ca.items, cb.items)
-                    and np.array_equal(ca.ratings, cb.ratings)
-                    and np.array_equal(ca.observed, cb.observed)
-                    and np.array_equal(ca.revealed, cb.revealed)
-                    and a.user_row == b.user_row
-                    and np.array_equal(a.cols, b.cols)):
-                return False
-    return True
 
 
 def _replay_capturing_budgets(service, workload, timeout: float = 300.0):
@@ -472,89 +399,22 @@ def _replay_capturing_budgets(service, workload, timeout: float = 300.0):
     return scores, budgets
 
 
-def _run_assembly_benchmark(model, split, tasks, config: ServiceConfig,
+def _run_adaptive_benchmark(model, split, tasks, config: ServiceConfig,
                             smoke: bool) -> dict:
-    """Vectorized sampling, frontier caching, and adaptive budgets.
+    """Adaptive budgets under overload, on a power-law workload.
 
-    Three sub-measurements, all on power-law workloads:
-
-    * ``vectorized_speedup`` — wall time of the sampling step of every
-      chunk (``build_context`` excluded — it is identical in both modes
-      and would dilute the ratio) with the reference loop sampler vs the
-      CSR-vectorized fast path, interleaved min-of-repeats.  Full
-      assemblies through both samplers must be bit-identical — the fast
-      path is an *implementation* of the sampler, not a variant.
-    * ``frontier`` — a service with the context cache **off** and the
-      frontier cache **on** replays the workload twice; the second pass
-      should hit on every previously sampled chunk (steady-state hit
-      rate), and every score stays bit-identical to sequential.
-    * ``adaptive`` — a one-worker service is flooded with the whole
-      workload at once (queue depth ≈ workload size; repeats rotated via
-      :func:`_rotate_repeats` so coalescing cannot soak up the load).
-      Fixed budgets first, then the ladder; the ladder sheds *work*
-      instead of requests, so its p99 must land under the fixed regime's
-      while each degraded score stays bit-identical to a sequential
-      replay at its effective budgets.  Both caches are off so the ratio
-      measures the ladder, not cache luck.
+    A one-worker service is flooded with the whole workload at once
+    (queue depth ≈ workload size; repeats rotated via
+    :func:`_rotate_repeats` so coalescing cannot soak up the load).  Fixed
+    budgets first, then the ladder; the ladder sheds *work* instead of
+    requests, so its p99 must land under the fixed regime's while each
+    degraded score stays bit-identical to a sequential replay at its
+    effective budgets.  The context cache is off so the ratio measures
+    the ladder, not cache luck.
     """
-    repeats = 1 if smoke else 3
     num_requests = 12 if smoke else 48
     workload = synthesize_power_law_workload(tasks, num_requests, seed=4)
-    graph, candidate_users, candidate_items = build_serving_graph(split, tasks)
-    loop_sampler = NeighborhoodSampler(vectorized=False)
-    vec_sampler = NeighborhoodSampler(vectorized=True)
-
-    # Warm both paths (CSR build, first-touch allocations) and pin
-    # context identity on full warmed assemblies.
-    loop_runs = _assemble_workload(graph, loop_sampler, workload, config,
-                                   candidate_users, candidate_items)
-    vec_runs = _assemble_workload(graph, vec_sampler, workload, config,
-                                  candidate_users, candidate_items)
-    contexts_identical = _contexts_identical(loop_runs, vec_runs)
-
-    loop_seconds = vec_seconds = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        _sample_workload(graph, loop_sampler, workload, config,
-                         candidate_users, candidate_items)
-        loop_seconds = min(loop_seconds, time.perf_counter() - start)
-        start = time.perf_counter()
-        _sample_workload(graph, vec_sampler, workload, config,
-                         candidate_users, candidate_items)
-        vec_seconds = min(vec_seconds, time.perf_counter() - start)
-
-    # Frontier cache: cold replay (compulsory misses) then hot replay.
-    expected = _score_sequential(model, split, tasks, workload, config)
-    frontier_config = ServiceConfig(max_batch_size=4,
-                                    queue_size=max(num_requests, 8),
-                                    cache_enabled=False,
-                                    frontier_cache_enabled=True,
-                                    seed=config.seed)
-    service = PredictionService.from_split(model, split, tasks,
-                                           config=frontier_config)
-    try:
-        cold_scores = replay_workload(service, workload)
-        cold = service.frontier_cache.stats.snapshot()
-        hot_scores = replay_workload(service, workload)
-        total = service.frontier_cache.stats.snapshot()
-    finally:
-        service.close()
-    hot_hits = total["hits"] - cold["hits"]
-    hot_lookups = (total["hits"] + total["misses"]
-                   - cold["hits"] - cold["misses"])
-    frontier = {
-        "num_requests": num_requests,
-        "cold_hit_rate": cold["hit_rate"],
-        "hot_hit_rate": hot_hits / hot_lookups if hot_lookups else 0.0,
-        "hits": total["hits"],
-        "misses": total["misses"],
-        "bit_identical_to_sequential": (
-            all(np.array_equal(a, b) for a, b in zip(expected, cold_scores))
-            and all(np.array_equal(a, b)
-                    for a, b in zip(expected, hot_scores))),
-    }
-
-    # Adaptive budgets under overload: one worker, whole workload queued.
+    # One worker, whole workload queued.
     overload = _rotate_repeats(workload)
     overload_expected = _score_sequential(model, split, tasks, overload,
                                           config)
@@ -563,7 +423,7 @@ def _run_assembly_benchmark(model, split, tasks, config: ServiceConfig,
               (8, 16, 16))
     base_kwargs = dict(max_batch_size=4, num_workers=1,
                        queue_size=max(num_requests * 2, 16),
-                       cache_enabled=False, frontier_cache_enabled=False,
+                       cache_enabled=False,
                        window_seconds=600.0, short_window_seconds=60.0,
                        seed=config.seed)
     fixed_service = PredictionService.from_split(
@@ -636,24 +496,16 @@ def _run_assembly_benchmark(model, split, tasks, config: ServiceConfig,
 
     return {
         "num_requests": num_requests,
-        "repeats": repeats,
-        "loop_seconds": loop_seconds,
-        "vectorized_seconds": vec_seconds,
-        "vectorized_speedup": loop_seconds / vec_seconds,
-        "contexts_identical": contexts_identical,
-        "frontier": frontier,
-        "adaptive": {
-            "ladder": [list(rung) for rung in ladder],
-            "fixed_p99_ms": fixed_p99 * 1e3,
-            "adaptive_p99_ms": adaptive_p99 * 1e3,
-            "p99_gain": fixed_p99 / adaptive_p99 if adaptive_p99 else None,
-            "slo_p99_ms": slo_p99 * 1e3,
-            "health_state": health_state,
-            "degraded_requests": degraded,
-            "fixed_bit_identical": fixed_identical,
-            "degraded_bit_identical": adaptive_identical,
-            "rung_checks": rung_checks,
-        },
+        "ladder": [list(rung) for rung in ladder],
+        "fixed_p99_ms": fixed_p99 * 1e3,
+        "adaptive_p99_ms": adaptive_p99 * 1e3,
+        "p99_gain": fixed_p99 / adaptive_p99 if adaptive_p99 else None,
+        "slo_p99_ms": slo_p99 * 1e3,
+        "health_state": health_state,
+        "degraded_requests": degraded,
+        "fixed_bit_identical": fixed_identical,
+        "degraded_bit_identical": adaptive_identical,
+        "rung_checks": rung_checks,
     }
 
 
@@ -705,7 +557,7 @@ def run_serve_benchmark(smoke: bool = False) -> dict:
                                      repeats=repeats)
     tracing = _run_tracing_benchmark(model, split, tasks, workload, expected,
                                      smoke)
-    assembly = _run_assembly_benchmark(model, split, tasks, config, smoke)
+    adaptive = _run_adaptive_benchmark(model, split, tasks, config, smoke)
 
     best = max(runs, key=lambda r: r["speedup_vs_sequential"])
     return {
@@ -733,7 +585,7 @@ def run_serve_benchmark(smoke: bool = False) -> dict:
         "runs": runs,
         "packing": packing,
         "tracing": tracing,
-        "assembly": assembly,
+        "adaptive": adaptive,
         "bit_identical_all_runs": bit_identical,
         "best_speedup": best["speedup_vs_sequential"],
         "best_config": {"batch_size": best["batch_size"],

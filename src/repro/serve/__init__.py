@@ -7,9 +7,9 @@ pipeline into an always-on prediction service:
   atomic hot swap, loading HIRE + config straight from checkpoint metadata;
 * :mod:`~repro.serve.batcher` — a bounded-queue micro-batcher coalescing
   ``(user, item_ids)`` requests by size/deadline into shared forward passes;
-* :mod:`~repro.serve.cache` — LRU+TTL caches for assembled prediction
-  contexts and sampled frontiers, with entity-tagged fine-grained
-  invalidation driven by a per-entity reverse index;
+* :mod:`~repro.serve.cache` — an LRU cache for assembled prediction
+  contexts, with entity-tagged fine-grained invalidation driven by a
+  per-entity reverse index;
 * :mod:`~repro.serve.dataplane` — the shared :class:`GraphStore`: atomic
   graph snapshots, incremental delta application
   (:meth:`RatingGraph.apply_deltas`), per-entity version tracking;
@@ -30,14 +30,7 @@ matter how requests are batched, cached, or spread across workers.  See
 """
 
 from .batcher import MicroBatcher, PredictRequest, group_requests
-from .cache import (
-    CacheStats,
-    ContextCache,
-    FrontierBinding,
-    FrontierCache,
-    context_cache_key,
-    frontier_cache_key,
-)
+from .cache import CacheStats, ContextCache, context_cache_key
 from .dataplane import (
     EntityVersions,
     GraphSnapshot,
@@ -83,11 +76,8 @@ __all__ = [
     "WorkerPool",
     # cache
     "ContextCache",
-    "FrontierCache",
-    "FrontierBinding",
     "CacheStats",
     "context_cache_key",
-    "frontier_cache_key",
     # data plane
     "GraphStore",
     "GraphSnapshot",

@@ -1,4 +1,4 @@
-"""LRU + TTL cache for assembled prediction contexts.
+"""LRU cache for assembled prediction contexts.
 
 Neighbourhood sampling is the dominant online cost of a request (BFS over
 the rating graph, Python-heavy — the same observation GraphHINGE makes for
@@ -23,28 +23,17 @@ its entry lands, so a stale assembly is dropped instead of cached.
 Eviction sweeps are O(touched entries): a reverse per-entity index maps
 every tagged entity to the keys carrying it, so ``invalidate_entities``
 unions the changed entities' key sets instead of scanning the cache.
-
-:class:`FrontierCache` reuses all of that machinery one level down: it
-memoises *sampled frontiers* — the ``(users, items)`` a single BFS call
-chose, plus the rng state right after it — keyed by
-:func:`frontier_cache_key`, so hot users skip the BFS even when the
-request-level context cache misses (different query combination, cache
-disabled) while staying bit-identical via rng-state restoration.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from collections import OrderedDict
 
 __all__ = [
     "ContextCache",
-    "FrontierCache",
-    "FrontierBinding",
     "CacheStats",
     "context_cache_key",
-    "frontier_cache_key",
 ]
 
 _MISSING = object()
@@ -87,7 +76,7 @@ class CacheStats:
     dropped by the put-time guard.
     """
 
-    __slots__ = ("hits", "misses", "evictions", "expirations", "invalidations",
+    __slots__ = ("hits", "misses", "evictions", "invalidations",
                  "partial_invalidations", "entries_evicted", "entries_spared",
                  "stale_puts")
 
@@ -95,7 +84,6 @@ class CacheStats:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        self.expirations = 0
         self.invalidations = 0
         self.partial_invalidations = 0
         self.entries_evicted = 0
@@ -125,7 +113,6 @@ class CacheStats:
             "hits": self.hits,
             "misses": self.misses,
             "evictions": self.evictions,
-            "expirations": self.expirations,
             "invalidations": self.invalidations,
             "partial_invalidations": self.partial_invalidations,
             "entries_evicted": self.entries_evicted,
@@ -137,11 +124,11 @@ class CacheStats:
 
 
 class ContextCache:
-    """Thread-safe LRU cache with optional TTL expiry and entity tags.
+    """Thread-safe LRU cache with entity tags.
 
-    ``max_entries`` bounds memory (least-recently-used eviction);
-    ``ttl_seconds`` bounds staleness (entries older than the TTL are
-    treated as misses and dropped).  ``clock`` is injectable for tests.
+    ``max_entries`` bounds memory (least-recently-used eviction).  Nothing
+    expires on a timer: staleness is exact, through the epoch in the key
+    and the entity tags.
 
     Entries put with ``users``/``items`` tags participate in fine-grained
     invalidation (:meth:`invalidate_entities`); untagged entries are
@@ -149,16 +136,11 @@ class ContextCache:
     sweep.
     """
 
-    def __init__(self, max_entries: int = 1024, ttl_seconds: float | None = None,
-                 clock=time.monotonic):
+    def __init__(self, max_entries: int = 1024):
         if max_entries < 1:
             raise ValueError("max_entries must be >= 1")
-        if ttl_seconds is not None and ttl_seconds <= 0:
-            raise ValueError("ttl_seconds must be positive (or None)")
         self.max_entries = max_entries
-        self.ttl_seconds = ttl_seconds
-        self._clock = clock
-        self._entries: OrderedDict[tuple, tuple[float, object]] = OrderedDict()
+        self._entries: OrderedDict[tuple, object] = OrderedDict()
         self._tags: dict[tuple, tuple[frozenset, frozenset]] = {}
         # Reverse index entity -> {keys tagged with it}, so an eviction
         # sweep unions the changed entities' key sets instead of scanning
@@ -207,16 +189,8 @@ class ContextCache:
     def get(self, key: tuple, default=None):
         """The cached value, refreshing recency; ``default`` on miss."""
         with self._lock:
-            entry = self._entries.get(key, _MISSING)
-            if entry is _MISSING:
-                self.stats.misses += 1
-                return default
-            stored_at, value = entry
-            if (self.ttl_seconds is not None
-                    and self._clock() - stored_at > self.ttl_seconds):
-                del self._entries[key]
-                self._unlink(key)
-                self.stats.expirations += 1
+            value = self._entries.get(key, _MISSING)
+            if value is _MISSING:
                 self.stats.misses += 1
                 return default
             self._entries.move_to_end(key)
@@ -244,7 +218,7 @@ class ContextCache:
             if key in self._entries:
                 self._entries.move_to_end(key)
                 self._unlink(key)  # re-put may carry different tags
-            self._entries[key] = (self._clock(), value)
+            self._entries[key] = value
             self._link(key, users, items)
             while len(self._entries) > self.max_entries:
                 evicted, _ = self._entries.popitem(last=False)
@@ -295,92 +269,3 @@ class ContextCache:
         with self._lock:
             return key in self._entries
 
-
-def frontier_cache_key(graph_epoch: int, sampler_name: str, user: int,
-                       query_items, support_items, context_users: int,
-                       context_items: int, seed: int, sample_index: int,
-                       chunk_start: int) -> tuple:
-    """Hashable key identifying one chunk's sampled frontier.
-
-    Finer-grained than :func:`context_cache_key`: one entry per
-    ``(sample, chunk)`` rather than per request, because a frontier is the
-    output of a single ``sampler.sample`` call.  The rng driving that call
-    is :func:`repro.core.task_chunk_rng` — a pure function of
-    ``(seed, user, sample_index, chunk_start)`` — and the chunk's target
-    items derive from ``(query_items, support_items, context_items,
-    chunk_start)``, so the key pins every sampling input.  The *reveal*
-    fraction is deliberately absent: frontiers precede the reveal draw
-    (the cached rng state replays it exactly — see :class:`FrontierCache`).
-    """
-    return (
-        int(graph_epoch),
-        str(sampler_name),
-        int(user),
-        tuple(int(i) for i in query_items),
-        tuple(int(i) for i in support_items),
-        int(context_users),
-        int(context_items),
-        int(seed),
-        int(sample_index),
-        int(chunk_start),
-    )
-
-
-class FrontierCache(ContextCache):
-    """Memoised BFS frontiers for hot users: repeat traffic skips sampling.
-
-    Entries are ``(users, items, rng_state)`` triples — the two entity
-    arrays one ``sampler.sample`` call produced plus the generator state
-    *after* that call.  On a hit the caller restores the state onto its
-    freshly derived chunk rng and proceeds straight to the reveal draw, so
-    a cached frontier yields **bit-identical** contexts to a fresh BFS
-    (the reveal consumes exactly the stream suffix it would have seen).
-
-    Sits below the request-level :class:`ContextCache` (which memoises the
-    finished contexts): when that cache is disabled, cold, or misses on a
-    new query-item combination whose frontier chunks are nonetheless warm,
-    this one still removes the BFS.  Same machinery otherwise — LRU + TTL,
-    entity tags over the sampled users/items (a superset of the BFS
-    adjacency read-set), fine-grained invalidation by the data plane, and
-    the put-time staleness guard.
-    """
-
-
-class FrontierBinding:
-    """Per-(request, sample) adapter handed to ``assemble_user_chunks``.
-
-    Bridges the serve-layer cache to the core assembly loop without the
-    core importing serve: ``load(start)`` returns a cached
-    ``(users, items, rng_state)`` or ``None``; ``store(start, ...)``
-    inserts one, tagged with the sampled entities and guarded against
-    concurrent graph updates.  ``on_hit`` / ``on_miss`` are metric hooks.
-    """
-
-    __slots__ = ("cache", "key_factory", "generation", "guard",
-                 "on_hit", "on_miss")
-
-    def __init__(self, cache: FrontierCache, key_factory, *,
-                 generation: int = 0, guard=None,
-                 on_hit=None, on_miss=None):
-        self.cache = cache
-        self.key_factory = key_factory
-        self.generation = generation
-        self.guard = guard
-        self.on_hit = on_hit
-        self.on_miss = on_miss
-
-    def load(self, chunk_start: int):
-        entry = self.cache.get(self.key_factory(chunk_start))
-        if entry is None:
-            if self.on_miss is not None:
-                self.on_miss()
-            return None
-        if self.on_hit is not None:
-            self.on_hit()
-        return entry
-
-    def store(self, chunk_start: int, users, items, rng_state) -> None:
-        self.cache.put(self.key_factory(chunk_start),
-                       (users, items, rng_state),
-                       users=users, items=items,
-                       generation=self.generation, guard=self.guard)

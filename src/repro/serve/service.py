@@ -11,7 +11,7 @@ Ties the serving pieces together behind ``submit()`` / ``predict()`` /
   served scores are **bit-identical** to a sequential
   ``HIREPredictor(per_task_rng=True)`` — regardless of batch composition,
   worker count, or cache state;
-* assembled contexts are memoised in an LRU+TTL cache
+* assembled contexts are memoised in an LRU cache
   (:mod:`~repro.serve.cache`), invalidated **fine-grained** on graph
   updates: the shared :class:`~repro.serve.dataplane.GraphStore` applies
   rating deltas incrementally (:meth:`RatingGraph.apply_deltas`) and
@@ -55,13 +55,7 @@ from ..core.predictor import (
 from ..core.sampling import ContextSampler, NeighborhoodSampler
 from ..data.bipartite import RatingGraph
 from .batcher import MicroBatcher, PredictRequest, group_requests
-from .cache import (
-    ContextCache,
-    FrontierBinding,
-    FrontierCache,
-    context_cache_key,
-    frontier_cache_key,
-)
+from .cache import ContextCache, context_cache_key
 from .dataplane import GraphStore, UpdateResult
 from .errors import QueueFullError, RequestError, ServiceClosedError
 from .registry import ModelRegistry
@@ -88,13 +82,6 @@ class ServiceConfig:
     # Context cache.
     cache_enabled: bool = True
     cache_entries: int = 2048
-    cache_ttl_seconds: float | None = None
-    # Frontier cache: memoise sampled BFS frontiers per (sample, chunk) so
-    # hot users skip the BFS even when the request-level context cache
-    # misses (bit-identical via rng-state restoration; invalidated
-    # entity-wise like the context cache — see docs/adaptive_context.md).
-    frontier_cache_enabled: bool = True
-    frontier_cache_entries: int = 4096
     # Adaptive context budgets: when on, requests without explicit budget
     # overrides get per-request (n, m) from budget_ladder — a tuple of
     # (queue_depth_threshold, context_users, context_items) rungs, first
@@ -117,10 +104,6 @@ class ServiceConfig:
     pack_contexts: bool = True
     pack_bucket: int = 8
     pack_max_waste: float = 1.0
-    # Reuse encoder attribute rows for warm entities across requests
-    # (repro.nn.inference.EmbeddingStore; bitwise identical, invalidated
-    # on hot swap and update_ratings).
-    embed_store_enabled: bool = True
     metrics_prefix: str = "serve"
     # Telemetry plane (all passive — see docs/observability.md).
     # Per-request stage tracing into a bounded ring buffer; trace_sink
@@ -156,8 +139,6 @@ class ServiceConfig:
             raise ValueError("short_window_seconds must be <= window_seconds")
         if self.export_interval_seconds <= 0:
             raise ValueError("export_interval_seconds must be positive")
-        if self.frontier_cache_entries < 1:
-            raise ValueError("frontier_cache_entries must be >= 1")
         self.budget_ladder = tuple(
             (int(depth), int(n), int(m)) for depth, n, m in self.budget_ladder)
         if self.adaptive_budgets:
@@ -216,13 +197,8 @@ class PredictionService:
         # rolling windows, trace timings.  One timebase means the numbers
         # agree with each other — and with a fake clock in tests.
         self._clock = clock
-        self.cache = (ContextCache(self.config.cache_entries,
-                                   self.config.cache_ttl_seconds)
+        self.cache = (ContextCache(self.config.cache_entries)
                       if self.config.cache_enabled else None)
-        self.frontier_cache = (
-            FrontierCache(self.config.frontier_cache_entries,
-                          self.config.cache_ttl_seconds)
-            if self.config.frontier_cache_enabled else None)
         # The store owns the optional repro.online.RatingLog tee: apply()
         # appends every *applied* delta, so the incremental-training loop
         # consumes exactly what the graph absorbed.  Deltas are checked
@@ -471,14 +447,6 @@ class PredictionService:
                     result.changed_users, result.changed_items)
                 self._counter("invalidation_evicted_total").inc(evicted)
                 self._counter("invalidation_spared_total").inc(spared)
-        if self.frontier_cache is not None:
-            if result.full_invalidation:
-                self.frontier_cache.invalidate()
-            else:
-                evicted, _ = self.frontier_cache.invalidate_entities(
-                    result.changed_users, result.changed_items)
-                self._counter("frontier.invalidation_evicted_total").inc(
-                    evicted)
         if result.full_invalidation:
             # Pool growth may have introduced entities the store has never
             # sized rows for; retire it wholesale.
@@ -625,9 +593,6 @@ class PredictionService:
             }
         if self.cache is not None:
             out["cache"] = {**self.cache.stats.snapshot(), "entries": len(self.cache)}
-        if self.frontier_cache is not None:
-            out["frontier_cache"] = {**self.frontier_cache.stats.snapshot(),
-                                     "entries": len(self.frontier_cache)}
         store = self._embed_store
         if store is not None:
             out["embed_store"] = store.stats()
@@ -658,13 +623,6 @@ class PredictionService:
                     f" {snap['entries_evicted']} evicted across"
                     f" {snap['partial_invalidations']} sweeps"
                     f"   precision {precision * 100:.1f}%")
-        if self.frontier_cache is not None:
-            snap = self.frontier_cache.stats.snapshot()
-            lines.append(
-                f"frontier cache: {len(self.frontier_cache)} entries"
-                f"   hit rate {snap['hit_rate'] * 100:.1f}%"
-                f"   ({snap['hits']} hits / {snap['misses']} misses,"
-                f" {snap['evictions']} evicted)")
         updates = self._store.stats()
         lines.append(
             f"graph updates: {updates['applied_total']} applied /"
@@ -822,8 +780,6 @@ class PredictionService:
     def _embed_store_for(self, model: HIRE):
         """The warm-entity row store for ``model``, rebuilt when the model
         or its parameter generation changed (registry hot swap)."""
-        if not self.config.embed_store_enabled:
-            return None
         store = self._embed_store
         if store is None or not store.valid_for(model):
             store = nn.inference.EmbeddingStore(model)
@@ -863,20 +819,6 @@ class PredictionService:
         for sample_index in range(cfg.num_context_samples):
             def rng_factory(start, _sample=sample_index):
                 return task_chunk_rng(cfg.seed, request.user, _sample, start)
-            frontier = None
-            if self.frontier_cache is not None:
-                def key_factory(start, _sample=sample_index):
-                    return frontier_cache_key(
-                        graph_state.epoch, self.sampler.name, request.user,
-                        request.item_ids, request.support_items,
-                        context_users, context_items, cfg.seed, _sample,
-                        start)
-                frontier = FrontierBinding(
-                    self.frontier_cache, key_factory,
-                    generation=graph_state.generation,
-                    guard=self._store.changed_since,
-                    on_hit=self._counter("frontier.hits_total").inc,
-                    on_miss=self._counter("frontier.misses_total").inc)
             samples.append(assemble_user_chunks(
                 graph, self.sampler, request.user,
                 request.item_ids, request.support_items,
@@ -886,7 +828,6 @@ class PredictionService:
                 candidate_users=graph_state.candidate_users,
                 candidate_items=graph_state.candidate_items,
                 rng_factory=rng_factory,
-                frontier=frontier,
             ))
         if self.cache is not None:
             touched_users = np.unique(np.concatenate(

@@ -1,10 +1,10 @@
-"""Vectorized vs loop NeighborhoodSampler: bit-identity and allocations.
+"""NeighborhoodSampler vs the loop oracle: bit-identity and allocations.
 
-The CSR-vectorized fast path is an *implementation* of the loop sampler,
-not a variant: from the same rng state both modes must return the same
-entities in the same order and leave the generator in the same state —
-across random graphs, budgets, candidate pools, and delta-updated
-snapshots (whose CSR views carry a stale-row overlay).  A tracemalloc
+The CSR-vectorized sampler is an *implementation* of the loop sampler
+(``loop_sampler.py``), not a variant: from the same rng state both must
+return the same entities in the same order and leave the generator in
+the same state — across random graphs, budgets, candidate pools, and
+delta-updated snapshots (whose CSR views carry a stale-row overlay).  A tracemalloc
 check pins the fast path's steady state: no per-hop Python structures may
 accumulate, and a sampling pass must allocate less transient memory than
 the loop reference's per-entity sets and lists.
@@ -20,6 +20,8 @@ from hypothesis import strategies as st
 
 from repro.core import NeighborhoodSampler
 from repro.data import RatingGraph, movielens_like
+
+from .loop_sampler import LoopNeighborhoodSampler
 
 
 def _random_graph(seed: int, num_users: int, num_items: int,
@@ -39,15 +41,15 @@ def _random_pools(rng, num_users, num_items):
 
 
 def _assert_same_sample(graph, targets, n, m, seed, pools):
-    """Both modes from identical rng states: same output, same end state."""
+    """Both samplers from identical rng states: same output, same end state."""
     target_users, target_items = targets
     candidate_users, candidate_items = pools
     rng_loop = np.random.default_rng([seed, 17])
     rng_vec = np.random.default_rng([seed, 17])
-    users_loop, items_loop = NeighborhoodSampler(vectorized=False).sample(
+    users_loop, items_loop = LoopNeighborhoodSampler().sample(
         graph, target_users, target_items, n, m, rng_loop,
         candidate_users, candidate_items)
-    users_vec, items_vec = NeighborhoodSampler(vectorized=True).sample(
+    users_vec, items_vec = NeighborhoodSampler().sample(
         graph, target_users, target_items, n, m, rng_vec,
         candidate_users, candidate_items)
     np.testing.assert_array_equal(users_loop, users_vec)
@@ -129,8 +131,8 @@ def test_vectorized_steady_state_allocations(busy_graph):
     transient footprint stays under the loop reference's (which builds
     per-hop Python sets/lists of boxed ints — the cost the CSR gather
     removes)."""
-    vec = NeighborhoodSampler(vectorized=True)
-    loop = NeighborhoodSampler(vectorized=False)
+    vec = NeighborhoodSampler()
+    loop = LoopNeighborhoodSampler()
     for _ in range(3):  # warm: CSR build, caches, interned small ints
         _sample_once(busy_graph, vec)
         _sample_once(busy_graph, loop)

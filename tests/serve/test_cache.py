@@ -1,24 +1,10 @@
-"""ContextCache LRU/TTL behaviour, cache-key sensitivity, and the
+"""ContextCache LRU behaviour, cache-key sensitivity, and the
 entity-tagged fine-grained invalidation path (tags, sweeps, put guard)."""
 
 import numpy as np
 import pytest
 
-from repro.serve import (
-    ContextCache,
-    FrontierBinding,
-    FrontierCache,
-    context_cache_key,
-    frontier_cache_key,
-)
-
-
-class FakeClock:
-    def __init__(self):
-        self.now = 0.0
-
-    def __call__(self):
-        return self.now
+from repro.serve import ContextCache, context_cache_key
 
 
 class TestContextCacheKey:
@@ -73,17 +59,6 @@ class TestContextCache:
         assert ("b",) not in cache
         assert cache.stats.evictions == 1
 
-    def test_ttl_expires_entries(self):
-        clock = FakeClock()
-        cache = ContextCache(max_entries=4, ttl_seconds=10.0, clock=clock)
-        cache.put(("k",), "value")
-        clock.now = 5.0
-        assert cache.get(("k",)) == "value"
-        clock.now = 20.0
-        assert cache.get(("k",)) is None
-        assert cache.stats.expirations == 1
-        assert len(cache) == 0
-
     def test_invalidate_clears_everything(self):
         cache = ContextCache(max_entries=4)
         cache.put(("a",), 1)
@@ -102,8 +77,6 @@ class TestContextCache:
     def test_rejects_bad_config(self):
         with pytest.raises(ValueError):
             ContextCache(max_entries=0)
-        with pytest.raises(ValueError):
-            ContextCache(ttl_seconds=0.0)
 
 
 class TestEntityInvalidation:
@@ -195,11 +168,7 @@ class TestReverseIndex:
         assert evicted == 1 and ("k",) not in cache
 
     def test_index_is_empty_after_all_paths_remove_a_key(self):
-        clock = FakeClock()
-        cache = ContextCache(max_entries=2, ttl_seconds=5.0, clock=clock)
-        cache.put(("ttl",), 1, users=[1], items=[10])
-        clock.now += 6.0
-        assert cache.get(("ttl",)) is None  # TTL expiry unlinks
+        cache = ContextCache(max_entries=2)
         cache.put(("a",), 1, users=[2], items=[])
         cache.put(("b",), 2, users=[3], items=[])
         cache.put(("c",), 3, users=[4], items=[])  # LRU eviction unlinks
@@ -216,72 +185,3 @@ class TestReverseIndex:
         assert (evicted, spared) == (2, 30)
         assert (5,) not in cache and (7,) not in cache
 
-
-class TestFrontierCacheKey:
-    def test_equal_inputs_equal_keys(self):
-        a = frontier_cache_key(1, "neighborhood", 3, [4, 5], [6], 8, 8, 0, 1, 2)
-        b = frontier_cache_key(1, "neighborhood", 3, (4, 5), (6,), 8, 8, 0, 1, 2)
-        assert a == b and hash(a) == hash(b)
-
-    @pytest.mark.parametrize("field, value", [
-        ("graph_epoch", 2), ("sampler_name", "random"), ("user", 9),
-        ("query_items", (4,)), ("support_items", (6, 7)),
-        ("context_users", 9), ("context_items", 9), ("seed", 1),
-        ("sample_index", 3), ("chunk_start", 5),
-    ])
-    def test_every_field_discriminates(self, field, value):
-        base = dict(graph_epoch=1, sampler_name="neighborhood", user=3,
-                    query_items=(4, 5), support_items=(6,), context_users=8,
-                    context_items=8, seed=0, sample_index=1, chunk_start=2)
-        changed = dict(base, **{field: value})
-        assert frontier_cache_key(**base) != frontier_cache_key(**changed)
-
-    def test_reveal_fraction_is_not_a_key_input(self):
-        # Frontiers precede the reveal draw; the cached rng state replays
-        # it, so the key deliberately has no reveal_fraction parameter.
-        import inspect
-        assert "reveal_fraction" not in inspect.signature(
-            frontier_cache_key).parameters
-
-
-class TestFrontierBinding:
-    @staticmethod
-    def _binding(cache, **kwargs):
-        return FrontierBinding(cache, lambda start: ("chunk", start), **kwargs)
-
-    def test_store_then_load_roundtrip_with_hooks(self):
-        cache = FrontierCache(max_entries=8)
-        events = []
-        binding = self._binding(cache, on_hit=lambda: events.append("hit"),
-                                on_miss=lambda: events.append("miss"))
-        users = np.array([1, 2])
-        items = np.array([3])
-        assert binding.load(0) is None
-        binding.store(0, users, items, {"state": 42})
-        got_users, got_items, rng_state = binding.load(0)
-        assert np.array_equal(got_users, users)
-        assert np.array_equal(got_items, items)
-        assert rng_state == {"state": 42}
-        assert events == ["miss", "hit"]
-        assert binding.load(5) is None  # other chunks unaffected
-
-    def test_store_tags_sampled_entities(self):
-        cache = FrontierCache(max_entries=8)
-        binding = self._binding(cache)
-        binding.store(0, np.array([1, 2]), np.array([30]), "state")
-        evicted, _ = cache.invalidate_entities(users=[], items=[30])
-        assert evicted == 1 and binding.load(0) is None
-
-    def test_guard_drops_stale_frontier(self):
-        cache = FrontierCache(max_entries=8)
-        seen = {}
-
-        def guard(users, items, generation):
-            seen["generation"] = generation
-            return True  # entities changed since the pinned generation
-
-        binding = self._binding(cache, generation=4, guard=guard)
-        binding.store(0, np.array([1]), np.array([2]), "state")
-        assert seen["generation"] == 4
-        assert binding.load(0) is None
-        assert cache.stats.stale_puts == 1

@@ -276,6 +276,48 @@ class TestGraphUpdates:
             scores = service.predict(task.user, remaining, task.support_items)
             assert scores.shape == remaining.shape
 
+    def test_multi_chunk_request_resamples_after_update(
+            self, serve_model, ml_split, serve_tasks):
+        """A query longer than one chunk assembles several contexts.  A
+        delta touching one chunk's entities evicts the request's cache
+        entry, and re-serving samples every chunk afresh on the new
+        snapshot: bit-identical to the offline predictor on that graph."""
+        task = serve_tasks[0]
+        budgets = dict(context_users=12, context_items=12)
+        with make_service(serve_model, ml_split, serve_tasks,
+                          **budgets) as service:
+            before = service.predict(task.user, task.query_items,
+                                     task.support_items)
+            [[chunks]] = list(service.cache._entries.values())
+            assert len(chunks) > 1
+            # Re-rate a revealed warm pair inside the second chunk's
+            # context: an existing pair, so the sweep is fine-grained, and
+            # a revealed one, so the model sees the new value.
+            context = chunks[1].context
+            rows, cols = np.nonzero(context.revealed)
+            pick = int(np.flatnonzero(context.users[rows] != task.user)[0])
+            user = int(context.users[rows[pick]])
+            item = int(context.items[cols[pick]])
+            old = context.ratings[rows[pick], cols[pick]]
+            applied = service.update_ratings(
+                np.array([[user, item, 1.0 if old != 1.0 else 5.0]]))
+            assert applied == 1
+            assert len(service.cache) == 0
+            cache_stats = service.stats()["cache"]
+            assert cache_stats["invalidations"] == 0
+            assert cache_stats["entries_evicted"] == 1
+
+            after = service.predict(task.user, task.query_items,
+                                    task.support_items)
+            state = service.graph_store.state
+        predictor = HIREPredictor(serve_model, ml_split, serve_tasks, seed=0,
+                                  per_task_rng=True, **budgets)
+        predictor.graph = state.graph
+        predictor.candidate_users = state.candidate_users
+        predictor.candidate_items = state.candidate_items
+        assert np.array_equal(after, predictor.predict_task(task))
+        assert not np.array_equal(after, before)
+
 
 class TestObservability:
     def test_metrics_and_report(self, serve_model, ml_split, serve_tasks):
@@ -425,16 +467,6 @@ class TestEmbedStoreServing:
         assert np.array_equal(before, sequential_scores[0])
         assert np.array_equal(after, other_predictor.predict_task(task))
 
-    def test_store_disabled_is_exact_too(self, serve_model, ml_split,
-                                         serve_tasks, sequential_scores):
-        task = serve_tasks[0]
-        with make_service(serve_model, ml_split, serve_tasks,
-                          embed_store_enabled=False) as service:
-            scores = service.predict(task.user, task.query_items,
-                                     task.support_items)
-            assert "embed_store" not in service.stats()
-        assert np.array_equal(scores, sequential_scores[0])
-
 
 class TestAdaptiveBudgets:
     LADDER = ((0, 12, 12), (2, 8, 8), (4, 4, 4))
@@ -542,70 +574,3 @@ class TestAdaptiveBudgets:
             pending.future.result(60)
         service.close()
 
-
-class TestFrontierCacheService:
-    def test_repeat_traffic_hits_frontiers_with_context_cache_off(
-            self, serve_model, ml_split, serve_tasks, sequential_scores):
-        with make_service(serve_model, ml_split, serve_tasks,
-                          cache_enabled=False) as service:
-            first = [service.predict(t.user, t.query_items, t.support_items)
-                     for t in serve_tasks]
-            second = [service.predict(t.user, t.query_items, t.support_items)
-                      for t in serve_tasks]
-            snapshot = service.metrics.snapshot()
-            frontier = service.stats()["frontier_cache"]
-        # Round two re-sampled nothing: every chunk's frontier was warm.
-        assert frontier["hits"] >= len(serve_tasks)
-        assert snapshot["serve.frontier.hits_total"]["value"] == frontier["hits"]
-        assert snapshot["serve.frontier.misses_total"]["value"] == frontier["misses"]
-        for expected, a, b in zip(sequential_scores, first, second):
-            assert np.array_equal(expected, a)
-            assert np.array_equal(expected, b)
-
-    def test_update_ratings_evicts_touched_frontiers_only(
-            self, serve_model, ml_split, serve_tasks):
-        task, other = serve_tasks[0], serve_tasks[1]
-        with make_service(serve_model, ml_split, serve_tasks,
-                          cache_enabled=False) as service:
-            service.predict(task.user, task.query_items, task.support_items)
-            service.predict(other.user, other.query_items,
-                            other.support_items)
-            populated = len(service.frontier_cache)
-            assert populated > 0
-            # Re-rate one of the target user's support items (an existing
-            # pair, so the pools don't grow and the sweep is fine-grained).
-            item = int(task.support_items[0])
-            applied = service.update_ratings(
-                np.array([[task.user, item, 1.0]]))
-            if not applied:  # it already was 1.0 — any other value works
-                applied = service.update_ratings(
-                    np.array([[task.user, item, 2.0]]))
-            assert applied == 1
-            evicted = service.metrics.snapshot()[
-                "serve.frontier.invalidation_evicted_total"]["value"]
-            assert evicted >= 1
-            # Frontiers that never read the touched entities survive.
-            assert len(service.frontier_cache) < populated
-
-    def test_stats_and_report_cover_the_frontier_cache(
-            self, serve_model, ml_split, serve_tasks):
-        with make_service(serve_model, ml_split, serve_tasks) as service:
-            task = serve_tasks[0]
-            service.predict(task.user, task.query_items, task.support_items)
-            stats = service.stats()
-            report = service.report()
-        assert "frontier_cache" in stats
-        assert stats["frontier_cache"]["entries"] >= 1
-        assert "frontier cache" in report
-
-    def test_disabled_frontier_cache_is_exact(self, serve_model, ml_split,
-                                              serve_tasks, sequential_scores):
-        with make_service(serve_model, ml_split, serve_tasks,
-                          cache_enabled=False,
-                          frontier_cache_enabled=False) as service:
-            assert service.frontier_cache is None
-            got = [service.predict(t.user, t.query_items, t.support_items)
-                   for t in serve_tasks]
-            assert "frontier_cache" not in service.stats()
-        for expected, scores in zip(sequential_scores, got):
-            assert np.array_equal(expected, scores)

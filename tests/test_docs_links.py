@@ -11,7 +11,9 @@ Static checks only (no network, no execution of examples):
 * every package/module directly under ``src/repro`` has a module
   docstring and is mentioned in at least one docs page;
 * every public symbol (``__all__``) of the serving and inference-engine
-  APIs is mentioned in at least one docs page.
+  APIs is mentioned in at least one docs page;
+* every ``ServiceConfig`` field is documented, and every field the
+  ``docs/serving.md`` configuration table names is a real field.
 """
 
 import ast
@@ -186,7 +188,6 @@ def test_metric_extraction_found_the_core_metrics():
     assert "trainer.loss" in names
     assert "online.promotions_total" in names
     assert "serve.invalidation_evicted_total" in names
-    assert "serve.frontier.hits_total" in names
     assert "serve.assemble.degraded_total" in names
 
 
@@ -215,6 +216,34 @@ def test_config_field_documented(config, field):
                (p.read_text() for p in DOC_FILES)), (
         f"{config} field {field!r} is not mentioned in README.md or any "
         f"docs/*.md page")
+
+
+def serving_table_fields():
+    """Backticked field names in the first column of the ``docs/serving.md``
+    configuration table (a row may name several: `a` / `b`)."""
+    text = (REPO_ROOT / "docs" / "serving.md").read_text()
+    section = text.split("## Configuration reference", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    names = []
+    for line in section.splitlines():
+        cells = line.split("|")
+        if len(cells) > 2 and line.startswith("|"):
+            names.extend(re.findall(r"`(\w+)`", cells[1]))
+    return names
+
+
+def test_serving_table_names_only_real_fields():
+    import dataclasses
+
+    from repro.serve import ServiceConfig
+
+    table = serving_table_fields()
+    assert "context_users" in table and "export_path" in table  # canary
+    real = {field.name for field in dataclasses.fields(ServiceConfig)}
+    stale = [name for name in table if name not in real]
+    assert not stale, (
+        f"docs/serving.md configuration table lists {stale}, which are not "
+        f"ServiceConfig fields")
 
 
 def test_docs_readme_links_every_docs_page():

@@ -42,11 +42,6 @@ HEADLINE = {
     "BENCH_serve.json": (
         "best_speedup",
         "packing.pack_gain",
-        # Context-assembly fast path: CSR-vectorized BFS over the loop
-        # reference, and the frontier cache's steady-state hit rate on
-        # repeat traffic (deterministic under the seeded workload).
-        "assembly.vectorized_speedup",
-        "assembly.frontier.hot_hit_rate",
     ),
     "BENCH_infer.json": ("speedup_single", "speedup_batched"),
     "BENCH_online.json": ("recovery.rmse_recovery_ratio",),
