@@ -122,20 +122,29 @@ class HIRE(nn.Module):
         """
         return nn.inference.forward_inference(self, context)
 
-    def predict(self, context: PredictionContext) -> np.ndarray:
+    def predict(self, context: PredictionContext,
+                row: int | None = None) -> np.ndarray:
         """Inference-only forward returning a numpy matrix.
 
         Uses the graph-free inference engine when supported (bitwise
         identical, allocation-free), else a ``no_grad`` Tensor forward.
+        With ``row`` it returns only that user row's ``(m,)`` scores, which
+        the engine computes through its target-row tail (bitwise equal to
+        the same row of the full matrix).  The caller's train/eval mode is
+        restored on return.
         """
+        was_training = self.training
         self.eval()
-        if nn.inference.engine_supported(self):
-            out_data = nn.inference.forward_inference(self, context).copy()
-        else:
+        try:
+            if nn.inference.engine_supported(self):
+                rows = None if row is None else (row,)
+                out = nn.inference.forward_inference(self, context, rows=rows)
+                return (out if row is None else out[0]).copy()
             with nn.no_grad():
                 out_data = self.forward(context).data
-        self.train()
-        return out_data
+            return out_data if row is None else out_data[row].copy()
+        finally:
+            self.train(was_training)
 
     def predict_many(self, contexts: list[PredictionContext]) -> np.ndarray:
         """Inference-only stacked forward: (B, n, m) ratings as numpy.
@@ -144,16 +153,19 @@ class HIRE(nn.Module):
         substrate batches over leading axes without reassociating the
         per-slice arithmetic) — the serving layer relies on this to batch
         requests without changing their scores.  Routed through the
-        inference engine when supported, like :meth:`predict`.
+        inference engine when supported, like :meth:`predict`; the caller's
+        train/eval mode is restored on return.
         """
+        was_training = self.training
         self.eval()
-        if nn.inference.engine_supported(self):
-            out_data = nn.inference.forward_inference_many(self, contexts).copy()
-        else:
+        try:
+            if nn.inference.engine_supported(self):
+                return nn.inference.forward_inference_many(
+                    self, contexts).copy()
             with nn.no_grad():
-                out_data = self.forward_many(contexts).data
-        self.train()
-        return out_data
+                return self.forward_many(contexts).data
+        finally:
+            self.train(was_training)
 
     # ------------------------------------------------------------------ #
     # Checkpointing

@@ -193,8 +193,9 @@ class HIREPredictor:
         making every task's scores independent of evaluation order — the
         mode :class:`repro.serve.PredictionService` reproduces bit-exactly.
 
-    Chunk forwards go through :meth:`HIRE.predict`, which uses the
-    graph-free :mod:`repro.nn.inference` engine when supported.
+    Chunk forwards go through :meth:`HIRE.predict` with the target user's
+    row, which uses the graph-free :mod:`repro.nn.inference` engine and its
+    target-row tail when supported.
     """
 
     def __init__(self, model: HIRE, split: ColdStartSplit, tasks: list[EvalTask],
@@ -253,9 +254,8 @@ class HIREPredictor:
         )
         scores = np.empty(len(task.query_items), dtype=np.float64)
         for chunk in chunks:
-            predicted = self.model.predict(chunk.context)
-            scores[chunk.start:chunk.start + len(chunk)] = (
-                predicted[chunk.user_row, chunk.cols])
+            predicted = self.model.predict(chunk.context, row=chunk.user_row)
+            scores[chunk.start:chunk.start + len(chunk)] = predicted[chunk.cols]
 
         # Items whose rating is in the support set are already known; keep
         # the model honest by never letting supports leak into query scores

@@ -96,9 +96,8 @@ def _score_grid_point(model, graph, sampler, tasks, candidate_users,
         scores = np.empty(len(task.query_items), dtype=np.float64)
         start_t = time.perf_counter()
         for chunk in chunks:
-            predicted = model.predict(chunk.context)
-            scores[chunk.start:chunk.start + len(chunk)] = (
-                predicted[chunk.user_row, chunk.cols])
+            predicted = model.predict(chunk.context, row=chunk.user_row)
+            scores[chunk.start:chunk.start + len(chunk)] = predicted[chunk.cols]
         forward_seconds += time.perf_counter() - start_t
         errors.append(scores - task.query_ratings)
     residual = np.concatenate(errors)

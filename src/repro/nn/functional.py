@@ -665,17 +665,8 @@ def mha_qkv_into(qkv: np.ndarray, num_heads: int, out: np.ndarray,
     (padded) buffers in one shot.  Padded regions of ``ctx``/``out`` are
     left stale; callers must never extract them.
     """
-    *lead, t, packed = qkv.shape
-    d = packed // 3
-    head_dim = d // num_heads
-    scale = 1.0 / math.sqrt(head_dim)
-    split = np.moveaxis(
-        qkv.reshape(*lead, t, 3, num_heads, head_dim), -3, 0
-    ).swapaxes(-3, -2)
-    np.copyto(q, split[0])
-    np.copyto(k, split[1])
-    np.copyto(v, split[2])
-    np.multiply(q, scale, out=q)
+    *lead, t, _ = qkv.shape
+    _split_heads_into(qkv, num_heads, q, k, v)
     if spans is None:
         np.matmul(q, np.swapaxes(k, -1, -2), out=scores)
         softmax_into(scores, red)
@@ -685,7 +676,69 @@ def mha_qkv_into(qkv: np.ndarray, num_heads: int, out: np.ndarray,
             np.matmul(q_s, k_sw, out=scores_s)
             softmax_into(scores_s, red_s)
             np.matmul(scores_s, v_s, out=ctx_s)
-    out.reshape(*lead, t, num_heads, head_dim)[...] = np.swapaxes(ctx, -3, -2)
+    out.reshape(*lead, t, num_heads, -1)[...] = np.swapaxes(ctx, -3, -2)
+    return out
+
+
+def _split_heads_into(qkv: np.ndarray, num_heads: int, q: np.ndarray,
+                      k: np.ndarray, v: np.ndarray) -> None:
+    """Split packed ``(..., t, 3d)`` QKV into head-major ``(..., H, t, hd)``
+    buffers, with the 1/√hd scale folded into ``q``."""
+    *lead, t, packed = qkv.shape
+    head_dim = packed // 3 // num_heads
+    split = np.moveaxis(
+        qkv.reshape(*lead, t, 3, num_heads, head_dim), -3, 0
+    ).swapaxes(-3, -2)
+    np.copyto(q, split[0])
+    np.copyto(k, split[1])
+    np.copyto(v, split[2])
+    np.multiply(q, 1.0 / math.sqrt(head_dim), out=q)
+
+
+def mha_qkv_rows_into(qkv: np.ndarray, num_heads: int, out: np.ndarray,
+                      q: np.ndarray, k: np.ndarray, v: np.ndarray,
+                      scores: np.ndarray, ctx: np.ndarray,
+                      rows: np.ndarray, probs: np.ndarray, red: np.ndarray,
+                      spans=None, row_spans=None) -> np.ndarray:
+    """:func:`mha_qkv_into` for selected query rows only.
+
+    ``rows`` indexes the query rows of ``scores`` viewed as ``(-1, t)``
+    (equivalently of ``ctx`` viewed as ``(-1, hd)``), one per batch row and
+    head, in ``(batch…, head)`` order.  Only those rows are softmaxed (in
+    the ``(len(rows), t)``-sized ``probs``, with ``red`` its ``(…, 1)``
+    reduction scratch) and head-merged into ``out``, a ``(len(rows), hd)``
+    buffer read as ``(len(rows) / H, d)``.  The ``q kᵀ`` and ``probs·v``
+    GEMMs keep their full shapes: a one-row GEMM takes numpy's vector path,
+    whose sums round differently, so full-size calls are what keep the
+    selected rows' bytes equal to :func:`mha_qkv_into`'s.  Rows not
+    selected are left un-normalised in ``scores`` and stale in ``ctx``.
+
+    ``spans`` slices the GEMMs per shape group as in :func:`mha_qkv_into`;
+    ``row_spans`` then holds the matching ``(probs_s, red_s)`` views, so
+    each target row is softmaxed over its own context's real tokens.
+    """
+    t = qkv.shape[-2]
+    _split_heads_into(qkv, num_heads, q, k, v)
+    if spans is None:
+        np.matmul(q, np.swapaxes(k, -1, -2), out=scores)
+    else:
+        for q_s, k_sw, _v, scores_s, _red, _ctx in spans:
+            np.matmul(q_s, k_sw, out=scores_s)
+    flat = scores.reshape(-1, t)
+    np.take(flat, rows, axis=0, out=probs.reshape(-1, t), mode="clip")
+    if row_spans is None:
+        softmax_into(probs, red)
+    else:
+        for probs_s, red_s in row_spans:
+            softmax_into(probs_s, red_s)
+    flat[rows] = probs.reshape(-1, t)
+    if spans is None:
+        np.matmul(scores, v, out=ctx)
+    else:
+        for _q, _k, v_s, scores_s, _red, ctx_s in spans:
+            np.matmul(scores_s, v_s, out=ctx_s)
+    np.take(ctx.reshape(-1, ctx.shape[-1]), rows, axis=0, out=out,
+            mode="clip")
     return out
 
 

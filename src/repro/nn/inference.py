@@ -32,16 +32,24 @@ floating-point sums see never change).  See docs/nn_substrate.md ("Padded
 packing").  An :class:`EmbeddingStore` additionally caches the encoder's
 per-entity attribute rows across requests, keyed to the plan generation.
 
-Observability: every run is wrapped in an ``infer/forward`` span, and the
-process metrics registry tracks ``infer.plan_cache.hit`` /
-``infer.plan_cache.miss`` and ``infer.embed_store.hit`` /
-``infer.embed_store.miss`` counters plus an ``infer.workspace_bytes``
-gauge.
+A prediction reads one user row of each context's output, so every entry
+point also takes ``rows=`` (one target row per context): the plan's
+target-row tail then runs the last HIM block for those rows only and
+returns ``(B, m)`` — bitwise equal to the same rows of the full output.
+See docs/nn_substrate.md ("Target-row plans").
+
+Observability: every run is wrapped in an ``infer/forward`` span with one
+child span per step kind (``encode``, ``mbu``, ``mbi``, ``mba``,
+``decode``; no-ops unless profiling is on), and the process metrics
+registry tracks ``infer.plan_cache.hit`` / ``infer.plan_cache.miss`` and
+``infer.embed_store.hit`` / ``infer.embed_store.miss`` counters plus an
+``infer.workspace_bytes`` gauge summed over every live thread's plans.
 """
 
 from __future__ import annotations
 
 import threading
+import weakref
 from collections import OrderedDict
 from math import prod
 
@@ -212,11 +220,26 @@ class EmbeddingStore:
 
 
 class _AttnStep:
-    """One attention layer bound to its input/output views and scratch."""
+    """One attention layer bound to its input/output views and scratch.
 
-    __slots__ = ("attention", "norm", "kind", "x", "out_arr", "residual",
+    ``key`` names the layer's span views in a :class:`_PackProgram`.
+    """
+
+    __slots__ = ("attention", "norm", "key", "x", "out_arr", "residual",
                  "num_heads", "normed", "sq", "red_ln", "qkv", "q", "k", "v",
                  "scores", "red", "ctx", "attn_out")
+
+
+class _RowAttnStep:
+    """The last block's MBU pruned to each context's target row.
+
+    ``full`` holds the full-size views (layer norm, QKV, ``q kᵀ``,
+    ``probs·v``); the rest are the ``R = batch·m`` target-row buffers.
+    """
+
+    __slots__ = ("full", "residual", "score_rows", "probs", "red",
+                 "attn_rows", "merged", "proj", "proj_rows", "h_rows",
+                 "row_index", "out")
 
 
 class _MbaStep:
@@ -235,7 +258,8 @@ class _EncodeSlot:
 class _PackProgram:
     """Precompiled views for one packed composition of context shapes."""
 
-    __slots__ = ("slots", "attn_spans", "dec_spans")
+    __slots__ = ("slots", "attn_spans", "dec_spans", "row_softmax",
+                 "row_dec_spans")
 
 
 class InferencePlan:
@@ -248,6 +272,11 @@ class InferencePlan:
     ``load_state_dict`` on a registered model) flow through without a
     rebuild.  The returned output is workspace-backed: it is valid until the
     next engine call on the same thread — copy it to retain it.
+
+    Every plan also carries a *target-row tail*: run with ``rows`` (one
+    user row per context), the first K−1 blocks execute as usual but the
+    last block computes only the rows a prediction reads — see
+    :meth:`_row_tail` and docs/nn_substrate.md ("Target-row plans").
     """
 
     def __init__(self, model, lead: tuple[int, ...], n: int, m: int,
@@ -271,7 +300,7 @@ class InferencePlan:
         self.workspace = Workspace(self.dtype)
         self._reserve_buffers()
         self._bind_views()
-        self._steps = self._build_steps()
+        self._steps, self._row_steps = self._build_steps()
         # alpha pre-cast once so the sigmoid rescale allocates nothing per call.
         self._alpha = np.asarray(model.alpha, dtype=self.dtype)
         # Packed-execution programs, keyed by the composition of real
@@ -281,9 +310,11 @@ class InferencePlan:
     # ------------------------------------------------------------------ #
     # Layout
     # ------------------------------------------------------------------ #
-    def _attn_shapes(self, kind: str):
-        """(batch_shape, tokens, width, heads) for one interaction kind."""
-        lead, n, m = self.lead, self.n, self.m
+    def _attn_shapes(self, kind: str, n: int | None = None):
+        """(batch_shape, tokens, width, heads) for one interaction kind,
+        over ``n`` user rows (the plan's ``n`` unless given)."""
+        lead, m = self.lead, self.m
+        n = self.n if n is None else n
         if kind == "user":
             layer = self.model.blocks[0].user_attention
             return (*lead, m), n, self.e, layer.num_heads
@@ -334,6 +365,17 @@ class InferencePlan:
         ws.reserve("qkv", 3 * wide_count)
         ws.reserve("scores", scores_count)
         ws.reserve("red", red_count)
+        # Target-row tail: its gather indices.  Every tail buffer fits in
+        # the arenas above (n >= 2 whenever the tail exists); the tail's
+        # activation lives in ``h_user``, which the tail never uses as MBU
+        # output, or in its own small arena when MBU is ablated.
+        rows = prod(lead) * m
+        ws.reserve("rows", 3 * prod(lead), dtype=np.int64)
+        if getattr(block, "use_user", False):
+            heads = self._attn_shapes("user")[3]
+            ws.reserve("score_rows", 2 * rows * heads, dtype=np.int64)
+        else:
+            ws.reserve("h_row", rows * e)
 
     def _enabled_kinds(self):
         block = self.model.blocks[0]
@@ -349,11 +391,29 @@ class InferencePlan:
     def _bind_views(self) -> None:
         ws = self.workspace
         lead, n, m, e = self.lead, self.n, self.m, self.e
+        contexts = prod(lead)
         self.h = ws.view("h", (*lead, n, m, e))
         self.h_user = (ws.view("h_user", (*lead, m, n, e))
                        if "h_user" in ws._arenas else None)
         self.logits = ws.view("logits", (*lead, n, m, 1))
+        self._logits_nm = self.logits.reshape(*lead, n, m)
         self.out = ws.view("out", (*lead, n, m))
+        # The tail mirrors the full layout with one user row per context.
+        self.h_row = ws.view("h_user" if self.h_user is not None
+                             else "h_row", (*lead, 1, m, e))
+        self._row_logits = ws.view("logits", (*lead, 1, m, 1))
+        self._row_logits_nm = self._row_logits.reshape(contexts, m)
+        self.row_out = ws.view("out", (contexts, m))
+        self._rows, self._row_base, self._row_index = ws.view(
+            "rows", (3, contexts))
+        np.multiply(np.arange(contexts), n, out=self._row_base)
+        self._score_base = self._score_index = None
+        if "score_rows" in ws._arenas:
+            heads = self._attn_shapes("user")[3]
+            self._score_base, self._score_index = ws.view(
+                "score_rows", (2, contexts, m * heads))
+            np.multiply(np.arange(contexts * m * heads).reshape(
+                contexts, m * heads), n, out=self._score_base)
         # One full-shape encode slot per context slab; the encoder scratch
         # arenas are shared across slots (encodes run sequentially).
         slabs = self.h.reshape(-1, n, m, e)
@@ -389,14 +449,16 @@ class InferencePlan:
     # Step compilation
     # ------------------------------------------------------------------ #
     def _bind_attention(self, attention, norm, kind: str, x: np.ndarray,
-                        out_arr: np.ndarray, residual: bool) -> _AttnStep:
+                        out_arr: np.ndarray, residual: bool,
+                        n: int | None = None, key: str | None = None
+                        ) -> _AttnStep:
         ws = self.workspace
-        bshape, t, d, heads = self._attn_shapes(kind)
+        bshape, t, d, heads = self._attn_shapes(kind, n)
         head_dim = d // heads
         step = _AttnStep()
         step.attention = attention
         step.norm = norm
-        step.kind = kind
+        step.key = kind if key is None else key
         step.x = x
         step.out_arr = out_arr
         step.residual = residual
@@ -416,11 +478,39 @@ class InferencePlan:
         step.attn_out = ws.view("attn", xshape)
         return step
 
-    def _bind_mba(self) -> F.TokenMajorScratch:
-        """Token-major MBA scratch over the attention arenas (shared by
-        every block: the MBA steps never overlap)."""
+    def _bind_row_attention(self, block) -> _RowAttnStep:
+        """The last block's MBU bound for target rows (see :meth:`_row_tail`)."""
         ws = self.workspace
-        bshape, t, d, heads = self._attn_shapes("attr")
+        n, m, e = self.n, self.m, self.e
+        norm = block.user_norm if block.use_layer_norm else None
+        full = self._bind_attention(block.user_attention, norm, "user",
+                                    self.h.swapaxes(-3, -2), None,
+                                    block.use_residual)
+        heads = full.num_heads
+        contexts = prod(self.lead)
+        rows = contexts * m
+        step = _RowAttnStep()
+        step.full = full
+        step.residual = block.use_residual
+        step.score_rows = self._score_index.reshape(-1)
+        step.probs = ws.view("normed", (contexts, m, heads, n))
+        step.red = ws.view("red", (contexts, m, heads, 1))
+        # The projection operand is 2-D with at least two rows: a one-row
+        # GEMM would take numpy's vector path and round differently.
+        step.attn_rows = ws.view("attn", (max(rows, 2), e))
+        step.merged = step.attn_rows[:rows].reshape(rows * heads, e // heads)
+        step.proj = ws.view("normed", (max(rows, 2), e))
+        step.proj_rows = step.proj[:rows].reshape(contexts, m, e)
+        step.h_rows = self.h.reshape(-1, m, e)
+        step.row_index = self._row_index
+        step.out = self.h_row.reshape(contexts, m, e)
+        return step
+
+    def _bind_mba(self, n: int) -> F.TokenMajorScratch:
+        """Token-major MBA scratch over the attention arenas, for ``n``
+        user rows (shared by every block: the MBA steps never overlap)."""
+        ws = self.workspace
+        bshape, t, d, heads = self._attn_shapes("attr", n)
         lanes = F.TokenMajorScratch.lanes(prod(bshape))
         x_shape = (d, t, lanes)
         normed = ws.view("normed", x_shape)
@@ -433,7 +523,7 @@ class InferencePlan:
             ctx=ws.view("ctx", x_shape), y=ws.view("q", x_shape))
 
     @staticmethod
-    def _exec_mba(step: _MbaStep) -> None:
+    def _exec_mba(step: _MbaStep, pack=None) -> None:
         at, norm = step.attention, step.norm
         bias = at.w_output.bias
         F.attribute_attention_into(
@@ -446,8 +536,8 @@ class InferencePlan:
             eps=1e-5 if norm is None else norm.eps)
 
     @staticmethod
-    def _exec_attn(step: _AttnStep, spans=None) -> None:
-        at = step.attention
+    def _project_qkv(step: _AttnStep) -> None:
+        """Pre-layer-norm (when enabled) and the packed QKV projection."""
         if step.norm is not None:
             F.layer_norm_into(step.x, step.norm.gamma.data,
                               step.norm.beta.data, step.normed, step.sq,
@@ -455,10 +545,15 @@ class InferencePlan:
             src = step.normed
         else:
             src = step.x
-        F.linear_into(src, at.w_qkv.data, step.qkv)
+        F.linear_into(src, step.attention.w_qkv.data, step.qkv)
+
+    @staticmethod
+    def _exec_attn(step: _AttnStep, pack=None) -> None:
+        at = step.attention
+        InferencePlan._project_qkv(step)
         F.mha_qkv_into(step.qkv, step.num_heads, step.attn_out, step.q,
                        step.k, step.v, step.scores, step.red, step.ctx,
-                       spans=spans)
+                       spans=None if pack is None else pack.attn_spans[step.key])
         bias = at.w_output.bias
         F.linear_into(step.attn_out, at.w_output.weight.data, step.normed,
                       bias=None if bias is None else bias.data)
@@ -467,8 +562,40 @@ class InferencePlan:
         else:
             np.copyto(step.out_arr, step.normed)
 
+    @staticmethod
+    def _exec_row_attn(step: _RowAttnStep, pack=None) -> None:
+        full = step.full
+        at = full.attention
+        InferencePlan._project_qkv(full)
+        F.mha_qkv_rows_into(
+            full.qkv, full.num_heads, step.merged, full.q, full.k, full.v,
+            full.scores, full.ctx, step.score_rows, step.probs, step.red,
+            spans=None if pack is None else pack.attn_spans["user"],
+            row_spans=None if pack is None else pack.row_softmax)
+        bias = at.w_output.bias
+        F.linear_into(step.attn_rows, at.w_output.weight.data, step.proj,
+                      bias=None if bias is None else bias.data)
+        if step.residual:
+            np.take(step.h_rows, step.row_index, axis=0, out=step.out,
+                    mode="clip")
+            np.add(step.out, step.proj_rows, out=step.out)
+        else:
+            np.copyto(step.out, step.proj_rows)
+
+    @staticmethod
+    def _exec_copy(step, pack=None) -> None:
+        np.copyto(*step)
+
+    @staticmethod
+    def _exec_gather(step, pack=None) -> None:
+        src, index, out = step
+        np.take(src, index, axis=0, out=out, mode="clip")
+
     def _build_steps(self):
-        """Flatten the K HIM blocks into attention/copy steps.
+        """Flatten the K HIM blocks into ``(span name, runner, step)``
+        triples: the full-output steps, and the target-row steps (the first
+        K−1 blocks' steps, then :meth:`_row_tail`).  The latter is ``None``
+        when ``n == 1``, where the only row is the target.
 
         The activation ping-pongs between ``h`` (row-major ``(…, n, m, e)``)
         and ``h_user`` (``(…, m, n, e)``): MBU reads a transposed view of
@@ -477,31 +604,32 @@ class InferencePlan:
         explicit copy so MBA always sees contiguous ``h`` (mirroring the
         reshape-copy the Tensor path performs on a non-contiguous input).
         """
-        lead, n, m, e = self.lead, self.n, self.m, self.e
-        steps = []  # ("attn", _AttnStep) | ("mba", _MbaStep) | ("copy", dst, src)
-        mba_scratch = (self._bind_mba() if "attr" in self._enabled_kinds()
+        lead, n, m = self.lead, self.n, self.m
+        steps = []
+        mba_scratch = (self._bind_mba(n) if "attr" in self._enabled_kinds()
                        else None)
-
+        last_start = 0
         for block in self.model.blocks:
+            last_start = len(steps)
             in_h = True  # activation currently lives in self.h
             if block.use_user:
                 x = self.h.swapaxes(-3, -2)          # (…, m, n, e) view
                 norm = block.user_norm if block.use_layer_norm else None
-                steps.append(("attn", self._bind_attention(
+                steps.append(("mbu", self._exec_attn, self._bind_attention(
                     block.user_attention, norm, "user", x, self.h_user,
                     block.use_residual)))
                 in_h = False
             if block.use_item:
                 x = self.h if in_h else self.h_user.swapaxes(-3, -2)
                 norm = block.item_norm if block.use_layer_norm else None
-                steps.append(("attn", self._bind_attention(
+                steps.append(("mbi", self._exec_attn, self._bind_attention(
                     block.item_attention, norm, "item", x, self.h,
                     block.use_residual)))
                 in_h = True
             if block.use_attr:
                 if not in_h:
-                    steps.append(("copy", self.h,
-                                  self.h_user.swapaxes(-3, -2)))
+                    steps.append(("mbu", self._exec_copy,
+                                  (self.h, self.h_user.swapaxes(-3, -2))))
                     in_h = True
                 mba = _MbaStep()
                 mba.attention = block.attr_attention
@@ -509,9 +637,50 @@ class InferencePlan:
                 mba.residual = block.use_residual
                 mba.x = self.h.reshape(*lead, n, m, self.num_attrs, self.f)
                 mba.scratch = mba_scratch
-                steps.append(("mba", mba))
+                steps.append(("mba", self._exec_mba, mba))
             if not in_h:
-                steps.append(("copy", self.h, self.h_user.swapaxes(-3, -2)))
+                steps.append(("mbu", self._exec_copy,
+                              (self.h, self.h_user.swapaxes(-3, -2))))
+        if n == 1:
+            return steps, None
+        return steps, (steps[:last_start]
+                       + self._row_tail(self.model.blocks[-1]))
+
+    def _row_tail(self, block):
+        """The last block computed for one target row per context.
+
+        A prediction reads only row ``rows[b]`` of context ``b``'s output.
+        MBI, MBA and the decoder act within a user row, so they run on the
+        ``(…, 1, m, e)`` target rows of ``h_row`` with the same per-row
+        call shapes as the full plan.  MBU mixes rows, so its layer norm,
+        QKV projection and ``q kᵀ`` / ``probs·v`` GEMMs stay full-size;
+        only the softmax, head merge, output projection and residual run
+        on the target rows (:func:`repro.nn.functional.mha_qkv_rows_into`).
+        """
+        lead, m = self.lead, self.m
+        h_row = self.h_row
+        steps = []
+        if block.use_user:
+            steps.append(("mbu", self._exec_row_attn,
+                          self._bind_row_attention(block)))
+        else:
+            steps.append(("mbi" if block.use_item else "mba",
+                          self._exec_gather,
+                          (self.h.reshape(-1, m, self.e), self._row_index,
+                           h_row.reshape(-1, m, self.e))))
+        if block.use_item:
+            norm = block.item_norm if block.use_layer_norm else None
+            steps.append(("mbi", self._exec_attn, self._bind_attention(
+                block.item_attention, norm, "item", h_row, h_row,
+                block.use_residual, n=1, key="row_item")))
+        if block.use_attr:
+            mba = _MbaStep()
+            mba.attention = block.attr_attention
+            mba.norm = block.attr_norm if block.use_layer_norm else None
+            mba.residual = block.use_residual
+            mba.x = h_row.reshape(*lead, 1, m, self.num_attrs, self.f)
+            mba.scratch = self._bind_mba(1)
+            steps.append(("mba", self._exec_mba, mba))
         return steps
 
     # ------------------------------------------------------------------ #
@@ -566,60 +735,88 @@ class InferencePlan:
         for strip in slot.pad:
             strip.fill(0.0)
 
-    def _execute(self, pack: _PackProgram | None = None) -> np.ndarray:
-        attn_spans = None if pack is None else pack.attn_spans
-        for step in self._steps:
-            if step[0] == "copy":
-                np.copyto(step[1], step[2])
-            elif step[0] == "mba":
-                self._exec_mba(step[1])
+    def _encode_all(self, slots, contexts, store) -> None:
+        with _spans.span("encode"):
+            for slot, context in zip(slots, contexts):
+                self._encode_into(context, slot, store)
+
+    def _set_rows(self, rows, contexts) -> None:
+        """Check one target row per context and fill the tail's indices."""
+        if len(rows) != len(contexts):
+            raise ValueError(
+                f"got {len(rows)} target rows for {len(contexts)} contexts")
+        for row, context in zip(rows, contexts):
+            if not 0 <= row < context.n:
+                raise ValueError(f"target row {row} outside a context of "
+                                 f"{context.n} users")
+        self._rows[...] = rows
+        np.add(self._row_base, self._rows, out=self._row_index)
+        if self._score_index is not None:
+            np.add(self._score_base, self._rows[:, None],
+                   out=self._score_index)
+
+    def _execute(self, pack: _PackProgram | None = None,
+                 rows: bool = False) -> np.ndarray:
+        tail = rows and self._row_steps is not None
+        for name, run, step in (self._row_steps if tail else self._steps):
+            with _spans.span(name):
+                run(step, pack)
+        with _spans.span("decode"):
+            if tail:
+                self._decode(self.h_row, self._row_logits,
+                             self._row_logits_nm, self.row_out,
+                             None if pack is None else pack.row_dec_spans)
             else:
-                attn = step[1]
-                spans = (attn_spans.get(attn.kind)
-                         if attn_spans is not None else None)
-                self._exec_attn(attn, spans)
+                self._decode(self.h, self.logits, self._logits_nm, self.out,
+                             None if pack is None else pack.dec_spans)
+        return self.row_out if rows else self.out
+
+    def _decode(self, h, logits, logits_nm, out, dec_spans) -> None:
         dec = self.model.decoder
-        if pack is None:
-            F.linear_into(self.h, dec.weight.data, self.logits,
+        if dec_spans is None:
+            F.linear_into(h, dec.weight.data, logits,
                           bias=None if dec.bias is None else dec.bias.data)
         else:
             # The decoder GEMM has N=1, whose OpenBLAS kernel is not
             # M-padding-stable — run it per shape group on sliced views
             # (each batch slice is a contiguous (m_i, e) block), then add
             # the bias over the full buffer exactly like linear_into.
-            for h_s, out_s in pack.dec_spans:
+            for h_s, out_s in dec_spans:
                 np.matmul(h_s, dec.weight.data, out=out_s)
             if dec.bias is not None:
-                self.logits += dec.bias.data
-        F.sigmoid_rescale_into(
-            self.logits.reshape(*self.lead, self.n, self.m), self._alpha,
-            self.out)
-        return self.out
+                logits += dec.bias.data
+        F.sigmoid_rescale_into(logits_nm, self._alpha, out)
 
-    def run(self, context,
-            store: EmbeddingStore | None = None) -> np.ndarray:
-        """Single-context forward: returns the workspace-backed ``(n, m)``."""
+    def run(self, context, store: EmbeddingStore | None = None,
+            rows=None) -> np.ndarray:
+        """Single-context forward: returns the workspace-backed ``(n, m)``,
+        or with ``rows=(r,)`` the ``(1, m)`` target row ``r``."""
         if self.lead:
             raise ValueError("batched plan cannot run a single context")
-        self._encode_into(context, self._encode_slots[0], store)
-        return self._execute()
+        if rows is not None:
+            self._set_rows(rows, (context,))
+        self._encode_all(self._encode_slots, (context,), store)
+        return self._execute(rows=rows is not None)
 
-    def run_many(self, contexts,
-                 store: EmbeddingStore | None = None) -> np.ndarray:
-        """Batched forward: returns the workspace-backed ``(B, n, m)``."""
+    def run_many(self, contexts, store: EmbeddingStore | None = None,
+                 rows=None) -> np.ndarray:
+        """Batched forward: returns the workspace-backed ``(B, n, m)``, or
+        with ``rows`` (one per context) the ``(B, m)`` target rows."""
         if self.lead != (len(contexts),):
             raise ValueError(
                 f"plan built for batch {self.lead}, got {len(contexts)}")
-        for slot, context in zip(self._encode_slots, contexts):
-            self._encode_into(context, slot, store)
-        return self._execute()
+        if rows is not None:
+            self._set_rows(rows, contexts)
+        self._encode_all(self._encode_slots, contexts, store)
+        return self._execute(rows=rows is not None)
 
     # ------------------------------------------------------------------ #
     # Padded packing
     # ------------------------------------------------------------------ #
-    def run_packed(self, contexts,
-                   store: EmbeddingStore | None = None) -> np.ndarray:
-        """Padded mixed-shape forward: returns workspace-backed ``(B, n, m)``.
+    def run_packed(self, contexts, store: EmbeddingStore | None = None,
+                   rows=None) -> np.ndarray:
+        """Padded mixed-shape forward: returns workspace-backed ``(B, n, m)``,
+        or with ``rows`` the ``(B, m)`` target rows.
 
         ``contexts`` may be smaller than the plan's ``(n, m)``; each is
         zero-padded into its slab.  Contexts must arrive grouped so equal
@@ -642,9 +839,10 @@ class InferencePlan:
             if len(self._pack_programs) >= _MAX_PACK_PROGRAMS:
                 self._pack_programs.clear()
             self._pack_programs[shapes] = program
-        for slot, context in zip(program.slots, contexts):
-            self._encode_into(context, slot, store)
-        return self._execute(program)
+        if rows is not None:
+            self._set_rows(rows, contexts)
+        self._encode_all(program.slots, contexts, store)
+        return self._execute(program, rows=rows is not None)
 
     def _compile_pack(self, shapes) -> _PackProgram:
         """Bind the sliced views for one composition of context shapes."""
@@ -668,21 +866,35 @@ class InferencePlan:
         program = _PackProgram()
         program.slots = [self._make_encode_slot(slabs[b], n_i, m_i)
                          for b, (n_i, m_i) in enumerate(shapes)]
-        program.attn_spans = {
-            kind: self._span_views(kind, groups)
-            for kind in self._enabled_kinds() if kind != "attr"
-        }
-        dec_spans = []
-        for b0, b1, n_i, m_i in groups:
-            dec_spans.append((self.h[b0:b1, :n_i, :m_i, :],
-                              self.logits[b0:b1, :n_i, :m_i, :]))
-        program.dec_spans = dec_spans
+        kinds = self._enabled_kinds()
+        program.attn_spans = {kind: self._span_views(kind, groups)
+                              for kind in kinds if kind != "attr"}
+        program.dec_spans = [(self.h[b0:b1, :n_i, :m_i, :],
+                              self.logits[b0:b1, :n_i, :m_i, :])
+                             for b0, b1, n_i, m_i in groups]
+        # The tail: one (real) user row per context.
+        row_groups = [(b0, b1, 1, m_i) for b0, b1, _, m_i in groups]
+        if "item" in kinds:
+            program.attn_spans["row_item"] = self._span_views(
+                "item", row_groups, n=1)
+        program.row_softmax = None
+        if "user" in kinds:
+            ws = self.workspace
+            heads = self._attn_shapes("user")[3]
+            probs = ws.view("normed", (len(shapes), m, heads, n))
+            red = ws.view("red", (len(shapes), m, heads, 1))
+            program.row_softmax = [(probs[b0:b1, :m_i, :, :n_i],
+                                    red[b0:b1, :m_i])
+                                   for b0, b1, n_i, m_i in groups]
+        program.row_dec_spans = [(self.h_row[b0:b1, :, :m_i, :],
+                                  self._row_logits[b0:b1, :, :m_i, :])
+                                 for b0, b1, _, m_i in groups]
         return program
 
-    def _span_views(self, kind: str, groups):
+    def _span_views(self, kind: str, groups, n: int | None = None):
         """Per-group sliced (q, kᵀ, v, scores, red, ctx) views for one kind."""
         ws = self.workspace
-        bshape, t, d, heads = self._attn_shapes(kind)
+        bshape, t, d, heads = self._attn_shapes(kind, n)
         head_dim = d // heads
         head_shape = (*bshape, heads, t, head_dim)
         q = ws.view("q", head_shape)
@@ -742,31 +954,64 @@ def bump_generation() -> None:
         _GENERATION += 1
 
 
-class _PlanCache(threading.local):
+class _ThreadPlans:
+    """One thread's plan LRU and the workspace bytes its plans hold."""
+
+    __slots__ = ("plans", "generation", "nbytes", "__weakref__")
+
     def __init__(self):
         self.plans: OrderedDict = OrderedDict()
         self.generation = -1
+        self.nbytes = 0
+
+
+# Every live thread's plans, for the ``infer.workspace_bytes`` gauge.  A
+# thread's ``_ThreadPlans`` dies with the thread's local storage at exit,
+# which drops it from the set and republishes the gauge.  Re-entrant: a
+# thread-exit finalizer may fire while this thread publishes.
+_LEDGER_LOCK = threading.RLock()
+_LEDGER: "weakref.WeakSet[_ThreadPlans]" = weakref.WeakSet()
+
+
+def _publish_workspace_bytes() -> None:
+    """Set ``infer.workspace_bytes`` to the sum over every live thread."""
+    with _LEDGER_LOCK:
+        states = list(_LEDGER)
+        _metrics.get_registry().gauge("infer.workspace_bytes").set(
+            sum(state.nbytes for state in states))
+
+
+class _PlanCache(threading.local):
+    def __init__(self):
+        self.state = _ThreadPlans()
+        with _LEDGER_LOCK:
+            _LEDGER.add(self.state)
+        weakref.finalize(self.state, _publish_workspace_bytes).atexit = False
 
 
 _CACHE = _PlanCache()
 
 
+def _plans_changed(state: _ThreadPlans) -> None:
+    state.nbytes = sum(p.workspace.nbytes for p in state.plans.values())
+    _publish_workspace_bytes()
+
+
 def clear_cache() -> None:
     """Drop this thread's cached plans (frees their workspaces)."""
-    _CACHE.plans.clear()
-
-
-def _workspace_bytes() -> int:
-    return sum(p.workspace.nbytes for p in _CACHE.plans.values())
+    state = _CACHE.state
+    state.plans.clear()
+    _plans_changed(state)
 
 
 def cache_stats() -> dict:
     """This thread's plan-cache state plus the global hit/miss counters."""
+    state = _CACHE.state
     snapshot = _metrics.get_registry().snapshot()
     return {
-        "plans": len(_CACHE.plans),
+        "plans": len(state.plans),
         "generation": generation(),
-        "workspace_bytes": _workspace_bytes(),
+        "workspace_bytes": state.nbytes,
         "hits": snapshot.get("infer.plan_cache.hit", {}).get("value", 0),
         "misses": snapshot.get("infer.plan_cache.miss", {}).get("value", 0),
     }
@@ -774,26 +1019,29 @@ def cache_stats() -> dict:
 
 def get_plan(model, lead, n: int, m: int, ratings_dtype) -> InferencePlan:
     """Fetch or build the plan for (model, lead, n, m); LRU-cached per thread."""
-    cache = _CACHE
+    state = _CACHE.state
     gen = generation()
-    if cache.generation != gen:
-        cache.plans.clear()
-        cache.generation = gen
+    if state.generation != gen:
+        stale = bool(state.plans)
+        state.plans.clear()
+        state.generation = gen
+        if stale:
+            _plans_changed(state)
     key = (id(model), tuple(lead), n, m)
     registry = _metrics.get_registry()
-    plan = cache.plans.get(key)
+    plan = state.plans.get(key)
     if plan is not None and plan.matches(model, lead, n, m, ratings_dtype):
-        cache.plans.move_to_end(key)
+        state.plans.move_to_end(key)
         registry.counter("infer.plan_cache.hit").inc()
         return plan
     registry.counter("infer.plan_cache.miss").inc()
     with _spans.span("infer/plan_build"):
         plan = InferencePlan(model, lead, n, m, ratings_dtype)
-    cache.plans[key] = plan
-    cache.plans.move_to_end(key)
-    while len(cache.plans) > _MAX_PLANS:
-        cache.plans.popitem(last=False)
-    registry.gauge("infer.workspace_bytes").set(_workspace_bytes())
+    state.plans[key] = plan
+    state.plans.move_to_end(key)
+    while len(state.plans) > _MAX_PLANS:
+        state.plans.popitem(last=False)
+    _plans_changed(state)
     return plan
 
 
@@ -824,26 +1072,31 @@ def engine_supported(model) -> bool:
 
 
 def forward_inference(model, context,
-                      embed_store: EmbeddingStore | None = None) -> np.ndarray:
+                      embed_store: EmbeddingStore | None = None,
+                      rows=None) -> np.ndarray:
     """Run one context through the compiled plan; ``(n, m)`` ratings.
 
-    The result is a view into the plan's workspace — valid until the next
-    engine call on this thread.  Copy it to retain it.  ``embed_store``
-    optionally reuses warm per-entity attribute rows (bitwise identical).
+    With ``rows=(r,)`` only user row ``r`` is computed through the last
+    block (the target-row tail) and the result is ``(1, m)``, bitwise equal
+    to row ``r`` of the full output.  The result is a view into the plan's
+    workspace — valid until the next engine call on this thread.  Copy it
+    to retain it.  ``embed_store`` optionally reuses warm per-entity
+    attribute rows (bitwise identical).
     """
     plan = get_plan(model, (), context.n, context.m, context.ratings.dtype)
     with _spans.span("infer/forward"):
-        return plan.run(context, embed_store)
+        return plan.run(context, embed_store, rows)
 
 
 def forward_inference_many(model, contexts,
-                           embed_store: EmbeddingStore | None = None
-                           ) -> np.ndarray:
+                           embed_store: EmbeddingStore | None = None,
+                           rows=None) -> np.ndarray:
     """Batched engine forward over same-shape contexts; ``(B, n, m)``.
 
     Bit-identical per slice to :func:`forward_inference` on each context,
-    matching the ``forward_many`` contract of the Tensor path.  The result
-    is workspace-backed (see :func:`forward_inference`).
+    matching the ``forward_many`` contract of the Tensor path.  With
+    ``rows`` (one user row per context) the result is the ``(B, m)`` target
+    rows.  The result is workspace-backed (see :func:`forward_inference`).
     """
     if not contexts:
         raise ValueError("forward_inference_many needs at least one context")
@@ -851,11 +1104,12 @@ def forward_inference_many(model, contexts,
     plan = get_plan(model, (len(contexts),), first.n, first.m,
                     first.ratings.dtype)
     with _spans.span("infer/forward"):
-        return plan.run_many(contexts, embed_store)
+        return plan.run_many(contexts, embed_store, rows)
 
 
 def forward_inference_packed(model, contexts, n: int, m: int,
-                             embed_store: EmbeddingStore | None = None):
+                             embed_store: EmbeddingStore | None = None,
+                             rows=None):
     """Padded mixed-shape engine forward through one ``(B, n, m)`` plan.
 
     Pads every context into an ``(n, m)`` slab of a single stacked plan and
@@ -869,7 +1123,9 @@ def forward_inference_packed(model, contexts, n: int, m: int,
     ``(B, n, m)`` padded result and ``slots[i]`` the row holding
     ``contexts[i]`` (contexts are re-ordered internally so equal shapes sit
     in contiguous runs).  Only the leading ``(contexts[i].n, contexts[i].m)``
-    region of a slab is meaningful.
+    region of a slab is meaningful.  With ``rows`` (``rows[i]`` the target
+    user row of ``contexts[i]``) ``outputs`` is the ``(B, m)`` target rows,
+    of which ``outputs[slots[i]][:contexts[i].m]`` is meaningful.
     """
     if not contexts:
         raise ValueError("forward_inference_packed needs at least one context")
@@ -880,9 +1136,14 @@ def forward_inference_packed(model, contexts, n: int, m: int,
     order = sorted(range(len(contexts)),
                    key=lambda i: (-contexts[i].n, -contexts[i].m))
     ordered = [contexts[i] for i in order]
+    if rows is not None:
+        if len(rows) != len(contexts):
+            raise ValueError(f"got {len(rows)} target rows for "
+                             f"{len(contexts)} contexts")
+        rows = [rows[i] for i in order]
     plan = get_plan(model, (len(contexts),), n, m, ratings_dtype)
     with _spans.span("infer/forward"):
-        outputs = plan.run_packed(ordered, embed_store)
+        outputs = plan.run_packed(ordered, embed_store, rows)
     slots = [0] * len(contexts)
     for row, index in enumerate(order):
         slots[index] = row

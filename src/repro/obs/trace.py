@@ -16,6 +16,9 @@ reuses :class:`~repro.obs.recorder.RunRecorder`'s append-only format — so
 trace files are readable by :func:`~repro.obs.recorder.read_run` and
 tolerate crashes mid-write.
 
+A trace marks ``pack`` only when its batch ran the packed path; its record
+then carries ``packed: True``.
+
 Tracing is **passive**: traces only read clocks and copy floats, never
 model, optimiser, or RNG state, so predictions are bit-identical with
 tracing on or off (asserted end-to-end by the serve benchmark).
@@ -34,7 +37,8 @@ from .recorder import RunRecorder
 __all__ = ["TRACE_STAGES", "RequestTrace", "Tracer"]
 
 # Pipeline stages in order; every completed trace reports a (possibly
-# zero) duration for each.
+# zero) duration for each.  ``pack`` is zero, and ``packed`` False, for a
+# batch that never ran the packed path.
 TRACE_STAGES = ("enqueue", "batch_form", "assemble", "pack", "forward",
                 "respond")
 
@@ -88,6 +92,7 @@ class Tracer:
             "trace_id": trace.trace_id,
             "started_at": trace.started_at,
             "total_seconds": max(float(total_seconds), 0.0),
+            "packed": "pack" in trace.stages,
             "stages": {stage: trace.stages.get(stage, 0.0)
                        for stage in TRACE_STAGES},
         }
@@ -119,7 +124,8 @@ class Tracer:
 
         One entry per stage: ``count`` / ``total_seconds`` /
         ``mean_seconds`` / ``max_seconds``, plus a ``total`` pseudo-stage
-        for end-to-end latency.  Computed from the ring buffer, so it
+        for end-to-end latency.  ``pack`` aggregates only the traces whose
+        batch ran the packed path.  Computed from the ring buffer, so it
         reflects the most recent ``capacity`` requests.
         """
         with self._lock:
@@ -127,7 +133,8 @@ class Tracer:
         out: dict[str, dict] = {}
         for stage in (*TRACE_STAGES, "total"):
             values = [t["total_seconds"] if stage == "total"
-                      else t["stages"][stage] for t in traces]
+                      else t["stages"][stage] for t in traces
+                      if stage != "pack" or t["packed"]]
             if not values:
                 out[stage] = {"count": 0, "total_seconds": 0.0,
                               "mean_seconds": 0.0, "max_seconds": 0.0}

@@ -699,9 +699,10 @@ class PredictionService:
                     plans.append((requests, self._chunks_for(requests[0],
                                                              state)))
             assembled_at = self._clock()
-            # Pack time accumulates here so the forward stage can report
-            # model execution exclusive of padded stacking.
-            stage_seconds = {"pack": 0.0}
+            # Pack time accumulates here, only for batches that ran the
+            # packed path, so the forward stage can report model execution
+            # exclusive of padded stacking.
+            stage_seconds = {}
             with obs.span("serve/forward"):
                 scores_by_plan = self._score_plans(model, plans, stage_seconds)
             forwarded_at = self._clock()
@@ -710,7 +711,8 @@ class PredictionService:
             stage_seconds["assemble"] = assembled_at - assemble_start
             self._window_assemble_seconds.observe(stage_seconds["assemble"])
             stage_seconds["forward"] = max(
-                forwarded_at - assembled_at - stage_seconds["pack"], 0.0)
+                forwarded_at - assembled_at - stage_seconds.get("pack", 0.0),
+                0.0)
             for (requests, _), scores in zip(plans, scores_by_plan):
                 self._resolve(requests, scores, forwarded_at, stage_seconds)
         except Exception as error:  # fail the whole batch, never hang callers
@@ -738,7 +740,8 @@ class PredictionService:
                 trace.mark("batch_form",
                            request.batch_formed_at - request.dequeued_at)
                 trace.mark("assemble", stage_seconds["assemble"])
-                trace.mark("pack", stage_seconds["pack"])
+                if "pack" in stage_seconds:
+                    trace.mark("pack", stage_seconds["pack"])
                 trace.mark("forward", stage_seconds["forward"])
                 trace.mark("respond", now - forwarded_at)
                 self.tracer.finish(trace, total)
@@ -844,7 +847,9 @@ class PredictionService:
                      stage_seconds: dict | None = None) -> list[np.ndarray]:
         """Score every plan's chunks, stacking same-*bucket* contexts into
         one padded :func:`~repro.nn.inference.forward_inference_packed`
-        execution (bit-identical per real row to solo forwards).
+        execution (bit-identical per real row to solo forwards).  Engine
+        forwards pass each chunk's ``user_row``, so only the rows the
+        scores read run through the last HIM block.
 
         Contexts whose exact shape already fills its bucket (the common
         case under uniform budgets) take the unpadded ``forward_many``
@@ -883,21 +888,25 @@ class PredictionService:
                                        stage_seconds)
                     continue
                 if use_engine:
+                    rows = [chunk.user_row for _, _, chunk in bucket_entries]
                     if len(contexts) == 1:
                         outputs = nn.inference.forward_inference(
-                            model, contexts[0], embed_store=store)[None]
+                            model, contexts[0], embed_store=store, rows=rows)
                     else:
                         outputs = nn.inference.forward_inference_many(
-                            model, contexts, embed_store=store)
-                elif len(contexts) == 1:
-                    outputs = model.forward(contexts[0]).data[None]
+                            model, contexts, embed_store=store, rows=rows)
                 else:
-                    outputs = model.forward_many(contexts).data
+                    if len(contexts) == 1:
+                        full = model.forward(contexts[0]).data[None]
+                    else:
+                        full = model.forward_many(contexts).data
+                    outputs = [output[chunk.user_row] for (_, _, chunk), output
+                               in zip(bucket_entries, full)]
                 # Extract each chunk's scores immediately: engine outputs
                 # are views into a reused workspace, overwritten by the
                 # next bucket's forward.
                 for (_, _, chunk), output in zip(bucket_entries, outputs):
-                    predicted[id(chunk)] = output[chunk.user_row, chunk.cols]
+                    predicted[id(chunk)] = output[chunk.cols]
 
         scores_by_plan: list[np.ndarray] = []
         for plan_index, (requests, samples) in enumerate(plans):
@@ -923,12 +932,13 @@ class PredictionService:
         pack_start = self._clock()
         with obs.span("serve/pack"):
             outputs, slots = nn.inference.forward_inference_packed(
-                model, contexts, nb, mb, embed_store=store)
+                model, contexts, nb, mb, embed_store=store,
+                rows=[chunk.user_row for _, _, chunk in bucket_entries])
             for index, (_, _, chunk) in enumerate(bucket_entries):
-                predicted[id(chunk)] = (
-                    outputs[slots[index]][chunk.user_row, chunk.cols])
+                predicted[id(chunk)] = outputs[slots[index]][chunk.cols]
         if stage_seconds is not None:
-            stage_seconds["pack"] += self._clock() - pack_start
+            stage_seconds["pack"] = (stage_seconds.get("pack", 0.0)
+                                     + self._clock() - pack_start)
         self._counter("packed_contexts_total").inc(len(contexts))
         self._gauge("pack_pad_waste").set(padded / real - 1.0)
         self._histogram("pack_bucket_occupancy").observe(len(contexts))

@@ -40,6 +40,34 @@ class TestForward:
         model.predict(context)
         assert model.training
 
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("call", ["predict", "predict_row",
+                                      "predict_many"])
+    def test_predict_keeps_callers_mode(self, model, context, training,
+                                        call):
+        model.train(training)
+        if call == "predict":
+            model.predict(context)
+        elif call == "predict_row":
+            model.predict(context, row=1)
+        else:
+            model.predict_many([context, context])
+        assert all(m.training is training for m in model.modules())
+
+    def test_predict_row_equals_full_row(self, model, context):
+        """``predict(row=r)`` returns row ``r`` of ``predict()``, bitwise,
+        through the engine's row tail and through the Tensor fallback."""
+        full = model.predict(context)
+        for row in range(context.n):
+            assert model.predict(context, row=row).tobytes() == (
+                full[row].tobytes())
+        model.capture_attention(True)  # forces the Tensor path
+        try:
+            assert model.predict(context, row=2).tobytes() == (
+                full[2].tobytes())
+        finally:
+            model.capture_attention(False)
+
     def test_same_seed_same_init(self, ml_dataset, context):
         a = HIRE(ml_dataset, HIREConfig(num_blocks=1, num_heads=2, attr_dim=4, seed=5))
         b = HIRE(ml_dataset, HIREConfig(num_blocks=1, num_heads=2, attr_dim=4, seed=5))

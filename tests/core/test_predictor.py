@@ -161,6 +161,38 @@ class TestEnsureTargets:
         np.testing.assert_array_equal(got_items, items)
 
 
+class TestRowPath:
+    def test_scores_equal_full_tensor_forward_rows(self, trained, ml_split,
+                                                   user_tasks):
+        """The predictor's row-path scores are unchanged: each equals the
+        target user's row of a one-context Tensor ``HIRE.forward`` of the
+        same assembled context, bit for bit."""
+        from repro import nn
+        from repro.core import assemble_user_chunks, task_chunk_rng
+
+        predictor = HIREPredictor(trained, ml_split, user_tasks,
+                                  context_users=8, context_items=8, seed=0,
+                                  per_task_rng=True)
+        for task in user_tasks[:4]:
+            chunks = assemble_user_chunks(
+                predictor.graph, predictor.sampler, task.user,
+                task.query_items, task.support_items,
+                context_users=8, context_items=8,
+                reveal_fraction=predictor.reveal_fraction,
+                candidate_users=predictor.candidate_users,
+                candidate_items=predictor.candidate_items,
+                rng_factory=lambda start, _user=task.user: task_chunk_rng(
+                    0, _user, 0, start))
+            expected = np.empty(len(task.query_items))
+            with nn.no_grad():
+                for chunk in chunks:
+                    out = trained.forward(chunk.context).data
+                    expected[chunk.start:chunk.start + len(chunk)] = (
+                        out[chunk.user_row, chunk.cols])
+            assert predictor.predict_task(task).tobytes() == (
+                expected.tobytes())
+
+
 class TestPerTaskRNG:
     def test_scores_independent_of_task_order(self, trained, ml_split,
                                               user_tasks):

@@ -448,3 +448,310 @@ class TestEmbeddingStore:
         out = inference.forward_inference(model, ctx, embed_store=fresh).copy()
         expected = inference.forward_inference(model, ctx).copy()
         assert out.tobytes() == expected.tobytes()
+
+
+# ---------------------------------------------------------------------- #
+# Target-row plans
+# ---------------------------------------------------------------------- #
+ROW_FLAGS = [
+    {},
+    {"learned_mask_token": False},
+    {"use_user": False},
+    {"use_item": False},
+    {"use_attr": False},
+    {"use_user": False, "use_item": False},
+    {"use_item": False, "use_attr": False},
+    {"use_layer_norm": False},
+    {"use_residual": False},
+    PAPER_HEADS,
+]
+ROW_SHAPES = [(16, 16), (12, 12), (7, 5), (5, 8)]
+
+
+@pytest.fixture(scope="module")
+def wide_dataset():
+    return movielens_like(num_users=60, num_items=50, seed=3)
+
+
+@pytest.fixture(scope="module")
+def wide_graph(wide_dataset):
+    d = wide_dataset
+    return RatingGraph(d.ratings, d.num_users, d.num_items)
+
+
+def tensor_rows(model, contexts):
+    with nn.no_grad():
+        return [model.forward(c).data.copy() for c in contexts]
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("num_blocks", [1, 3])
+@pytest.mark.parametrize("flags", ROW_FLAGS)
+def test_row_tail_bitwise_identical_to_tensor_rows(wide_dataset, wide_graph,
+                                                   dtype, num_blocks, flags):
+    """Every target row the tail computes — single-context and stacked,
+    for every row of every context — carries the bytes of that row of the
+    context's own one-context Tensor ``HIRE.forward``."""
+    with nn.dtype_policy(dtype):
+        model = make_model(wide_dataset, num_blocks=num_blocks, **flags)
+        model.eval()
+        rng = np.random.default_rng(13)
+        for n, m in ROW_SHAPES:
+            contexts = [build_context(
+                wide_graph, rng.choice(60, n, replace=False),
+                rng.choice(50, m, replace=False), rng, reveal_fraction=0.3)
+                for _ in range(8)]
+            refs = tensor_rows(model, contexts)
+            for batch in (1, 3, 8):
+                for shift in range(n):
+                    rows = [(shift + b) % n for b in range(batch)]
+                    if batch == 1:
+                        got = inference.forward_inference(
+                            model, contexts[0], rows=rows)
+                    else:
+                        got = inference.forward_inference_many(
+                            model, contexts[:batch], rows=rows)
+                    assert got.shape == (batch, m)
+                    for b, row in enumerate(rows):
+                        assert got[b].tobytes() == refs[b][row].tobytes(), (
+                            n, m, batch, b, row)
+
+
+def test_row_tail_single_row_and_single_column_contexts(dataset, graph):
+    """n == 1 (the only row is the target) and m == 1 (a one-row output
+    projection operand) stay bitwise too."""
+    model = make_model(dataset)
+    model.eval()
+    rng = np.random.default_rng(17)
+    for n, m in [(1, 4), (4, 1), (2, 1), (1, 1)]:
+        contexts = [build_context(graph, rng.choice(50, n, replace=False),
+                                  rng.choice(40, m, replace=False), rng,
+                                  reveal_fraction=0.3) for _ in range(2)]
+        refs = tensor_rows(model, contexts)
+        for row in range(n):
+            solo = inference.forward_inference(model, contexts[0],
+                                               rows=[row])
+            assert solo[0].tobytes() == refs[0][row].tobytes()
+            many = inference.forward_inference_many(model, contexts,
+                                                    rows=[row, row])
+            for b in range(2):
+                assert many[b].tobytes() == refs[b][row].tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("flags", ROW_FLAGS)
+def test_packed_row_tail_bitwise_identical(dataset, graph, dtype, flags):
+    """Packed row mode on the mixed-shape set: each context's target row
+    equals its one-context Tensor forward row, for every row."""
+    with nn.dtype_policy(dtype):
+        model = make_model(dataset, **flags)
+        model.eval()
+        contexts = make_mixed_contexts(graph)
+        refs = tensor_rows(model, contexts)
+        for shift in range(8):
+            rows = [(shift + i) % c.n for i, c in enumerate(contexts)]
+            outputs, slots = inference.forward_inference_packed(
+                model, contexts, 8, 8, rows=rows)
+            assert outputs.shape == (len(contexts), 8)
+            for i, context in enumerate(contexts):
+                got = outputs[slots[i]][:context.m]
+                assert got.tobytes() == refs[i][rows[i]].tobytes()
+
+
+def test_row_tail_rejects_bad_rows(dataset, graph):
+    model = make_model(dataset)
+    model.eval()
+    ctx, ctx2 = make_contexts(graph)
+    with pytest.raises(ValueError, match="target row"):
+        inference.forward_inference(model, ctx, rows=[ctx.n])
+    with pytest.raises(ValueError, match="target row"):
+        inference.forward_inference_many(model, [ctx, ctx2], rows=[0, -1])
+    with pytest.raises(ValueError, match="target rows"):
+        inference.forward_inference_many(model, [ctx, ctx2], rows=[0])
+    contexts = make_mixed_contexts(graph)
+    with pytest.raises(ValueError, match="target row"):
+        inference.forward_inference_packed(
+            model, contexts, 8, 8, rows=[c.n for c in contexts])
+    with pytest.raises(ValueError, match="target rows"):
+        inference.forward_inference_packed(model, contexts, 8, 8, rows=[0])
+
+
+def test_row_and_full_runs_share_one_plan(dataset, graph):
+    """Row mode is a tail of the same plan: no second plan, no workspace
+    growth, and a full run afterwards still returns the full matrix."""
+    inference.clear_cache()
+    model = make_model(dataset)
+    model.eval()
+    ctx, ctx2 = make_contexts(graph)
+    full = inference.forward_inference_many(model, [ctx, ctx2]).copy()
+    before = inference.cache_stats()
+    rows = inference.forward_inference_many(model, [ctx, ctx2],
+                                            rows=[1, 2]).copy()
+    after = inference.cache_stats()
+    assert after["plans"] == before["plans"]
+    assert after["workspace_bytes"] == before["workspace_bytes"]
+    assert after["hits"] == before["hits"] + 1
+    assert rows.tobytes() == np.stack([full[0, 1], full[1, 2]]).tobytes()
+    again = inference.forward_inference_many(model, [ctx, ctx2])
+    assert again.tobytes() == full.tobytes()
+
+
+def test_row_plans_zero_steady_state_allocations(dataset, graph):
+    inference.clear_cache()
+    model = make_model(dataset)
+    model.eval()
+    ctx, ctx2 = make_contexts(graph)
+    contexts = make_mixed_contexts(graph)
+    store = inference.EmbeddingStore(model)
+    mixed_rows = [i % c.n for i, c in enumerate(contexts)]
+
+    def run(index):
+        inference.forward_inference(model, ctx, rows=[index % ctx.n])
+        inference.forward_inference_many(model, [ctx, ctx2],
+                                         rows=[index % ctx.n, 0])
+        inference.forward_inference_packed(model, contexts, 8, 8,
+                                           embed_store=store,
+                                           rows=mixed_rows)
+
+    for index in range(3):
+        run(index)
+    gc.collect()
+    tracemalloc.start()
+    base = tracemalloc.take_snapshot()
+    for index in range(20):
+        run(index)
+    gc.collect()
+    snap = tracemalloc.take_snapshot()
+    tracemalloc.stop()
+    growth = sum(stat.size_diff for stat in snap.compare_to(base, "filename")
+                 if "repro" in (stat.traceback[0].filename or ""))
+    assert growth < 1024, f"steady-state row plans leaked {growth} bytes"
+
+
+def test_engine_step_spans_are_passive(dataset, graph):
+    """Per-step spans stay no-ops with profiling off, record every layer
+    kind with it on, and never change an output byte."""
+    from repro import obs
+
+    model = make_model(dataset)
+    model.eval()
+    ctx, ctx2 = make_contexts(graph)
+
+    def outputs():
+        return (inference.forward_inference(model, ctx).copy(),
+                inference.forward_inference_many(model, [ctx, ctx2],
+                                                 rows=[0, 3]).copy())
+
+    obs.reset_spans()
+    plain = outputs()
+    assert obs.span_totals() == {}
+    with obs.profiling(True):
+        profiled = outputs()
+    totals = obs.span_totals()
+    obs.reset_spans()
+    for a, b in zip(plain, profiled):
+        assert a.tobytes() == b.tobytes()
+    for step in ("encode", "mbu", "mbi", "mba", "decode"):
+        # Two forwards, full and row tail, each with K = 2 blocks.
+        per_forward = 2 if step in ("mbu", "mbi", "mba") else 1
+        assert totals[f"infer/forward/{step}"].count == 2 * per_forward
+
+
+def test_workspace_gauge_sums_live_threads(dataset, graph):
+    """``infer.workspace_bytes`` is the sum over every live thread's plan
+    cache, and a thread's plans drop out of it when the thread exits."""
+    import threading
+
+    from repro.obs import metrics
+
+    model = make_model(dataset)
+    model.eval()
+    ctx, ctx2 = make_contexts(graph)
+    inference.clear_cache()
+
+    def gauge():
+        return metrics.get_registry().snapshot()[
+            "infer.workspace_bytes"]["value"]
+
+    baseline = gauge()
+    built = [threading.Event(), threading.Event()]
+    release = [threading.Event(), threading.Event()]
+    held = [0, 0]
+
+    def worker(index, contexts):
+        inference.forward_inference_many(model, contexts)
+        held[index] = inference.cache_stats()["workspace_bytes"]
+        built[index].set()
+        release[index].wait(30)
+
+    threads = [threading.Thread(target=worker, args=(0, [ctx])),
+               threading.Thread(target=worker, args=(1, [ctx, ctx2]))]
+    for thread in threads:
+        thread.start()
+    try:
+        for event in built:
+            assert event.wait(30)
+        assert held[0] > 0 and held[1] > held[0]
+        assert gauge() == baseline + held[0] + held[1]
+        release[0].set()
+        threads[0].join(30)
+        assert not threads[0].is_alive()
+        assert gauge() == baseline + held[1]
+    finally:
+        for event in release:
+            event.set()
+        for thread in threads:
+            thread.join(30)
+    assert gauge() == baseline
+    # This thread's own plans count as well, and clear_cache drops them.
+    inference.forward_inference(model, ctx)
+    assert gauge() == baseline + inference.cache_stats()["workspace_bytes"]
+    inference.clear_cache()
+    assert gauge() == baseline
+
+
+def test_workspace_gauge_settles_under_thread_churn(dataset, graph):
+    """More threads than cores build, evict and drop plans while others
+    exit; once all have exited the gauge holds exactly the live total."""
+    import sys
+    import threading
+
+    from repro.obs import metrics
+
+    model = make_model(dataset)
+    model.eval()
+    rng = np.random.default_rng(3)
+    contexts = [build_context(graph, rng.choice(50, n, replace=False),
+                              rng.choice(40, m, replace=False), rng,
+                              reveal_fraction=0.3)
+                for n, m in [(4, 3), (5, 4), (6, 5)]]
+    inference.clear_cache()
+    baseline = metrics.get_registry().snapshot()[
+        "infer.workspace_bytes"]["value"]
+    errors = []
+
+    def worker(index):
+        try:
+            for step in range(6):
+                inference.forward_inference(
+                    model, contexts[(index + step) % len(contexts)])
+                if step in (1, 3):  # exits still holding plans
+                    inference.clear_cache()
+        except Exception as error:  # surfaced by the assert below
+            errors.append(error)
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,))
+                   for i in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+    finally:
+        sys.setswitchinterval(previous)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert metrics.get_registry().snapshot()[
+        "infer.workspace_bytes"]["value"] == baseline

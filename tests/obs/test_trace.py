@@ -69,6 +69,22 @@ class TestTracer:
         assert totals["forward"]["max_seconds"] == pytest.approx(0.3)
         assert totals["total"]["total_seconds"] == pytest.approx(0.6)
 
+    def test_pack_totals_count_only_packed_traces(self):
+        tracer = Tracer()
+        for pack in (None, 0.2, None):
+            trace = tracer.begin()
+            trace.mark("forward", 0.1)
+            if pack is not None:
+                trace.mark("pack", pack)
+            tracer.finish(trace, 0.5)
+        records = tracer.recent()
+        assert [r["packed"] for r in records] == [False, True, False]
+        assert records[0]["stages"]["pack"] == 0.0
+        totals = tracer.stage_totals()
+        assert totals["pack"]["count"] == 1
+        assert totals["pack"]["mean_seconds"] == pytest.approx(0.2)
+        assert totals["forward"]["count"] == 3
+
     def test_stage_totals_empty(self):
         totals = Tracer().stage_totals()
         assert totals["total"]["count"] == 0

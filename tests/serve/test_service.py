@@ -413,6 +413,53 @@ class TestPackedServing:
             assert service._bucket_dims(2, 2) == (2, 2)
 
 
+class TestRowPathServing:
+    """The engine serves each chunk through its target-row tail; scores
+    must equal the target rows of full one-context Tensor forwards."""
+
+    def tensor_reference(self, model, service, task, n, m):
+        from repro.core import assemble_user_chunks, task_chunk_rng
+
+        state = service._store.state
+        chunks = assemble_user_chunks(
+            state.graph, service.sampler, task.user, task.query_items,
+            task.support_items, context_users=n, context_items=m,
+            reveal_fraction=service.config.reveal_fraction,
+            candidate_users=state.candidate_users,
+            candidate_items=state.candidate_items,
+            rng_factory=lambda start: task_chunk_rng(
+                service.config.seed, task.user, 0, start))
+        scores = np.empty(len(task.query_items))
+        with nn.no_grad():
+            for chunk in chunks:
+                out = model.forward(chunk.context).data
+                scores[chunk.start:chunk.start + len(chunk)] = (
+                    out[chunk.user_row, chunk.cols])
+        return scores
+
+    @pytest.mark.parametrize("budgets, packed", [
+        ([(32, 32)] * 3, False),           # uniform: exact stacked rows
+        (TestPackedServing.BUDGETS, True),  # mixed: packed rows
+    ])
+    def test_served_rows_equal_tensor_forward_rows(
+            self, serve_model, ml_split, serve_tasks, budgets, packed):
+        serve_model.eval()
+        with make_service(serve_model, ml_split, serve_tasks,
+                          max_batch_size=8, num_workers=1,
+                          max_wait_seconds=0.25) as service:
+            futures = [
+                service.submit(task.user, task.query_items, task.support_items,
+                               context_users=n, context_items=m)
+                for task, (n, m) in zip(serve_tasks, budgets)]
+            got = [f.result(60) for f in futures]
+            expected = [self.tensor_reference(serve_model, service, task, n, m)
+                        for task, (n, m) in zip(serve_tasks, budgets)]
+            snapshot = service.metrics.snapshot()
+        assert ("serve.packed_contexts_total" in snapshot) is packed
+        for scores, reference in zip(got, expected):
+            assert scores.tobytes() == reference.tobytes()
+
+
 class TestEmbedStoreServing:
     def test_store_warms_and_reports_stats(self, serve_model, ml_split,
                                            serve_tasks, sequential_scores):

@@ -101,8 +101,33 @@ class TestStageAttribution:
             for stage in obs.TRACE_STAGES:
                 snap = snapshot[f"serve.stage.{stage}_seconds"]
                 assert snap["type"] == "windowed_histogram"
-                assert snap["count"] == 1
+                # Uniform budgets run the exact path: no pack observation.
+                assert snap["count"] == (0 if stage == "pack" else 1)
             assert snapshot["serve.window.latency_seconds"]["count"] == 1
+
+    def test_pack_stage_counts_only_packed_batches(self, serve_model,
+                                                   ml_split, serve_tasks):
+        """A uniform-budget request records no pack time; a request whose
+        budget pads up to its bucket (20x26 -> 24x32) runs the packed path
+        and is the only one the pack window and stage totals count."""
+        with make_service(serve_model, ml_split, serve_tasks) as service:
+            uniform, mixed = serve_tasks[0], serve_tasks[1]
+            service.predict(uniform.user, uniform.query_items,
+                            uniform.support_items)
+            service.predict(mixed.user, mixed.query_items,
+                            mixed.support_items, context_users=20,
+                            context_items=26)
+            snapshot = service.metrics.snapshot()
+            traces = service.tracer.recent()
+            totals = service.tracer.stage_totals()
+        assert [trace["packed"] for trace in traces] == [False, True]
+        assert traces[0]["stages"]["pack"] == 0.0
+        assert traces[1]["stages"]["pack"] > 0.0
+        assert snapshot["serve.stage.pack_seconds"]["count"] == 1
+        assert snapshot["serve.stage.forward_seconds"]["count"] == 2
+        assert totals["pack"]["count"] == 1
+        assert totals["pack"]["total_seconds"] == traces[1]["stages"]["pack"]
+        assert totals["forward"]["count"] == 2
 
     def test_trace_disabled_leaves_no_trace_state(self, serve_model,
                                                   ml_split, serve_tasks):
