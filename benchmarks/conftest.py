@@ -11,8 +11,8 @@ is the artifact itself plus its wall-clock cost, not statistical timing.
 ``bench_serve_throughput``, ``bench_pipeline_throughput``) — to a
 seconds-long sanity pass: reduced
 grids, no artifact writes, and no ``BENCH_*.json`` trajectory updates.
-The full runs additionally assert their acceptance bars (substrate
-speedup, serve throughput, pipeline speedup + bit-identity).
+The full runs additionally assert their acceptance bars (telemetry
+overhead, serve throughput, pipeline speedup + bit-identity).
 """
 
 from pathlib import Path

@@ -108,29 +108,24 @@ class HIM(nn.Module):
     def interact_attributes(self, h: nn.Tensor) -> nn.Tensor:
         """MBA: tokens are the h attributes of each (user, item) cell.
 
-        With the fused kernels on, the whole layer (norm, attention,
-        residual) is one token-major :func:`repro.nn.functional.
-        attribute_attention` node; the decomposed reference path keeps the
-        row-major ``_wrap`` composition as the test oracle.
+        The whole layer (norm, attention, residual) is one token-major
+        :func:`repro.nn.functional.attribute_attention` node.
         """
         *lead, n, m, _ = h.shape
         reshaped = h.reshape(*lead, n, m, self.num_attributes, self.attr_dim)
         norm = self.attr_norm if self.use_layer_norm else None
-        if not nn.functional.fused_kernels_enabled():
-            fused = self._wrap(self.attr_attention, norm, reshaped)
-        else:
-            attention = self.attr_attention
-            bias = attention.w_output.bias
-            fused = nn.functional.attribute_attention(
-                reshaped, attention.w_qkv, attention.w_output.weight,
-                attention.num_heads,
-                gamma=None if norm is None else norm.gamma,
-                beta=None if norm is None else norm.beta,
-                bias=bias, residual=self.use_residual,
-                eps=1e-5 if norm is None else norm.eps,
-                need_weights=attention.capture_attention)
-            if attention.capture_attention:
-                fused, attention.last_attention = fused
+        attention = self.attr_attention
+        bias = attention.w_output.bias
+        fused = nn.functional.attribute_attention(
+            reshaped, attention.w_qkv, attention.w_output.weight,
+            attention.num_heads,
+            gamma=None if norm is None else norm.gamma,
+            beta=None if norm is None else norm.beta,
+            bias=bias, residual=self.use_residual,
+            eps=1e-5 if norm is None else norm.eps,
+            need_weights=attention.capture_attention)
+        if attention.capture_attention:
+            fused, attention.last_attention = fused
         return fused.reshape(*lead, n, m, self.embed_dim)
 
     def forward(self, h: nn.Tensor) -> nn.Tensor:

@@ -109,19 +109,6 @@ class HIRE(nn.Module):
         logits = self.decoder(h)  # (B, n, m, 1)
         return logits.reshape(len(contexts), n, m).sigmoid() * self.alpha
 
-    def forward_inference(self, context: PredictionContext) -> np.ndarray:
-        """Graph-free engine forward: ``(n, m)`` ratings, zero allocations.
-
-        Runs the compiled :class:`repro.nn.inference.InferencePlan` for this
-        model at the context's shape — bitwise identical to the ``no_grad``
-        fused Tensor forward.  The result is a view into the plan's reused
-        workspace, valid until the next engine call on this thread; copy it
-        to retain it.  Callers must check
-        :func:`repro.nn.inference.engine_supported` first (reference
-        kernels and ``capture_attention`` need the Tensor path).
-        """
-        return nn.inference.forward_inference(self, context)
-
     def predict(self, context: PredictionContext,
                 row: int | None = None) -> np.ndarray:
         """Inference-only forward returning a numpy matrix.
@@ -143,27 +130,6 @@ class HIRE(nn.Module):
             with nn.no_grad():
                 out_data = self.forward(context).data
             return out_data if row is None else out_data[row].copy()
-        finally:
-            self.train(was_training)
-
-    def predict_many(self, contexts: list[PredictionContext]) -> np.ndarray:
-        """Inference-only stacked forward: (B, n, m) ratings as numpy.
-
-        Bit-identical per slice to :meth:`predict` on each context (the
-        substrate batches over leading axes without reassociating the
-        per-slice arithmetic) — the serving layer relies on this to batch
-        requests without changing their scores.  Routed through the
-        inference engine when supported, like :meth:`predict`; the caller's
-        train/eval mode is restored on return.
-        """
-        was_training = self.training
-        self.eval()
-        try:
-            if nn.inference.engine_supported(self):
-                return nn.inference.forward_inference_many(
-                    self, contexts).copy()
-            with nn.no_grad():
-                return self.forward_many(contexts).data
         finally:
             self.train(was_training)
 

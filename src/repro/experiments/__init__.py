@@ -13,7 +13,7 @@ from .paper_numbers import (
 from .models import HIREModel, MODEL_NAMES, create_model, models_for_dataset
 from .online_bench import run_online_benchmark, write_online_bench_json
 from .serve_bench import run_serve_benchmark, write_serve_bench_json
-from .substrate_bench import run_substrate_microbench, write_bench_json
+from .substrate_bench import run_observability_overhead, write_bench_json
 from .runner import (
     prepare_workload,
     run_ablation,
@@ -50,7 +50,7 @@ __all__ = [
     "create_model",
     "models_for_dataset",
     "prepare_workload",
-    "run_substrate_microbench",
+    "run_observability_overhead",
     "write_bench_json",
     "run_serve_benchmark",
     "write_serve_bench_json",

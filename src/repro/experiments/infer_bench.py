@@ -3,8 +3,8 @@
 Times one HIRE forward at the paper config (n = m = 32 contexts, K = 3 HIM
 blocks, 8 heads × 16 dims) three ways on the same model and context:
 
-* **tensor** — the ``no_grad`` fused Tensor forward: every op still builds
-  a ``Tensor`` node and allocates its outputs;
+* **tensor** — the ``no_grad`` Tensor forward: the same kernels, but every
+  op still builds a ``Tensor`` node and allocates its outputs;
 * **engine** — the compiled :class:`~repro.nn.inference.InferencePlan`
   running ``out=`` kernels into a reused workspace (zero allocations after
   warmup);

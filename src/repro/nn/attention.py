@@ -21,8 +21,6 @@ checkpoints produce bitwise-identical forward output.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from . import functional as F
@@ -32,34 +30,6 @@ from .module import Module, Parameter
 from .tensor import Tensor
 
 __all__ = ["MultiHeadSelfAttention"]
-
-
-class _ProjectionView:
-    """Read-only view of one third of the packed QKV weight.
-
-    Kept so code written against the historical ``w_query`` / ``w_key`` /
-    ``w_value`` Linear sub-modules (``layer.w_query.weight.data/.grad``)
-    keeps working on the packed layout.
-    """
-
-    __slots__ = ("_param", "_sl")
-
-    def __init__(self, param: Parameter, sl: slice):
-        self._param = param
-        self._sl = sl
-
-    @property
-    def weight(self) -> "_ProjectionView":
-        return self
-
-    @property
-    def data(self) -> np.ndarray:
-        return self._param.data[:, self._sl]
-
-    @property
-    def grad(self) -> np.ndarray | None:
-        grad = self._param.grad
-        return None if grad is None else grad[:, self._sl]
 
 
 class MultiHeadSelfAttention(Module):
@@ -100,19 +70,6 @@ class MultiHeadSelfAttention(Module):
         self.capture_attention = False
         self.last_attention: np.ndarray | None = None
 
-    # Legacy accessors for the pre-packed three-matrix layout.
-    @property
-    def w_query(self) -> _ProjectionView:
-        return _ProjectionView(self.w_qkv, slice(0, self.embed_dim))
-
-    @property
-    def w_key(self) -> _ProjectionView:
-        return _ProjectionView(self.w_qkv, slice(self.embed_dim, 2 * self.embed_dim))
-
-    @property
-    def w_value(self) -> _ProjectionView:
-        return _ProjectionView(self.w_qkv, slice(2 * self.embed_dim, 3 * self.embed_dim))
-
     def _upgrade_state_dict(self, prefix: str, state: dict) -> None:
         """Pack an old three-matrix checkpoint into the ``w_qkv`` layout."""
         old = [prefix + name for name in
@@ -124,38 +81,10 @@ class MultiHeadSelfAttention(Module):
     def forward(self, x: Tensor) -> Tensor:
         if x.shape[-1] != self.embed_dim:
             raise ValueError(f"expected last dim {self.embed_dim}, got {x.shape[-1]}")
-        if F.fused_kernels_enabled():
-            qkv = F.linear(x, self.w_qkv)
-            if self.capture_attention:
-                fused, attn = F.multi_head_attention_qkv(
-                    qkv, self.num_heads, need_weights=True)
-                self.last_attention = attn
-            else:
-                fused = F.multi_head_attention_qkv(qkv, self.num_heads)
-            return self.w_output(fused)
-        return self._forward_reference(x)
-
-    def _forward_reference(self, x: Tensor) -> Tensor:
-        """Decomposed path mirroring the pre-fusion implementation: three
-        separate QKV matmuls and a many-node attention graph."""
-        t = x.shape[-2]
-        lead = x.shape[:-2]
-        d = self.embed_dim
-
-        def split_heads(proj: Tensor) -> Tensor:
-            # (..., t, d) -> (..., heads, t, head_dim)
-            reshaped = proj.reshape(*lead, t, self.num_heads, self.head_dim)
-            return reshaped.swapaxes(-3, -2)
-
-        q = split_heads(x @ self.w_qkv[:, :d])
-        k = split_heads(x @ self.w_qkv[:, d:2 * d])
-        v = split_heads(x @ self.w_qkv[:, 2 * d:])
-
-        scores = (q @ k.swapaxes(-1, -2)) * (1.0 / math.sqrt(self.head_dim))
-        attn = F.softmax(scores, axis=-1)
+        qkv = F.linear(x, self.w_qkv)
         if self.capture_attention:
-            self.last_attention = attn.data.copy()
-
-        fused = attn @ v  # (..., heads, t, head_dim)
-        merged = fused.swapaxes(-3, -2).reshape(*lead, t, self.embed_dim)
-        return self.w_output(merged)
+            fused, self.last_attention = F.multi_head_attention_qkv(
+                qkv, self.num_heads, need_weights=True)
+        else:
+            fused = F.multi_head_attention_qkv(qkv, self.num_heads)
+        return self.w_output(fused)

@@ -6,13 +6,13 @@ activation functions, and the loss functions used by the paper (MSE on masked
 ratings) and the baselines (binary cross-entropy, etc.).
 
 The hot ops of the HIRE forward/backward — :func:`layer_norm`, :func:`gelu`,
-:func:`linear`, and the attention cores :func:`scaled_dot_product_attention`
-/ :func:`multi_head_attention_qkv` — each run as a *single* autograd node
-with an analytic backward, instead of the many small nodes their unfused
-compositions would record.  :func:`set_fused_kernels` (or the
-:class:`fused_kernels` context manager) switches the substrate back to the
-decomposed reference path, which exists for equivalence testing and as the
-honest baseline for ``benchmarks/bench_substrate_micro.py``.
+:func:`linear` and the attention cores :func:`multi_head_attention_qkv` /
+:func:`attribute_attention` — each run as a *single* autograd node with an
+analytic backward, instead of the many small nodes their unfused
+compositions would record.  The forward of :func:`linear`,
+:func:`layer_norm` and both attention cores is the matching ``*_into``
+kernel of the graph-free inference engine, run on fresh buffers, so the
+engine and the Tensor forward share one kernel set.
 """
 
 from __future__ import annotations
@@ -31,13 +31,10 @@ __all__ = [
     "log_softmax",
     "relu",
     "gelu",
-    "gelu_reference",
     "sigmoid",
     "tanh",
     "layer_norm",
-    "layer_norm_reference",
     "linear",
-    "scaled_dot_product_attention",
     "multi_head_attention_qkv",
     "attribute_attention",
     "TokenMajorScratch",
@@ -49,45 +46,12 @@ __all__ = [
     "embedding_lookup",
     "scatter_rows",
     "pad_to",
-    "set_fused_kernels",
-    "fused_kernels_enabled",
-    "fused_kernels",
     "linear_into",
     "layer_norm_into",
-    "gelu_into",
     "mha_qkv_into",
     "attribute_attention_into",
     "sigmoid_rescale_into",
 ]
-
-_FUSED = True
-
-
-def set_fused_kernels(enabled: bool) -> None:
-    """Globally enable/disable the single-node fused kernels."""
-    global _FUSED
-    _FUSED = bool(enabled)
-
-
-def fused_kernels_enabled() -> bool:
-    return _FUSED
-
-
-class fused_kernels:
-    """Context manager scoping :func:`set_fused_kernels` to a block."""
-
-    def __init__(self, enabled: bool):
-        self._enabled = enabled
-
-    def __enter__(self):
-        self._prev = _FUSED
-        set_fused_kernels(self._enabled)
-        return self
-
-    def __exit__(self, *exc):
-        set_fused_kernels(self._prev)
-        return False
-
 
 def stack(tensors: list[Tensor], axis: int = 0) -> Tensor:
     """Stack tensors of identical shape along a new axis."""
@@ -160,16 +124,8 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
 
 
-def gelu_reference(x: Tensor) -> Tensor:
-    """GELU (tanh approximation) composed from Tensor primitives (~8 nodes)."""
-    inner = _GELU_C * (x + _GELU_A * x * x * x)
-    return 0.5 * x * (1.0 + inner.tanh())
-
-
 def gelu(x: Tensor) -> Tensor:
     """Gaussian error linear unit (tanh approximation), one fused node."""
-    if not _FUSED:
-        return gelu_reference(x)
     xd = x.data
     t = np.tanh(_GELU_C * (xd + _GELU_A * xd * xd * xd))
 
@@ -180,27 +136,15 @@ def gelu(x: Tensor) -> Tensor:
     return Tensor._from_op(0.5 * xd * (1.0 + t), (x,), backward)
 
 
-def layer_norm_reference(x: Tensor, gamma: Tensor, beta: Tensor,
-                         eps: float = 1e-5) -> Tensor:
-    """Layer norm over the last axis from Tensor primitives (~7 nodes)."""
-    mean = x.mean(axis=-1, keepdims=True)
-    centered = x - mean
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    normed = centered / (var + eps).sqrt()
-    return normed * gamma + beta
-
-
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Layer normalisation over the last axis as one fused autograd node."""
-    if not _FUSED:
-        return layer_norm_reference(x, gamma, beta, eps)
+    """Layer normalisation over the last axis as one fused autograd node;
+    the forward is :func:`layer_norm_into`."""
     xd = x.data
-    mean = xd.mean(axis=-1, keepdims=True)
-    centered = xd - mean
-    var = np.mean(centered * centered, axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = centered * inv_std
-    out = xhat * gamma.data + beta.data
+    out = np.empty(xd.shape, np.result_type(xd, gamma.data, beta.data))
+    xhat = np.empty(xd.shape, xd.dtype)   # also the square scratch
+    inv_std = np.empty((*xd.shape[:-1], 1), xd.dtype)
+    layer_norm_into(xd, gamma.data, beta.data, out, xhat, inv_std, eps=eps,
+                    xhat=xhat)
 
     def backward(g):
         # d gamma / d beta: _unbroadcast folds the leading axes.
@@ -214,16 +158,15 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
-    """``x @ weight (+ bias)`` over the last axis as one fused node.
+    """``x @ weight (+ bias)`` over the last axis as one fused node; the
+    forward is :func:`linear_into`.
 
     ``weight`` is 2-D ``(in, out)``; ``x`` may carry arbitrary leading axes.
     """
-    if not _FUSED:
-        out = x @ weight
-        return out if bias is None else out + bias
-    out_data = x.data @ weight.data
-    if bias is not None:
-        out_data += bias.data
+    out_data = np.empty((*x.shape[:-1], weight.shape[-1]),
+                        np.result_type(x.data, weight.data))
+    linear_into(x.data, weight.data, out_data,
+                bias=None if bias is None else bias.data)
     parents = (x, weight) if bias is None else (x, weight, bias)
 
     def backward(g):
@@ -238,65 +181,33 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     return Tensor._from_op(out_data, parents, backward)
 
 
-def _softmax_array(scores: np.ndarray) -> np.ndarray:
-    scores -= scores.max(axis=-1, keepdims=True)
-    np.exp(scores, out=scores)
-    scores /= scores.sum(axis=-1, keepdims=True)
-    return scores
-
-
-def scaled_dot_product_attention(q: Tensor, k: Tensor, v: Tensor,
-                                 need_weights: bool = False):
-    """``softmax(q kᵀ / √d) v`` as one fused node, scale folded into ``q``.
-
-    Inputs are ``(..., t, d)``; attention runs over the token axis ``t``
-    independently for every leading batch axis.  With ``need_weights`` the
-    row-stochastic attention matrix ``(..., t, t)`` is returned alongside
-    (a plain ndarray, outside the graph).
-    """
-    scale = 1.0 / math.sqrt(q.shape[-1])
-    qd, kd, vd = q.data, k.data, v.data
-    probs = _softmax_array((qd * scale) @ np.swapaxes(kd, -1, -2))
-    out = probs @ vd
-
-    def backward(g):
-        dv = np.swapaxes(probs, -1, -2) @ g
-        dp = g @ np.swapaxes(vd, -1, -2)
-        ds = probs * (dp - (dp * probs).sum(axis=-1, keepdims=True))
-        dq = (ds @ kd) * scale
-        dk = (np.swapaxes(ds, -1, -2) @ qd) * scale
-        return ((q, dq), (k, dk), (v, dv))
-
-    result = Tensor._from_op(out, (q, k, v), backward)
-    return (result, probs) if need_weights else result
-
-
 def multi_head_attention_qkv(qkv: Tensor, num_heads: int,
                              need_weights: bool = False):
     """Multi-head attention over a packed QKV projection, one fused node.
 
     ``qkv`` is ``(..., t, 3d)`` — the output of one ``(d, 3d)`` projection
-    whose columns are ``[W_q | W_k | W_v]``.  Splits heads, attends with the
-    1/√head_dim scale folded into ``q``, and re-merges heads, all inside a
-    single autograd node whose backward assembles the packed ``(..., t, 3d)``
-    gradient in one allocation.
+    whose columns are ``[W_q | W_k | W_v]``.  The forward is
+    :func:`mha_qkv_into` (split heads, attend with the 1/√head_dim scale
+    folded into ``q``, merge heads); the backward assembles the packed
+    ``(..., t, 3d)`` gradient in one allocation.  ``need_weights`` also
+    returns the attention as ``(..., heads, t, t)`` (outside the graph).
     """
     *lead, t, packed = qkv.shape
     d = packed // 3
     head_dim = d // num_heads
     scale = 1.0 / math.sqrt(head_dim)
-    # (..., t, 3, H, hd) -> (3, ..., H, t, hd); copies make the gemms contiguous.
-    split = np.moveaxis(
-        qkv.data.reshape(*lead, t, 3, num_heads, head_dim), -3, 0
-    ).swapaxes(-3, -2)
-    qd = np.ascontiguousarray(split[0])
-    kd = np.ascontiguousarray(split[1])
-    vd = np.ascontiguousarray(split[2])
-    probs = _softmax_array((qd * scale) @ np.swapaxes(kd, -1, -2))
-    fused = probs @ vd  # (..., H, t, hd)
-    out = fused.swapaxes(-3, -2).reshape(*lead, t, d)
+    dtype = qkv.data.dtype
+    head_shape = (*lead, num_heads, t, head_dim)
+    q, kd, vd, ctx = (np.empty(head_shape, dtype) for _ in range(4))
+    probs = np.empty((*lead, num_heads, t, t), dtype)
+    red = np.empty((*lead, num_heads, t, 1), dtype)
+    out = np.empty((*lead, t, d), dtype)
+    mha_qkv_into(qkv.data, num_heads, out, q, kd, vd, probs, red, ctx)
 
     def backward(g):
+        # The unscaled q, read from the packed input: ``q`` carries the
+        # scale, and ``(dsᵀ @ q) * scale`` must round like the unscaled form.
+        qd = _head_split(qkv.data, num_heads)[0]
         gh = g.reshape(*lead, t, num_heads, head_dim).swapaxes(-3, -2)
         dv = np.swapaxes(probs, -1, -2) @ gh
         dp = gh @ np.swapaxes(vd, -1, -2)
@@ -575,19 +486,19 @@ def pad_to(x: np.ndarray, length: int, value: float = 0.0) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------- #
-# Graph-free inference kernels (``out=`` variants of the fused forwards)
+# Forward kernels (``out=`` buffers, shared by autograd and the engine)
 # --------------------------------------------------------------------------- #
 # These operate on raw ndarrays and write every intermediate into
 # caller-provided buffers, so a warmed-up :class:`repro.nn.inference` plan
-# performs zero allocations per call.  Each kernel replays the *exact* op
-# sequence of its fused autograd sibling above (same associativity, same
-# reduction order), which is what makes ``forward_inference`` bitwise
-# identical to the ``no_grad`` Tensor path at both dtypes.
+# performs zero allocations per call.  The fused autograd nodes above run
+# the same kernels on fresh buffers, which is what makes
+# ``forward_inference`` bitwise identical to the ``no_grad`` Tensor path at
+# both dtypes.
 
 
 def linear_into(x: np.ndarray, weight: np.ndarray, out: np.ndarray,
                 bias: np.ndarray | None = None) -> np.ndarray:
-    """``x @ weight (+ bias)`` into ``out`` — mirrors :func:`linear`."""
+    """``x @ weight (+ bias)`` into ``out`` — the forward of :func:`linear`."""
     np.matmul(x, weight, out=out)
     if bias is not None:
         out += bias
@@ -596,10 +507,14 @@ def linear_into(x: np.ndarray, weight: np.ndarray, out: np.ndarray,
 
 def layer_norm_into(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
                     out: np.ndarray, sq: np.ndarray, red: np.ndarray,
-                    eps: float = 1e-5) -> np.ndarray:
-    """Layer norm over the last axis into ``out`` — mirrors :func:`layer_norm`.
+                    eps: float = 1e-5,
+                    xhat: np.ndarray | None = None) -> np.ndarray:
+    """Layer norm over the last axis into ``out`` — the forward of
+    :func:`layer_norm`.
 
-    ``sq`` is an x-shaped scratch, ``red`` a ``(..., 1)`` reduction buffer.
+    ``sq`` is an x-shaped scratch, ``red`` a ``(..., 1)`` reduction buffer
+    that ends holding ``1/std``.  With ``xhat`` (an x-shaped buffer, which
+    may be ``sq``) the normalised input is kept there for a backward.
     """
     np.mean(x, axis=-1, keepdims=True, out=red)
     np.subtract(x, red, out=out)                 # centered
@@ -608,32 +523,16 @@ def layer_norm_into(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
     np.add(red, eps, out=red)
     np.sqrt(red, out=red)
     np.divide(1.0, red, out=red)                 # inv_std
-    np.multiply(out, red, out=out)               # xhat
-    np.multiply(out, gamma, out=out)
+    if xhat is None:
+        xhat = out
+    np.multiply(out, red, out=xhat)
+    np.multiply(xhat, gamma, out=out)
     np.add(out, beta, out=out)
     return out
 
 
-def gelu_into(x: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """GELU (tanh approximation) into ``out`` — mirrors :func:`gelu`.
-
-    The cubic term multiplies in the fused kernel's left-associated order
-    ``((A·x)·x)·x`` so float rounding matches bit for bit.
-    """
-    np.multiply(x, _GELU_A, out=tmp)
-    np.multiply(tmp, x, out=tmp)
-    np.multiply(tmp, x, out=tmp)
-    np.add(x, tmp, out=tmp)
-    np.multiply(tmp, _GELU_C, out=tmp)
-    np.tanh(tmp, out=tmp)
-    np.add(tmp, 1.0, out=tmp)
-    np.multiply(x, 0.5, out=out)
-    np.multiply(out, tmp, out=out)
-    return out
-
-
 def softmax_into(scores: np.ndarray, red: np.ndarray) -> np.ndarray:
-    """In-place softmax over the last axis — mirrors :func:`_softmax_array`."""
+    """In-place softmax over the last axis."""
     np.amax(scores, axis=-1, keepdims=True, out=red)
     np.subtract(scores, red, out=scores)
     np.exp(scores, out=scores)
@@ -646,7 +545,7 @@ def mha_qkv_into(qkv: np.ndarray, num_heads: int, out: np.ndarray,
                  q: np.ndarray, k: np.ndarray, v: np.ndarray,
                  scores: np.ndarray, red: np.ndarray,
                  ctx: np.ndarray, spans=None) -> np.ndarray:
-    """Packed-QKV multi-head attention into ``out`` — mirrors
+    """Packed-QKV multi-head attention into ``out`` — the forward of
     :func:`multi_head_attention_qkv`.
 
     ``qkv`` is ``(..., t, 3d)``; ``q``/``k``/``v``/``ctx`` are
@@ -680,19 +579,23 @@ def mha_qkv_into(qkv: np.ndarray, num_heads: int, out: np.ndarray,
     return out
 
 
+def _head_split(qkv: np.ndarray, num_heads: int) -> np.ndarray:
+    """``(3, ..., H, t, hd)`` head-major view of packed ``(..., t, 3d)`` QKV."""
+    *lead, t, packed = qkv.shape
+    return np.moveaxis(
+        qkv.reshape(*lead, t, 3, num_heads, packed // 3 // num_heads), -3, 0
+    ).swapaxes(-3, -2)
+
+
 def _split_heads_into(qkv: np.ndarray, num_heads: int, q: np.ndarray,
                       k: np.ndarray, v: np.ndarray) -> None:
     """Split packed ``(..., t, 3d)`` QKV into head-major ``(..., H, t, hd)``
     buffers, with the 1/√hd scale folded into ``q``."""
-    *lead, t, packed = qkv.shape
-    head_dim = packed // 3 // num_heads
-    split = np.moveaxis(
-        qkv.reshape(*lead, t, 3, num_heads, head_dim), -3, 0
-    ).swapaxes(-3, -2)
+    split = _head_split(qkv, num_heads)
     np.copyto(q, split[0])
     np.copyto(k, split[1])
     np.copyto(v, split[2])
-    np.multiply(q, 1.0 / math.sqrt(head_dim), out=q)
+    np.multiply(q, 1.0 / math.sqrt(q.shape[-1]), out=q)
 
 
 def mha_qkv_rows_into(qkv: np.ndarray, num_heads: int, out: np.ndarray,

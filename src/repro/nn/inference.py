@@ -9,16 +9,15 @@ HIRE forward (encoder → K× [MBU, MBI, MBA] → decoder) into an
 :mod:`repro.nn.functional`) whose every intermediate is a view into a
 preallocated :class:`Workspace` arena.  After the first (warmup) call at a
 given (model, batch, n, m, dtype) key, repeated calls perform **zero** new
-ndarray allocations and are bitwise identical to the ``no_grad`` Tensor path
-on the fused kernels.
+ndarray allocations and are bitwise identical to the ``no_grad`` Tensor path,
+whose autograd nodes run the same kernels.
 
 Plans are cached per thread in a small LRU keyed by
 ``(id(model), lead_shape, n, m)`` and are invalidated by a module-wide
 generation counter which :class:`repro.serve.ModelRegistry` bumps on every
 hot swap (``add`` / ``activate`` / ``unregister``).  The engine only covers
-the fused-kernel forward; callers fall back to the Tensor path for gradient
-work, ``capture_attention``, and the decomposed reference kernels (see
-:func:`engine_supported`).
+the forward; gradient work and ``capture_attention`` take the Tensor path
+(see :func:`engine_supported`).
 
 Beyond exact-shape batching (:func:`forward_inference_many`), the engine
 packs *mixed-shape* contexts into one padded plan execution
@@ -1048,13 +1047,10 @@ def get_plan(model, lead, n: int, m: int, ratings_dtype) -> InferencePlan:
 def engine_supported(model) -> bool:
     """Whether the engine can replace the Tensor forward for ``model``.
 
-    False (→ callers use the Tensor path) when the decomposed reference
-    kernels are active, when any attention layer is capturing weights, or
-    when the model does not expose the HIRE encoder/blocks/decoder
-    structure the planner walks.
+    False (→ callers use the Tensor path) when any attention layer is
+    capturing weights, or when the model does not expose the HIRE
+    encoder/blocks/decoder structure the planner walks.
     """
-    if not F.fused_kernels_enabled():
-        return False
     if not all(hasattr(model, name)
                for name in ("encoder", "blocks", "decoder", "alpha")):
         return False

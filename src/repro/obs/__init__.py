@@ -13,8 +13,8 @@ bit-identical with telemetry on or off):
   run logs plus the trainer observer API (console, recorder, and metrics
   sinks).
 * :mod:`~repro.obs.ophooks` — optional per-op timing over the
-  ``nn.functional`` kernels, attributing fused vs. reference kernel time
-  to the enclosing span.
+  ``nn.functional`` kernels, attributing kernel time to the enclosing
+  span.
 * :mod:`~repro.obs.report` — renders any of the above as ``results/``-style
   text tables.
 

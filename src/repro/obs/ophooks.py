@@ -2,10 +2,9 @@
 
 :func:`instrument` rebinds the hot ``nn.functional`` ops to timing wrappers
 that attribute each call's wall time to the current profiling span (see
-:mod:`repro.obs.spans`) under an ``op/<name>[fused|ref]`` leaf — so a span
-report shows, e.g., how much of ``train_step/forward`` was spent inside
-``layer_norm`` *and* whether the fused or the decomposed reference kernel
-ran.  :func:`uninstrument` restores the original functions; while
+:mod:`repro.obs.spans`) under an ``op/<name>`` leaf — so a span report
+shows, e.g., how much of ``train_step/forward`` was spent inside
+``layer_norm``.  :func:`uninstrument` restores the original functions; while
 uninstrumented (the default) the substrate carries **zero** added cost —
 the ops are the very same function objects the module shipped with.
 
@@ -32,15 +31,14 @@ __all__ = [
     "op_hooks",
 ]
 
-# The single-autograd-node kernels of the HIRE hot path plus the loss: the
-# ops with a fused-vs-reference split.  ``attribute_attention`` is MBA's
-# whole layer (norm, attention and residual) as one node.
+# The single-autograd-node kernels of the HIRE hot path plus the loss.
+# ``attribute_attention`` is MBA's whole layer (norm, attention and
+# residual) as one node.
 HOT_OPS = (
     "linear",
     "layer_norm",
     "gelu",
     "softmax",
-    "scaled_dot_product_attention",
     "multi_head_attention_qkv",
     "attribute_attention",
     "embedding_lookup",
@@ -58,9 +56,8 @@ def _wrap(name: str, op):
             return op(*args, **kwargs)
         finally:
             elapsed = time.perf_counter() - start
-            mode = "fused" if F.fused_kernels_enabled() else "ref"
             parent = spans.current_span_path()
-            leaf = f"op/{name}[{mode}]"
+            leaf = f"op/{name}"
             spans.record_span(f"{parent}/{leaf}" if parent else leaf, elapsed)
 
     timed.__wrapped_op__ = op

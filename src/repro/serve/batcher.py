@@ -4,14 +4,14 @@ A :class:`MicroBatcher` coalesces pending requests into batches of up to
 ``max_batch_size``, waiting at most ``max_wait_seconds`` after the first
 request before dispatching — the classic latency/throughput knob.  Batches
 are formed by whichever worker thread asks next; each request lands in
-exactly exactly one batch (queue pops are atomic).
+exactly one batch (queue pops are atomic).
 
 Identical requests inside a batch — same user, same items, same supports —
 are *coalesced* by :func:`group_requests`: the context is assembled and
 scored once and the result fans out to every caller's future.  HIRE scores
 an n × m context matrix in one forward pass, so requests for different
 users stack into one batched forward downstream (see
-:meth:`repro.core.HIRE.predict_many`).
+:func:`repro.nn.inference.forward_inference_many`).
 
 When a ``bucket_key`` is configured, batches are additionally shaped for
 the padded packer: each batch holds requests of a single shape bucket

@@ -852,11 +852,10 @@ class PredictionService:
         scores read run through the last HIM block.
 
         Contexts whose exact shape already fills its bucket (the common
-        case under uniform budgets) take the unpadded ``forward_many``
-        path; mixed-shape buckets pad each context up to the bucket shape
-        and run once.  With ``pack_contexts`` off, or when the engine does
-        not support the model (reference kernels, attention capture),
-        grouping falls back to exact shapes.
+        case under uniform budgets) take the unpadded
+        ``forward_inference_many`` path; mixed-shape buckets pad each
+        context up to the bucket shape and run once.  With
+        ``pack_contexts`` off, grouping is by exact shape.
         """
         entries = []  # (plan_index, sample_index, chunk)
         for plan_index, (_requests, samples) in enumerate(plans):
@@ -866,9 +865,8 @@ class PredictionService:
         if not entries:
             return []
 
-        use_engine = nn.inference.engine_supported(model)
-        pack = use_engine and self.config.pack_contexts
-        store = self._embed_store_for(model) if use_engine else None
+        pack = self.config.pack_contexts
+        store = self._embed_store_for(model)
 
         by_bucket: dict[tuple[int, int], list] = {}
         for entry in entries:
@@ -881,27 +879,18 @@ class PredictionService:
         with nn.no_grad():
             for (nb, mb), bucket_entries in by_bucket.items():
                 contexts = [chunk.context for _, _, chunk in bucket_entries]
-                exact = all(c.n == nb and c.m == mb for c in contexts)
-                if use_engine and not exact:
+                if not all(c.n == nb and c.m == mb for c in contexts):
                     self._score_packed(model, nb, mb, bucket_entries,
                                        contexts, store, predicted,
                                        stage_seconds)
                     continue
-                if use_engine:
-                    rows = [chunk.user_row for _, _, chunk in bucket_entries]
-                    if len(contexts) == 1:
-                        outputs = nn.inference.forward_inference(
-                            model, contexts[0], embed_store=store, rows=rows)
-                    else:
-                        outputs = nn.inference.forward_inference_many(
-                            model, contexts, embed_store=store, rows=rows)
+                rows = [chunk.user_row for _, _, chunk in bucket_entries]
+                if len(contexts) == 1:
+                    outputs = nn.inference.forward_inference(
+                        model, contexts[0], embed_store=store, rows=rows)
                 else:
-                    if len(contexts) == 1:
-                        full = model.forward(contexts[0]).data[None]
-                    else:
-                        full = model.forward_many(contexts).data
-                    outputs = [output[chunk.user_row] for (_, _, chunk), output
-                               in zip(bucket_entries, full)]
+                    outputs = nn.inference.forward_inference_many(
+                        model, contexts, embed_store=store, rows=rows)
                 # Extract each chunk's scores immediately: engine outputs
                 # are views into a reused workspace, overwritten by the
                 # next bucket's forward.

@@ -38,9 +38,9 @@ class TestForward:
     def test_gradients_flow_through_all_layers(self, him, h_input):
         h_input.requires_grad = True
         him(h_input).sum().backward()
-        assert him.user_attention.w_query.weight.grad is not None
-        assert him.item_attention.w_query.weight.grad is not None
-        assert him.attr_attention.w_query.weight.grad is not None
+        assert him.user_attention.w_qkv.grad is not None
+        assert him.item_attention.w_qkv.grad is not None
+        assert him.attr_attention.w_qkv.grad is not None
 
 
 class TestAblationFlags:
@@ -118,14 +118,15 @@ class TestAttentionCapture:
 
     def test_attr_capture_matches_reference(self, him, h_input):
         """MBA's captured weights keep the documented (n, m, heads, h, h)
-        layout on the token-major path, with the reference's values."""
-        from repro.nn import functional as F
+        layout on the token-major path, with the row-major reference's
+        values."""
+        from ..nn.reference_kernels import mba_reference
 
         him.set_capture(True)
         captured = {}
-        for fused in (True, False):
-            with F.fused_kernels(fused):
-                him(h_input)
+        for fused, forward in ((True, him.interact_attributes),
+                               (False, lambda h: mba_reference(him, h))):
+            forward(h_input)
             captured[fused] = him.captured_attention()["attr"]
         heads = him.attr_attention.num_heads
         assert captured[True].shape == (4, 6, heads, H_ATTRS, H_ATTRS)

@@ -41,17 +41,14 @@ class TestForward:
         assert model.training
 
     @pytest.mark.parametrize("training", [True, False])
-    @pytest.mark.parametrize("call", ["predict", "predict_row",
-                                      "predict_many"])
+    @pytest.mark.parametrize("call", ["predict", "predict_row"])
     def test_predict_keeps_callers_mode(self, model, context, training,
                                         call):
         model.train(training)
         if call == "predict":
             model.predict(context)
-        elif call == "predict_row":
-            model.predict(context, row=1)
         else:
-            model.predict_many([context, context])
+            model.predict(context, row=1)
         assert all(m.training is training for m in model.modules())
 
     def test_predict_row_equals_full_row(self, model, context):

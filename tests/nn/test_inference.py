@@ -99,8 +99,8 @@ def test_batched_slices_equal_one_context_forward(dataset, graph, dtype,
 
 
 def test_predict_routes_through_engine_and_escape_hatch(dataset, graph):
-    """predict()/predict_many() take the engine and match the no_grad
-    Tensor forward bit for bit."""
+    """predict() takes the engine and matches the no_grad Tensor forward
+    bit for bit."""
     model = make_model(dataset)
     ctx, ctx2 = make_contexts(graph)
     engine = model.predict(ctx)
@@ -109,25 +109,12 @@ def test_predict_routes_through_engine_and_escape_hatch(dataset, graph):
         tensor_path = model.forward(ctx).data.copy()
         tensor_many = model.forward_many([ctx, ctx2]).data.copy()
     assert engine.tobytes() == tensor_path.tobytes()
-    engine_many = model.predict_many([ctx, ctx2])
+    engine_many = inference.forward_inference_many(model, [ctx, ctx2])
     assert engine_many.tobytes() == tensor_many.tobytes()
     # predict() copies out of the workspace: results must survive more calls.
     again = model.predict(ctx2)
     assert engine.tobytes() == model.predict(ctx).tobytes()
     assert again.tobytes() == model.predict(ctx2).tobytes()
-
-
-def test_reference_kernels_fall_back_to_tensor_path(dataset, graph):
-    model = make_model(dataset)
-    ctx, _ = make_contexts(graph)
-    expected = model.predict(ctx)
-    nn.functional.set_fused_kernels(False)
-    try:
-        assert not inference.engine_supported(model)
-        out = model.predict(ctx)  # silently takes the Tensor path
-    finally:
-        nn.functional.set_fused_kernels(True)
-    np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-12)
 
 
 def test_capture_attention_falls_back(dataset):

@@ -62,19 +62,14 @@ class TestAttribution:
         with ophooks.op_hooks():
             self._small_linear_call()
         totals = obs.span_totals()
-        assert "op/linear[fused]" in totals
-        assert totals["op/linear[fused]"].count == 1
-
-    def test_reference_mode_tagged_ref(self):
-        with ophooks.op_hooks(), nn.functional.fused_kernels(False):
-            self._small_linear_call()
-        assert "op/linear[ref]" in obs.span_totals()
+        assert "op/linear" in totals
+        assert totals["op/linear"].count == 1
 
     def test_nested_under_current_span(self):
         with obs.profiling(), ophooks.op_hooks():
             with obs.span("forward"):
                 self._small_linear_call()
-        assert "forward/op/linear[fused]" in obs.span_totals()
+        assert "forward/op/linear" in obs.span_totals()
 
     def test_wrapped_output_matches_original(self):
         x = nn.Tensor(np.arange(12, dtype=np.float64).reshape(3, 4))
@@ -98,4 +93,4 @@ class TestAttribution:
         for op in ("linear", "layer_norm", "embedding_lookup",
                    "multi_head_attention_qkv", "attribute_attention",
                    "masked_mse_loss"):
-            assert f"op/{op}[fused]" in recorded
+            assert f"op/{op}" in recorded

@@ -59,32 +59,6 @@ class TestBitIdentity:
         for expected, scores in zip(sequential_scores, got):
             assert np.array_equal(expected, scores)
 
-    def test_tensor_fallback_equals_sequential(
-            self, serve_model, ml_split, serve_tasks, monkeypatch):
-        """Under reference kernels the engine is unsupported, so batches
-        score through the ``no_grad`` Tensor forward — still bit-identical
-        to the sequential predictor under the same kernels."""
-
-        def engine_called(*args, **kwargs):
-            raise AssertionError("the engine ran under reference kernels")
-
-        with nn.functional.fused_kernels(False):
-            assert not nn.inference.engine_supported(serve_model)
-            predictor = HIREPredictor(serve_model, ml_split, serve_tasks,
-                                      seed=0, per_task_rng=True)
-            expected = [predictor.predict_task(t) for t in serve_tasks]
-            for name in ("forward_inference", "forward_inference_many",
-                         "forward_inference_packed"):
-                monkeypatch.setattr(nn.inference, name, engine_called)
-            with make_service(serve_model, ml_split, serve_tasks,
-                              max_batch_size=4) as service:
-                futures = [service.submit(t.user, t.query_items,
-                                          t.support_items)
-                           for t in serve_tasks]
-                got = [f.result(60) for f in futures]
-        for want, scores in zip(expected, got):
-            assert want.tobytes() == scores.tobytes()
-
     def test_multi_sample_averaging_matches_predictor(
             self, serve_model, ml_split, serve_tasks):
         predictor = HIREPredictor(serve_model, ml_split, serve_tasks, seed=0,

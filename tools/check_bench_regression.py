@@ -47,7 +47,6 @@ HEADLINE = {
     "BENCH_online.json": ("recovery.rmse_recovery_ratio",),
     "BENCH_pareto.json": ("latency_dynamic_range",),
     "BENCH_pipeline.json": ("best_speedup",),
-    "BENCH_substrate.json": ("speedup_forward", "speedup_train_step"),
 }
 
 
