@@ -46,8 +46,7 @@ def test_online_loop(benchmark, save, smoke_mode):
         f"{serving['served_post_swap_model']} post-swap), "
         f"bit-identical: {serving['bit_identical']}, "
         f"swap p99 {serving['swap_p99_ms']:.2f} ms",
-        f"round reproducibility at workers "
-        f"{reproducibility['worker_counts']}: "
+        f"same round twice bit-identical: "
         f"{reproducibility['bit_identical']} "
         f"(max param diff {reproducibility['max_param_diff']:.3g})",
     ]
@@ -56,7 +55,7 @@ def test_online_loop(benchmark, save, smoke_mode):
 
     # Non-negotiable at every scale: the serving plane never blends models
     # (every response matches exactly one reference), never loses a
-    # future, and a round re-run at any worker count is bit-identical.
+    # future, and a re-run round is bit-identical.
     assert serving["all_futures_resolved"]
     assert serving["bit_identical"]
     assert reproducibility["bit_identical"]

@@ -7,12 +7,12 @@ Benchmarks run once per session (``rounds=1``) — the quantity of interest
 is the artifact itself plus its wall-clock cost, not statistical timing.
 
 ``--smoke`` shrinks every benchmark — including the systems ones
-(``bench_substrate_micro``, ``bench_infer_engine``,
-``bench_serve_throughput``, ``bench_pipeline_throughput``) — to a
-seconds-long sanity pass: reduced
-grids, no artifact writes, and no ``BENCH_*.json`` trajectory updates.
-The full runs additionally assert their acceptance bars (telemetry
-overhead, serve throughput, pipeline speedup + bit-identity).
+(``bench_substrate_micro``, ``bench_serve_throughput``,
+``bench_online_loop``, ``bench_pareto_frontier``) — to a seconds-long
+sanity pass: reduced grids, no artifact writes (the ``save`` fixture is a
+no-op), and no ``BENCH_*.json`` trajectory updates.  The full runs
+additionally assert their acceptance bars (telemetry overhead, the
+adaptive ladder, online recovery).
 """
 
 from pathlib import Path
@@ -47,7 +47,8 @@ def save_result(results_dir: Path, name: str, text: str) -> None:
 
 
 @pytest.fixture
-def save(results_dir):
+def save(results_dir, smoke_mode):
     def _save(name: str, text: str) -> None:
-        save_result(results_dir, name, text)
+        if not smoke_mode:
+            save_result(results_dir, name, text)
     return _save

@@ -19,10 +19,8 @@ including:
 * ``repro.online`` — the incremental-learning loop: rating-delta log,
   bounded bit-reproducible fine-tune rounds, probe-gated promotion with
   rollback, zero-downtime hot swaps,
-* ``repro.pipeline`` — parallel training-context prefetching, bit-identical
-  to sequential sampling,
 * ``repro.concurrency`` — the bounded-queue / worker-pool primitives shared
-  by the serving and pipeline layers.
+  by the serving, telemetry and online layers.
 
 Quickstart::
 
@@ -38,7 +36,7 @@ Quickstart::
 __version__ = "1.0.0"
 
 from . import baselines, concurrency, core, data, eval, experiments, nn, obs
-from . import online, pipeline, serve
+from . import online, serve
 
 __all__ = ["nn", "data", "core", "baselines", "eval", "experiments", "obs",
-           "serve", "online", "pipeline", "concurrency", "__version__"]
+           "serve", "online", "concurrency", "__version__"]

@@ -1,25 +1,17 @@
 """Shared bounded-queue and worker-pool primitives.
 
 Originally written for the serving layer (``repro.serve.workers``), now
-extracted so the online service and the training-context pipeline
-(:mod:`repro.pipeline`) run on one implementation instead of two copies.
+shared by the prediction service, the telemetry exporter and the online
+controller so they run on one implementation instead of copies.
 
-Two queue policies coexist behind the same class:
+Backpressure is by load shedding: :meth:`BoundedQueue.put` never blocks.
+A full queue raises the configured *full* error immediately, pushing the
+wait out to the client (which can retry) instead of letting unbounded work
+pile up inside the process.
 
-* **Backpressure by load shedding** — :meth:`BoundedQueue.put` never
-  blocks.  A full queue raises the configured *full* error immediately,
-  pushing the wait out to the client (which can retry) instead of letting
-  unbounded work pile up inside the process.  This is the serving-layer
-  policy.
-* **Backpressure by blocking** — :meth:`BoundedQueue.put_wait` waits for
-  space instead of shedding.  Producers that must not drop work (the
-  prefetching samplers of ``repro.pipeline``) park until a consumer makes
-  room or the queue closes.
-
-Shutdown is drain-aware in both cases: :meth:`BoundedQueue.close` stops
-intake; getters keep draining until the queue is empty, at which point the
-configured *closed* error signals workers to exit.  Nothing is ever
-silently dropped.
+Shutdown is drain-aware: :meth:`BoundedQueue.close` stops intake; getters
+keep draining until the queue is empty, at which point the configured
+*closed* error signals workers to exit.  Nothing is ever silently dropped.
 
 The error types are injectable so that subsystem façades can surface their
 own exception hierarchies (``repro.serve`` raises its typed
@@ -29,7 +21,6 @@ own exception hierarchies (``repro.serve`` raises its typed
 from __future__ import annotations
 
 import threading
-import time
 from collections import deque
 
 __all__ = ["QueueFullError", "QueueClosedError", "BoundedQueue", "WorkerPool"]
@@ -44,7 +35,7 @@ class QueueClosedError(RuntimeError):
 
 
 class BoundedQueue:
-    """A bounded MPMC queue with non-blocking put, blocking put, timed get."""
+    """A bounded MPMC queue with non-blocking put and timed get."""
 
     def __init__(self, maxsize: int, *,
                  full_error: type[Exception] = QueueFullError,
@@ -57,7 +48,6 @@ class BoundedQueue:
         self._items: deque = deque()
         self._lock = threading.Lock()
         self._not_empty = threading.Condition(self._lock)
-        self._not_full = threading.Condition(self._lock)
         self._closed = False
 
     def put(self, item) -> None:
@@ -75,27 +65,6 @@ class BoundedQueue:
             self._items.append(item)
             self._not_empty.notify()
 
-    def put_wait(self, item, timeout: float | None = None) -> bool:
-        """Enqueue, blocking until space frees up (producer backpressure).
-
-        Returns ``True`` once enqueued, ``False`` if ``timeout`` seconds
-        elapsed with the queue still full.  Raises the configured *closed*
-        error if the queue closes before (or while) waiting.
-        """
-        deadline = None if timeout is None else time.monotonic() + timeout
-        with self._not_full:
-            while True:
-                if self._closed:
-                    raise self._closed_error("queue is closed")
-                if len(self._items) < self.maxsize:
-                    self._items.append(item)
-                    self._not_empty.notify()
-                    return True
-                remaining = None if deadline is None else deadline - time.monotonic()
-                if remaining is not None and remaining <= 0:
-                    return False
-                self._not_full.wait(remaining)
-
     def get(self, timeout: float):
         """Dequeue one item, waiting up to ``timeout`` seconds.
 
@@ -109,9 +78,7 @@ class BoundedQueue:
                     raise self._closed_error("queue is closed and drained")
                 self._not_empty.wait(timeout)
             if self._items:
-                item = self._items.popleft()
-                self._not_full.notify()
-                return item
+                return self._items.popleft()
             if self._closed:
                 raise self._closed_error("queue is closed and drained")
             return None
@@ -126,7 +93,6 @@ class BoundedQueue:
         with self._lock:
             self._closed = True
             self._not_empty.notify_all()
-            self._not_full.notify_all()
             return list(self._items)
 
     def drain(self) -> list:
@@ -135,7 +101,6 @@ class BoundedQueue:
             items = list(self._items)
             self._items.clear()
             self._not_empty.notify_all()
-            self._not_full.notify_all()
             return items
 
     @property

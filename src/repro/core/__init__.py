@@ -27,6 +27,8 @@ from .sampling import (
     FeatureSimilaritySampler,
     NeighborhoodSampler,
     RandomSampler,
+    STEP_RNG_DOMAIN,
+    derive_step_rng,
     sample_training_context,
     sampler_by_name,
 )
@@ -52,6 +54,8 @@ __all__ = [
     "sampler_by_name",
     "sample_training_context",
     "MAX_CONTEXT_RETRIES",
+    "derive_step_rng",
+    "STEP_RNG_DOMAIN",
     "HIRETrainer",
     "TrainerConfig",
 ]

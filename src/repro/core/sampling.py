@@ -33,6 +33,8 @@ __all__ = [
     "sampler_by_name",
     "sample_training_context",
     "MAX_CONTEXT_RETRIES",
+    "derive_step_rng",
+    "STEP_RNG_DOMAIN",
 ]
 
 # How many seed pairs a training-context draw tries before giving up.
@@ -41,6 +43,25 @@ __all__ = [
 MAX_CONTEXT_RETRIES = 16
 
 _EMPTY = np.empty(0, dtype=np.int64)
+
+# Domain separator keying training-step streams apart from every other
+# derived-generator family in the repo (e.g. task_chunk_rng's
+# (seed, user, sample, chunk) keys on the serving side).
+STEP_RNG_DOMAIN = 0x48495245  # "HIRE"
+
+
+def derive_step_rng(seed: int, step: int, slot: int) -> np.random.Generator:
+    """Generator for context ``slot`` of training step ``step``.
+
+    Deriving from ``(seed, step, slot)`` — instead of advancing one shared
+    stream — makes a training context a pure function of those three
+    integers (the training-side twin of
+    :func:`repro.core.task_chunk_rng`): any step can be re-sampled alone,
+    in any order, and yields exactly the context a sequential loop would
+    have drawn.
+    """
+    return np.random.default_rng(
+        [STEP_RNG_DOMAIN, int(seed), int(step), int(slot)])
 
 
 def sample_training_context(graph: RatingGraph, sampler: ContextSampler,
@@ -60,9 +81,8 @@ def sample_training_context(graph: RatingGraph, sampler: ContextSampler,
     context with ``sampler``, and splits the observed cells into
     revealed/query via :func:`~repro.core.context.build_context`.  Because
     every random draw comes from the passed generator, the same generator
-    state always yields the same context — which is what lets
-    :mod:`repro.pipeline` sample steps on worker threads bit-identically
-    to a sequential loop.
+    state always yields the same context — with :func:`derive_step_rng`
+    generators, a step's contexts are a pure function of the step index.
 
     Raises :class:`RuntimeError` after ``max_retries`` attempts that all
     produced zero query cells (e.g. ``reveal_fraction`` so high that every

@@ -25,6 +25,7 @@ from .sampling import (
     MAX_CONTEXT_RETRIES,
     ContextSampler,
     NeighborhoodSampler,
+    derive_step_rng,
     sample_training_context,
 )
 
@@ -59,17 +60,10 @@ class TrainerConfig:
     early_stopping_patience: int = 0
     validation_contexts: int = 8
     validate_every: int = 10
-    # Context-prefetching pipeline (repro.pipeline).  prefetch_workers > 0
-    # samples step batches on that many workers ahead of the optimiser;
-    # prefetch_buffer bounds how many steps they may run ahead.
-    prefetch_workers: int = 0
-    prefetch_buffer: int = 4
     # Per-step RNG derivation (derive_step_rng(seed, step, slot)): each
     # context is a pure function of the step index instead of one shared
-    # advancing stream.  None = auto: on exactly when prefetching is on.
-    # Setting it True with prefetch_workers=0 gives the sequential
-    # baseline that any pipelined run is bit-identical to.
-    per_step_rng: bool | None = None
+    # advancing stream.  Off keeps the legacy shared stream.
+    per_step_rng: bool = False
 
     def __post_init__(self):
         if self.steps < 1:
@@ -80,21 +74,6 @@ class TrainerConfig:
             raise ValueError("early_stopping_patience must be >= 0")
         if self.early_stopping_patience and self.validate_every < 1:
             raise ValueError("validate_every must be >= 1 when early stopping")
-        if self.prefetch_workers < 0:
-            raise ValueError("prefetch_workers must be >= 0")
-        if self.prefetch_buffer < 1:
-            raise ValueError("prefetch_buffer must be >= 1")
-        if self.per_step_rng is False and self.prefetch_workers > 0:
-            raise ValueError(
-                "prefetch_workers > 0 requires per-step RNG derivation; "
-                "leave per_step_rng unset (auto) or set it True")
-
-    @property
-    def uses_per_step_rng(self) -> bool:
-        """Resolved per-step-RNG mode (auto = on when prefetching)."""
-        if self.per_step_rng is None:
-            return self.prefetch_workers > 0
-        return self.per_step_rng
 
 
 class HIRETrainer:
@@ -116,12 +95,6 @@ class HIRETrainer:
         self.last_grad_norm: float = 0.0
         self.last_lr: float = self.config.base_lr
         self._last_step_stats: tuple[int, int, int] = (0, 0, 0)
-        # Set for the duration of a pipelined fit(); train_step takes its
-        # batches from here instead of sampling inline.
-        self._active_pipeline = None
-        self._pipeline_step_offset = 0
-        # Kept after fit() so callers can read buffer-wait metrics.
-        self.last_pipeline = None
 
         self.train_ratings = split.train_ratings()
         if len(self.train_ratings) == 0:
@@ -173,35 +146,20 @@ class HIRETrainer:
         )
 
     def _sample_step_batch(self, step: int) -> list[PredictionContext]:
-        """The mini-batch of step ``step``, sampled inline (no pipeline).
+        """The mini-batch of step ``step``.
 
-        With per-step RNG each slot draws from its own derived generator —
-        the sequential reference that any pipelined run reproduces
-        bit-exactly; otherwise the legacy shared stream is advanced.
+        With per-step RNG each slot draws from its own derived generator,
+        so the batch is a pure function of ``(seed, step)``; otherwise the
+        legacy shared stream is advanced.
         """
         cfg = self.config
-        if cfg.uses_per_step_rng:
-            from ..pipeline import derive_step_rng
-
+        if cfg.per_step_rng:
             return [
                 self.sample_training_context(
                     rng=derive_step_rng(cfg.seed, step, slot))
                 for slot in range(cfg.batch_size)
             ]
         return [self.sample_training_context() for _ in range(cfg.batch_size)]
-
-    def build_pipeline(self, metrics=None):
-        """A :class:`repro.pipeline.ContextPipeline` mirroring this
-        trainer's sampling configuration (not yet started)."""
-        from ..pipeline import ContextBatchSource, ContextPipeline
-
-        cfg = self.config
-        return ContextPipeline(
-            ContextBatchSource.from_trainer(self),
-            num_workers=max(cfg.prefetch_workers, 1),
-            buffer_depth=cfg.prefetch_buffer,
-            metrics=metrics,
-        )
 
     # ------------------------------------------------------------------ #
     # Optimisation
@@ -217,17 +175,8 @@ class HIRETrainer:
         step = len(self.loss_history)
         with obs.span("train_step"):
             self.optimizer.zero_grad()
-            if self._active_pipeline is not None:
-                # Workers sampled this batch ahead of time; the span now
-                # measures only how long the optimiser waited on the
-                # buffer (hit/starvation counters and wait/depth metrics
-                # live on the pipeline's registry).
-                with obs.span("sample_wait"):
-                    contexts = self._active_pipeline.take(
-                        step - self._pipeline_step_offset)
-            else:
-                with obs.span("sample"):
-                    contexts = self._sample_step_batch(step)
+            with obs.span("sample"):
+                contexts = self._sample_step_batch(step)
             with obs.span("forward"):
                 if cfg.batched_forward:
                     predicted = self.model.forward_many(contexts)  # (B, n, m)
@@ -293,8 +242,7 @@ class HIRETrainer:
         self.observers.append(observer)
 
     def fit(self, log_every: int = 0,
-            observers: list[obs.TrainerObserver] | None = None,
-            pipeline=None) -> list[float]:
+            observers: list[obs.TrainerObserver] | None = None) -> list[float]:
         """Run the configured number of steps; returns the loss history.
 
         With ``early_stopping_patience > 0``, validation loss is checked
@@ -306,14 +254,6 @@ class HIRETrainer:
         cadence for this call (unless one is already observing);
         ``observers`` adds further per-call observers on top of the
         trainer-level ones.
-
-        ``pipeline`` accepts a pre-built
-        :class:`repro.pipeline.ContextPipeline`; with
-        ``config.prefetch_workers > 0`` one is built automatically.  Either
-        way the pipeline feeds ``train_step`` prefetched context batches
-        (bit-identical to inline per-step-RNG sampling) and is closed —
-        workers joined, buffer drained — when this call returns, on
-        success, early stop, or error.
         """
         cfg = self.config
         active = list(self.observers)
@@ -321,14 +261,6 @@ class HIRETrainer:
             active.extend(observers)
         if log_every and not any(isinstance(o, obs.ConsoleSink) for o in active):
             active.append(obs.ConsoleSink(log_every=log_every))
-        if pipeline is None and cfg.prefetch_workers > 0:
-            pipeline = self.build_pipeline()
-        if pipeline is not None:
-            if not pipeline.started:
-                pipeline.start(cfg.steps)
-            self._active_pipeline = pipeline
-            self._pipeline_step_offset = len(self.loss_history)
-            self.last_pipeline = pipeline
         for observer in active:
             observer.on_fit_start(self, cfg)
         best_val = float("inf")
@@ -337,47 +269,42 @@ class HIRETrainer:
         stopped_early = False
         steps_run = 0
         fit_start = time.perf_counter()
-        try:
-            for step in range(cfg.steps):
-                step_start = time.perf_counter()
-                loss = self.train_step()
-                step_seconds = time.perf_counter() - step_start
-                steps_run = step + 1
+        for step in range(cfg.steps):
+            step_start = time.perf_counter()
+            loss = self.train_step()
+            step_seconds = time.perf_counter() - step_start
+            steps_run = step + 1
+            if active:
+                n, m, masked = self._last_step_stats
+                event = obs.StepEvent(
+                    step=steps_run, total_steps=cfg.steps, loss=loss,
+                    grad_norm=self.last_grad_norm, lr=self.last_lr,
+                    step_seconds=step_seconds,
+                    steps_per_second=1.0 / step_seconds if step_seconds > 0 else 0.0,
+                    context_n=n, context_m=m, masked_cells=masked,
+                )
+                for observer in active:
+                    observer.on_step(event)
+            if cfg.early_stopping_patience and steps_run % cfg.validate_every == 0:
+                with obs.span("validation"):
+                    val = self.validation_loss()
+                self.validation_history.append(val)
+                improved = val < best_val - 1e-6
+                if improved:
+                    best_val = val
+                    best_state = self.model.state_dict()
+                    stale_checks = 0
+                else:
+                    stale_checks += 1
                 if active:
-                    n, m, masked = self._last_step_stats
-                    event = obs.StepEvent(
-                        step=steps_run, total_steps=cfg.steps, loss=loss,
-                        grad_norm=self.last_grad_norm, lr=self.last_lr,
-                        step_seconds=step_seconds,
-                        steps_per_second=1.0 / step_seconds if step_seconds > 0 else 0.0,
-                        context_n=n, context_m=m, masked_cells=masked,
-                    )
+                    event = obs.ValidationEvent(step=steps_run, loss=val,
+                                                best_loss=best_val,
+                                                improved=improved)
                     for observer in active:
-                        observer.on_step(event)
-                if cfg.early_stopping_patience and steps_run % cfg.validate_every == 0:
-                    with obs.span("validation"):
-                        val = self.validation_loss()
-                    self.validation_history.append(val)
-                    improved = val < best_val - 1e-6
-                    if improved:
-                        best_val = val
-                        best_state = self.model.state_dict()
-                        stale_checks = 0
-                    else:
-                        stale_checks += 1
-                    if active:
-                        event = obs.ValidationEvent(step=steps_run, loss=val,
-                                                    best_loss=best_val,
-                                                    improved=improved)
-                        for observer in active:
-                            observer.on_validation(event)
-                    if stale_checks >= cfg.early_stopping_patience:
-                        stopped_early = True
-                        break
-        finally:
-            self._active_pipeline = None
-            if pipeline is not None:
-                pipeline.close()
+                        observer.on_validation(event)
+                if stale_checks >= cfg.early_stopping_patience:
+                    stopped_early = True
+                    break
         wall_seconds = time.perf_counter() - fit_start
         if best_state is not None:
             self.model.load_state_dict(best_state)

@@ -9,25 +9,18 @@ Examples::
     python -m repro.experiments.cli serve --requests 64 --workers 2
     python -m repro.experiments.cli serve --checkpoint ckpt.npz \
         --workload traffic.jsonl -o results/
-    python -m repro.experiments.cli infer --smoke
-    python -m repro.experiments.cli pipeline --smoke
     python -m repro.experiments.cli online --smoke --json
     python -m repro.experiments.cli pareto --smoke --json
 
 ``run`` prints the paper-style rendering of the chosen artifact and, with
 ``--output``, writes it to ``<output>/<experiment>.txt``.  ``serve`` stands
 up a :class:`repro.serve.PredictionService`, replays a workload through it,
-and prints the service's latency/queue/cache report.  ``infer``
-microbenchmarks the graph-free inference engine (``repro.nn.inference``)
-against the Tensor forward and prints plan-cache/workspace stats.
-``pipeline`` sweeps the training-context prefetch grid (``repro.pipeline``)
-against the sequential baseline and prints throughput + bit-identity per
-grid point.  ``online`` drives the incremental-learning loop
-(``repro.online``) through a simulated distribution shift and a
-serve-while-training replay, printing recovery and swap stats.  ``pareto``
-sweeps the context-budget grid (``repro.experiments.pareto_bench``) and
-prints the RMSE-vs-latency frontier the adaptive budget ladder trades
-along.
+and prints the service's latency/queue/cache report.  ``online`` drives
+the incremental-learning loop (``repro.online``) through a simulated
+distribution shift and a serve-while-training replay, printing recovery
+and swap stats.  ``pareto`` sweeps the context-budget grid
+(``repro.experiments.pareto_bench``) and prints the RMSE-vs-latency
+frontier the adaptive budget ladder trades along.
 """
 
 from __future__ import annotations
@@ -246,66 +239,6 @@ def _cmd_serve(args) -> int:
     return 0
 
 
-def _cmd_infer(args) -> int:
-    """Run the inference-engine microbenchmark; print timings + cache stats."""
-    from .infer_bench import run_infer_microbench, write_infer_bench_json
-
-    payload = run_infer_microbench(smoke=args.smoke)
-    cfg = payload["config"]
-    cache = payload["plan_cache"]
-    lines = [
-        f"== inference engine ({cfg['n']}x{cfg['m']} context, "
-        f"batch {cfg['batch']}, K={cfg['num_blocks']}) ==",
-        f"tensor forward : {payload['tensor_forward_seconds'] * 1e3:8.1f} ms"
-        f"   batched {payload['tensor_forward_many_seconds'] * 1e3:8.1f} ms",
-        f"engine forward : {payload['engine_forward_seconds'] * 1e3:8.1f} ms"
-        f"   batched {payload['engine_forward_many_seconds'] * 1e3:8.1f} ms",
-        f"speedup        : single {payload['speedup_single']:.2f}x"
-        f"   batched {payload['speedup_batched']:.2f}x",
-        f"steady-state allocations: {payload['engine_steady_state_bytes']} B",
-        f"plan cache     : {cache['plans']} plans  "
-        f"{cache['hits']} hits / {cache['misses']} misses  "
-        f"{cache['workspace_bytes'] / 1e6:.1f} MB workspace "
-        f"(generation {cache['generation']})",
-        f"bit-identical to Tensor path: {payload['bit_identical']}",
-    ]
-    text = "\n".join(lines)
-    print(text)
-    if args.output:
-        out = Path(args.output)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "infer_engine.txt").write_text(text + "\n")
-    if args.json:
-        path = write_infer_bench_json(payload)
-        print(f"wrote {path}")
-    return 0
-
-
-def _cmd_pipeline(args) -> int:
-    """Sweep the training-context prefetch grid; print the report."""
-    from .pipeline_bench import (
-        render_pipeline_bench,
-        run_pipeline_benchmark,
-        write_pipeline_bench_json,
-    )
-
-    payload = run_pipeline_benchmark(smoke=args.smoke)
-    text = render_pipeline_bench(payload)
-    print(text)
-    if args.output:
-        out = Path(args.output)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "pipeline_throughput.txt").write_text(text + "\n")
-    if args.json:
-        path = write_pipeline_bench_json(payload)
-        print(f"wrote {path}")
-    if not payload["bit_identical_all_runs"]:
-        print("ERROR: a pipelined run diverged from the sequential baseline",
-              file=sys.stderr)
-        return 1
-    return 0
-
-
 def _cmd_online(args) -> int:
     """Benchmark the incremental-learning loop; print the loop report."""
     from .online_bench import run_online_benchmark, write_online_bench_json
@@ -335,7 +268,7 @@ def _cmd_online(args) -> int:
         f"bit-identical: {serving['bit_identical']}",
         f"swap latency p99    : {serving['swap_p99_ms']:.2f} ms "
         f"({serving['swap_count']} swap(s))",
-        f"round reproducible at workers {reproducibility['worker_counts']}: "
+        f"same round twice    : bit-identical "
         f"{reproducibility['bit_identical']} "
         f"(max param diff {reproducibility['max_param_diff']:.3g})",
     ]
@@ -444,28 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("-o", "--output", default=None,
                        help="directory to write serve.txt into")
     serve.set_defaults(func=_cmd_serve)
-
-    infer = sub.add_parser(
-        "infer",
-        help="microbenchmark the graph-free inference engine")
-    infer.add_argument("--smoke", action="store_true",
-                       help="shrunken config (seconds, not minutes)")
-    infer.add_argument("--json", action="store_true",
-                       help="also write BENCH_infer.json at the repo root")
-    infer.add_argument("-o", "--output", default=None,
-                       help="directory to write infer_engine.txt into")
-    infer.set_defaults(func=_cmd_infer)
-
-    pipe = sub.add_parser(
-        "pipeline",
-        help="benchmark the training-context prefetch pipeline grid")
-    pipe.add_argument("--smoke", action="store_true",
-                      help="shrunken grid (seconds, not minutes)")
-    pipe.add_argument("--json", action="store_true",
-                      help="also write BENCH_pipeline.json at the repo root")
-    pipe.add_argument("-o", "--output", default=None,
-                      help="directory to write pipeline_throughput.txt into")
-    pipe.set_defaults(func=_cmd_pipeline)
 
     online = sub.add_parser(
         "online",

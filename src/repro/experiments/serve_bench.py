@@ -1,22 +1,9 @@
-"""Throughput benchmark of the ``repro.serve`` online inference subsystem.
+"""Telemetry and overload benchmark of the ``repro.serve`` service.
 
-Replays one skewed workload (hot users dominate, as real traffic does)
-through :class:`repro.serve.PredictionService` across a grid of micro-batch
-sizes × context cache on/off, against a **sequential baseline** that scores
-one request at a time through the same predictor code path — no queue, no
-batching, no cache, Tensor-path forwards.
-
-Every serviced run is checked **bit-identical** to the baseline (the
-per-request RNG derivation makes batched/cached scores exactly equal to
-sequential ones), so the speedup is never bought with a numerics change.
-
-A **packing** section replays a mixed-shape workload (per-request context
-budget overrides drawn from several nearby (n, m) pairs) through the
-padded-packing path (``pack_contexts=True``) and through the historical
-exact-shape-only grouping, recording ``pack_gain``, pad-waste and bucket
-occupancy stats, and the plan-cache hit rate of each mode — mixed traffic
-under exact-only grouping fragments micro-batches into per-shape forwards
-and thrashes the plan LRU, which is exactly what shape buckets fix.
+Both sections check every served score **bit-identical** to a
+**sequential baseline** that scores one request at a time through the same
+predictor code path — no queue, no batching, no cache, Tensor-path
+forwards.  End-to-end serving speed is judged by the ``bench/`` ledger.
 
 A **tracing** section measures the telemetry plane itself: the same
 workload replayed with per-request stage tracing + rolling windows + the
@@ -34,8 +21,8 @@ bit-identity check of every degraded score against a sequential replay
 at the same effective ``(n, m)``.
 
 ``benchmarks/bench_serve_throughput.py`` writes the result as
-``BENCH_serve.json`` at the repo root; ``--smoke`` runs a shrunken grid in
-seconds and skips the JSON write.
+``BENCH_serve.json`` at the repo root; ``--smoke`` runs a shrunken config
+in seconds and skips the JSON write.
 """
 
 from __future__ import annotations
@@ -49,7 +36,6 @@ import numpy as np
 
 from .. import nn
 from ..core import HIRE, HIREConfig
-from ..nn import inference
 from ..core.predictor import assemble_user_chunks, build_serving_graph, task_chunk_rng
 from ..core.sampling import NeighborhoodSampler
 from ..data import make_cold_start_split, movielens_like
@@ -80,23 +66,17 @@ def _setup(smoke: bool):
                                  ratings_per_user=15.0)
         model_cfg = dict(num_blocks=1, num_heads=2, attr_dim=4, seed=0)
         max_tasks, num_requests = 6, 18
-        batch_sizes = (1, 4)
-        mixed_budgets = [(12, 12), (10, 11), (9, 12)]
     else:
         dataset = movielens_like(num_users=150, num_items=100, seed=0,
                                  ratings_per_user=30.0)
         model_cfg = dict(num_blocks=3, num_heads=8, attr_dim=16, seed=0)
         max_tasks, num_requests = 12, 96
-        batch_sizes = (1, 4, 8, 16)
-        mixed_budgets = [(12, 12), (10, 11), (9, 12), (12, 10)]
     split = make_cold_start_split(dataset, 0.2, 0.2, seed=0)
     tasks = build_eval_tasks(split, "user", min_query=2, seed=0,
                              max_tasks=max_tasks)
     model = HIRE(dataset, HIREConfig(**model_cfg))
     workload = synthesize_workload(tasks, num_requests, seed=0)
-    mixed = synthesize_workload(tasks, num_requests, seed=1,
-                                context_budgets=mixed_budgets)
-    return dataset, split, tasks, model, workload, mixed, batch_sizes
+    return dataset, split, tasks, model, workload
 
 
 def _score_sequential(model, split, tasks, workload, config: ServiceConfig):
@@ -135,130 +115,6 @@ def _score_sequential(model, split, tasks, workload, config: ServiceConfig):
             total = part if total is None else total + part
         scores.append(total / config.num_context_samples)
     return scores
-
-
-def _run_service(model, split, tasks, workload, config: ServiceConfig):
-    service = PredictionService.from_split(model, split, tasks, config=config)
-    try:
-        start = time.perf_counter()
-        scores = replay_workload(service, workload)
-        seconds = time.perf_counter() - start
-        snapshot = service.metrics.snapshot()
-        latency = snapshot["serve.latency_seconds"]
-        result = {
-            "batch_size": config.max_batch_size,
-            "cache": config.cache_enabled,
-            "num_workers": config.num_workers,
-            "seconds": seconds,
-            "requests_per_second": len(workload) / seconds,
-            "latency_p50_ms": latency["p50"] * 1e3,
-            "latency_p99_ms": latency["p99"] * 1e3,
-            "mean_batch_size": snapshot["serve.batch_size"]["mean"],
-        }
-        if service.cache is not None:
-            result["cache_hit_rate"] = service.cache.stats.hit_rate
-        return result, scores
-    finally:
-        service.close()
-
-
-def _plan_cache_counters() -> tuple[int, int]:
-    stats = inference.cache_stats()
-    return stats["hits"], stats["misses"]
-
-
-def _warm_packing_service(model, split, tasks, workload, pack_contexts: bool):
-    """Build a service in one packing mode and warm it on the workload.
-
-    The warm replay fills the context cache and builds plans on the fresh
-    worker thread (plan caches are thread-local, so each mode starts
-    cold) — the packing win is a forward-execution property, so it is
-    measured with assembly amortized, as a hot serving process runs.
-    """
-    config = ServiceConfig(max_batch_size=8,
-                           queue_size=max(len(workload), 8),
-                           pack_contexts=pack_contexts)
-    service = PredictionService.from_split(model, split, tasks, config=config)
-    replay_workload(service, workload)
-    return service
-
-
-def _timed_replay_with_plan_cache(service, workload):
-    """One timed replay plus the plan-cache counter delta across it.
-
-    Steady-state misses mean the mode's key diversity exceeds the LRU and
-    it is rebuilding plans per batch.  Replays never overlap, so the
-    process-global counters attribute cleanly to the replaying service.
-    """
-    hits_before, misses_before = _plan_cache_counters()
-    start = time.perf_counter()
-    scores = replay_workload(service, workload)
-    seconds = time.perf_counter() - start
-    hits, misses = _plan_cache_counters()
-    hits -= hits_before
-    misses -= misses_before
-    total = hits + misses
-    cache = {"hits": hits, "misses": misses,
-             "hit_rate": hits / total if total else 0.0}
-    return seconds, scores, cache
-
-
-def _run_packing_benchmark(model, split, tasks, mixed, config,
-                           repeats: int = 1) -> dict:
-    """Packed vs exact-shape-only serving of the mixed-budget workload.
-
-    Both modes stay warm at once and their timed replays interleave, so
-    slow drift in machine speed lands on both sides of ``pack_gain``
-    instead of biasing whichever mode was measured last; min-of-repeats
-    per mode then absorbs scheduler noise.
-    """
-    expected = _score_sequential(model, split, tasks, mixed, config)
-    exact_service = _warm_packing_service(model, split, tasks, mixed,
-                                          pack_contexts=False)
-    packed_service = _warm_packing_service(model, split, tasks, mixed,
-                                           pack_contexts=True)
-    try:
-        best = {}
-        for _ in range(repeats):
-            for mode, service in (("exact", exact_service),
-                                  ("packed", packed_service)):
-                seconds, scores, cache = _timed_replay_with_plan_cache(
-                    service, mixed)
-                if mode not in best or seconds < best[mode][0]:
-                    best[mode] = (seconds, scores, cache)
-        exact_seconds, exact_scores, exact_cache = best["exact"]
-        packed_seconds, packed_scores, packed_cache = best["packed"]
-        snapshot = packed_service.metrics.snapshot()
-        stats = packed_service.stats()
-    finally:
-        exact_service.close()
-        packed_service.close()
-
-    bit_identical = all(
-        np.array_equal(a, b) for a, b in zip(expected, exact_scores)
-    ) and all(
-        np.array_equal(a, b) for a, b in zip(expected, packed_scores))
-    budgets = sorted({(r.context_users, r.context_items) for r in mixed})
-    section = {
-        "mixed_budgets": [list(b) for b in budgets],
-        "num_requests": len(mixed),
-        "exact_only_seconds": exact_seconds,
-        "packed_seconds": packed_seconds,
-        "pack_gain": exact_seconds / packed_seconds,
-        "bit_identical_to_sequential": bit_identical,
-        "plan_cache": {"exact_only": exact_cache, "packed": packed_cache},
-        "packed_contexts_total": snapshot.get(
-            "serve.packed_contexts_total", {}).get("value", 0),
-        "pad_waste_last": snapshot.get(
-            "serve.pack_pad_waste", {}).get("value", 0.0),
-    }
-    occupancy = snapshot.get("serve.pack_bucket_occupancy")
-    if occupancy:
-        section["bucket_occupancy"] = {key: occupancy[key]
-                                       for key in ("count", "mean", "p50")}
-    if "embed_store" in stats:
-        section["embed_store"] = stats["embed_store"]
-    return section
 
 
 def _warm_tracing_service(model, split, tasks, workload, trace_enabled: bool,
@@ -510,66 +366,16 @@ def _run_adaptive_benchmark(model, split, tasks, config: ServiceConfig,
 
 
 def run_serve_benchmark(smoke: bool = False) -> dict:
-    """Sequential baseline vs. service across batch sizes × cache on/off."""
-    dataset, split, tasks, model, workload, mixed, batch_sizes = _setup(smoke)
+    """Tracing-overhead and adaptive-ladder sections on one model."""
+    dataset, split, tasks, model, workload = _setup(smoke)
     config = ServiceConfig()  # shared assembly knobs for every mode
-    # Single-shot timings on shared runners swing by tens of percent;
-    # every timed measurement in the full run is min-of-repeats.
-    repeats = 1 if smoke else 2
-
-    # Warm-up: one forward (first-touch allocations, BLAS init).
-    _score_sequential(model, split, tasks, workload[:1], config)
-
-    baseline_seconds = None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        expected = _score_sequential(model, split, tasks, workload, config)
-        elapsed = time.perf_counter() - start
-        if baseline_seconds is None or elapsed < baseline_seconds:
-            baseline_seconds = elapsed
-
-    runs = []
-    bit_identical = True
-    for cache_enabled in (False, True):
-        for batch_size in batch_sizes:
-            run_config = ServiceConfig(
-                max_batch_size=batch_size,
-                cache_enabled=cache_enabled,
-                queue_size=max(len(workload), 8),
-                seed=config.seed,
-            )
-            best = None
-            for _ in range(repeats):
-                result, scores = _run_service(model, split, tasks, workload,
-                                              run_config)
-                if best is None or result["seconds"] < best[0]["seconds"]:
-                    best = (result, scores)
-            result, scores = best
-            result["bit_identical_to_sequential"] = all(
-                np.array_equal(a, b) for a, b in zip(expected, scores))
-            bit_identical = (bit_identical
-                             and result["bit_identical_to_sequential"])
-            result["speedup_vs_sequential"] = (
-                baseline_seconds / result["seconds"])
-            runs.append(result)
-
-    packing = _run_packing_benchmark(model, split, tasks, mixed, config,
-                                     repeats=repeats)
+    expected = _score_sequential(model, split, tasks, workload, config)
     tracing = _run_tracing_benchmark(model, split, tasks, workload, expected,
                                      smoke)
     adaptive = _run_adaptive_benchmark(model, split, tasks, config, smoke)
-
-    best = max(runs, key=lambda r: r["speedup_vs_sequential"])
     return {
         "benchmark": "serve_throughput",
         "smoke": smoke,
-        # Methodology marker: tools/check_bench_regression.py refuses to
-        # compare payloads whose measurement protocol differs, because a
-        # protocol change resets the trajectory.
-        "measurement": {
-            "protocol": "interleaved-min-of-repeats",
-            "repeats": repeats,
-        },
         "config": {
             "num_requests": len(workload),
             "num_tasks": len(tasks),
@@ -578,18 +384,8 @@ def run_serve_benchmark(smoke: bool = False) -> dict:
             "num_users": dataset.num_users,
             "num_items": dataset.num_items,
         },
-        "baseline_sequential": {
-            "seconds": baseline_seconds,
-            "requests_per_second": len(workload) / baseline_seconds,
-        },
-        "runs": runs,
-        "packing": packing,
         "tracing": tracing,
         "adaptive": adaptive,
-        "bit_identical_all_runs": bit_identical,
-        "best_speedup": best["speedup_vs_sequential"],
-        "best_config": {"batch_size": best["batch_size"],
-                        "cache": best["cache"]},
     }
 
 

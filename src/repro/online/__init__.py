@@ -7,8 +7,8 @@ cold-start serving stack (see ``docs/online_learning.md``):
   trail whose offsets key every fine-tune round.
 * :mod:`~repro.online.trainer` — :class:`IncrementalTrainer`, cloning the
   active model and running bounded, bit-reproducible fine-tune rounds on
-  fresh + replayed contexts (per-step RNG derivation; any prefetch worker
-  count yields the same candidate).
+  fresh + replayed contexts (per-step RNG derivation; a re-run yields the
+  same candidate).
 * :mod:`~repro.online.gate` — :class:`PromotionGate`, judging candidates
   on a frozen cold-start probe (RMSE/MAE) and arming post-promotion
   rollback over the live delta window.

@@ -6,13 +6,12 @@ builds a training view whose rating pool is the warm replay set plus every
 logged delta (deltas override replayed values for re-rated pairs, matching
 the serving graph's dedupe semantics), and runs a bounded number of
 :class:`~repro.core.trainer.HIRETrainer` steps with per-step RNG derivation
-(:func:`repro.pipeline.derive_step_rng`).  The round seed is itself derived
+(:func:`repro.core.derive_step_rng`).  The round seed is itself derived
 from ``(config seed, log offset)``, so a round is a pure function of
 
     (base checkpoint, log offset, seed)
 
-— re-running it, at any prefetch worker count, produces a bit-identical
-candidate model.
+— re-running it produces a bit-identical candidate model.
 
 Fresh deltas are emphasised by *seed-pair boosting*: the triple pool that
 training contexts are seeded from repeats each fresh delta ``fresh_boost``
@@ -44,7 +43,7 @@ __all__ = [
 ]
 
 # Domain separator keying online fine-tune rounds apart from every other
-# derived-generator family (training steps use repro.pipeline's
+# derived-generator family (training steps use repro.core's
 # STEP_RNG_DOMAIN, serving uses task_chunk_rng's raw key tuples).
 ROUND_SEED_DOMAIN = 0x4F4E4C4E  # "ONLN"
 
@@ -103,10 +102,6 @@ class FineTuneConfig:
     grad_clip: float = 1.0
     flat_fraction: float = 0.7
     seed: int = 0
-    # Context prefetching for the round (repro.pipeline); any worker count
-    # produces bit-identical rounds thanks to per-step RNG derivation.
-    prefetch_workers: int = 0
-    prefetch_buffer: int = 4
 
     def __post_init__(self):
         if self.steps < 1:
@@ -209,7 +204,7 @@ class IncrementalTrainer:
 
         The round is a pure function of ``(base_model parameters,
         log_offset, config.seed)``: the trainer runs with per-step RNG
-        derivation, so any prefetch worker count reproduces it bit-exactly.
+        derivation, so re-running it reproduces the candidate bit-exactly.
         """
         cfg = self.config
         round_seed = derive_round_seed(cfg.seed, log_offset)
@@ -226,8 +221,6 @@ class IncrementalTrainer:
             flat_fraction=cfg.flat_fraction,
             seed=round_seed,
             per_step_rng=True,
-            prefetch_workers=cfg.prefetch_workers,
-            prefetch_buffer=cfg.prefetch_buffer,
         )
         start = time.perf_counter()
         trainer = HIRETrainer(candidate, view, sampler=self.sampler,

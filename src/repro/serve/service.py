@@ -100,8 +100,8 @@ class ServiceConfig:
     # dimensions rounded up to the next pack_bucket multiple, unless that
     # inflates the cell count by more than pack_max_waste — execute as one
     # padded stacked plan call.  Exact: real rows are bitwise identical to
-    # unpadded per-request forwards (see docs/serving.md).
-    pack_contexts: bool = True
+    # unpadded per-request forwards (see docs/serving.md).  pack_bucket=1
+    # keeps every shape exact.
     pack_bucket: int = 8
     pack_max_waste: float = 1.0
     metrics_prefix: str = "serve"
@@ -215,12 +215,11 @@ class PredictionService:
         # Bucket-homogeneous batches keep each micro-batch a single packed
         # plan execution downstream; with uniform budgets every request
         # shares one bucket, so dispatch matches the unbucketed batcher.
-        bucket_key = self._request_bucket if self.config.pack_contexts else None
         self._batcher = MicroBatcher(self.config.max_batch_size,
                                      self.config.max_wait_seconds,
                                      self.config.queue_size,
                                      clock=clock,
-                                     bucket_key=bucket_key)
+                                     bucket_key=self._request_bucket)
         self._init_telemetry()
         self._pool = WorkerPool(self._worker_loop, self.config.num_workers)
         self._closed = False
@@ -854,8 +853,7 @@ class PredictionService:
         Contexts whose exact shape already fills its bucket (the common
         case under uniform budgets) take the unpadded
         ``forward_inference_many`` path; mixed-shape buckets pad each
-        context up to the bucket shape and run once.  With
-        ``pack_contexts`` off, grouping is by exact shape.
+        context up to the bucket shape and run once.
         """
         entries = []  # (plan_index, sample_index, chunk)
         for plan_index, (_requests, samples) in enumerate(plans):
@@ -865,14 +863,12 @@ class PredictionService:
         if not entries:
             return []
 
-        pack = self.config.pack_contexts
         store = self._embed_store_for(model)
 
         by_bucket: dict[tuple[int, int], list] = {}
         for entry in entries:
             context = entry[2].context
-            bucket = (self._bucket_dims(context.n, context.m)
-                      if pack else (context.n, context.m))
+            bucket = self._bucket_dims(context.n, context.m)
             by_bucket.setdefault(bucket, []).append(entry)
 
         predicted: dict[int, np.ndarray] = {}

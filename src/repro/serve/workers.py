@@ -1,7 +1,6 @@
 """Serving-layer façade over the shared concurrency primitives.
 
-The queue/pool implementation lives in :mod:`repro.concurrency` (it is
-shared with the training-context pipeline, :mod:`repro.pipeline`); this
+The queue/pool implementation lives in :mod:`repro.concurrency`; this
 module binds it to the serving layer's policies and typed errors:
 
 * **Backpressure by load shedding** — :meth:`BoundedQueue.put` never

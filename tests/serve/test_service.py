@@ -15,6 +15,8 @@ from repro.serve import (
     RequestError,
     ServiceClosedError,
     ServiceConfig,
+    replay_workload,
+    synthesize_workload,
 )
 
 
@@ -351,9 +353,10 @@ class TestPackedServing:
 
     def test_pack_disabled_still_exact(self, serve_model, ml_split,
                                        serve_tasks):
+        """``pack_bucket=1`` keeps every shape exact: nothing is padded."""
         refs = self.reference_scores(serve_model, ml_split, serve_tasks)
         with make_service(serve_model, ml_split, serve_tasks,
-                          pack_contexts=False) as service:
+                          pack_bucket=1) as service:
             got = [
                 service.submit(task.user, task.query_items,
                                task.support_items,
@@ -363,6 +366,21 @@ class TestPackedServing:
         assert "serve.packed_contexts_total" not in snapshot
         for expected, scores in zip(refs, got):
             assert np.array_equal(expected, scores)
+
+    def test_mixed_budget_replay_reuses_plans(self, serve_model, ml_split,
+                                              serve_tasks):
+        """Bucketed plan keys keep the per-thread plan LRU stable under
+        mixed-budget traffic: once warm, a replay builds no new plan."""
+        workload = synthesize_workload(
+            serve_tasks, 24, seed=1,
+            context_budgets=[(12, 12), (10, 11), (9, 12), (12, 10)])
+        with make_service(serve_model, ml_split, serve_tasks,
+                          max_batch_size=1, num_workers=1,
+                          queue_size=len(workload)) as service:
+            replay_workload(service, workload)
+            misses = nn.inference.cache_stats()["misses"]
+            replay_workload(service, workload)
+            assert nn.inference.cache_stats()["misses"] == misses
 
     def test_budget_override_validation(self, serve_model, ml_split,
                                         serve_tasks):

@@ -21,12 +21,21 @@ tool = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(tool)
 
 
-def serve_payload(best_speedup=2.0, pack_gain=1.5, smoke=False):
+def pareto_payload(dynamic_range=2.0, smoke=False):
+    """A top-level headline: ``latency_dynamic_range``."""
     return {
-        "benchmark": "serve_throughput",
+        "benchmark": "pareto_frontier",
         "smoke": smoke,
-        "best_speedup": best_speedup,
-        "packing": {"pack_gain": pack_gain},
+        "latency_dynamic_range": dynamic_range,
+    }
+
+
+def online_payload(recovery_ratio=1.5, smoke=False):
+    """A nested headline: ``recovery.rmse_recovery_ratio``."""
+    return {
+        "benchmark": "online_loop",
+        "smoke": smoke,
+        "recovery": {"rmse_recovery_ratio": recovery_ratio},
     }
 
 
@@ -61,32 +70,32 @@ class TestDottedGet:
 class TestVerdicts:
     def test_identical_passes(self, roots):
         current, baseline = roots
-        write(current, "BENCH_serve.json", serve_payload())
-        write(baseline, "BENCH_serve.json", serve_payload())
+        write(current, "BENCH_pareto.json", pareto_payload())
+        write(baseline, "BENCH_pareto.json", pareto_payload())
         assert run_tool(current, baseline) == 0
 
     def test_improvement_passes(self, roots):
         current, baseline = roots
-        write(current, "BENCH_serve.json", serve_payload(best_speedup=3.0))
-        write(baseline, "BENCH_serve.json", serve_payload(best_speedup=2.0))
+        write(current, "BENCH_pareto.json", pareto_payload(3.0))
+        write(baseline, "BENCH_pareto.json", pareto_payload(2.0))
         assert run_tool(current, baseline) == 0
 
     def test_small_drop_within_tolerance_passes(self, roots):
         current, baseline = roots
-        write(current, "BENCH_serve.json", serve_payload(best_speedup=1.85))
-        write(baseline, "BENCH_serve.json", serve_payload(best_speedup=2.0))
+        write(current, "BENCH_pareto.json", pareto_payload(1.85))
+        write(baseline, "BENCH_pareto.json", pareto_payload(2.0))
         assert run_tool(current, baseline) == 0  # -7.5% < 10%
 
     def test_large_drop_fails(self, roots):
         current, baseline = roots
-        write(current, "BENCH_serve.json", serve_payload(best_speedup=1.5))
-        write(baseline, "BENCH_serve.json", serve_payload(best_speedup=2.0))
+        write(current, "BENCH_pareto.json", pareto_payload(1.5))
+        write(baseline, "BENCH_pareto.json", pareto_payload(2.0))
         assert run_tool(current, baseline) == 1  # -25%
 
     def test_nested_metric_drop_fails(self, roots):
         current, baseline = roots
-        write(current, "BENCH_serve.json", serve_payload(pack_gain=1.0))
-        write(baseline, "BENCH_serve.json", serve_payload(pack_gain=1.6))
+        write(current, "BENCH_online.json", online_payload(1.0))
+        write(baseline, "BENCH_online.json", online_payload(1.6))
         assert run_tool(current, baseline) == 1
 
     def test_headline_missing_from_current_fails(self, roots):
@@ -94,23 +103,23 @@ class TestVerdicts:
         a failure, not a skip: retiring one means deleting it from
         HEADLINE."""
         current, baseline = roots
-        dropped = serve_payload()
-        del dropped["packing"]
-        write(current, "BENCH_serve.json", dropped)
-        write(baseline, "BENCH_serve.json", serve_payload())
+        dropped = online_payload()
+        del dropped["recovery"]
+        write(current, "BENCH_online.json", dropped)
+        write(baseline, "BENCH_online.json", online_payload())
         assert run_tool(current, baseline) == 1
 
     def test_null_headline_in_current_fails(self, roots, capsys):
         current, baseline = roots
-        write(current, "BENCH_serve.json", serve_payload(pack_gain=None))
-        write(baseline, "BENCH_serve.json", serve_payload())
+        write(current, "BENCH_online.json", online_payload(None))
+        write(baseline, "BENCH_online.json", online_payload())
         assert run_tool(current, baseline) == 1
-        assert "packing.pack_gain" in capsys.readouterr().err
+        assert "recovery.rmse_recovery_ratio" in capsys.readouterr().err
 
     def test_tolerance_is_configurable(self, roots):
         current, baseline = roots
-        write(current, "BENCH_serve.json", serve_payload(best_speedup=1.9))
-        write(baseline, "BENCH_serve.json", serve_payload(best_speedup=2.0))
+        write(current, "BENCH_pareto.json", pareto_payload(1.9))
+        write(baseline, "BENCH_pareto.json", pareto_payload(2.0))
         assert run_tool(current, baseline, "--tolerance", "0.02") == 1
         assert run_tool(current, baseline, "--tolerance", "0.10") == 0
 
@@ -118,19 +127,19 @@ class TestVerdicts:
 class TestSkips:
     def test_missing_baseline_file_skipped(self, roots):
         current, baseline = roots
-        write(current, "BENCH_serve.json", serve_payload(best_speedup=0.1))
+        write(current, "BENCH_pareto.json", pareto_payload(0.1))
         assert run_tool(current, baseline) == 0
 
     def test_missing_current_file_skipped(self, roots):
         current, baseline = roots
-        write(baseline, "BENCH_serve.json", serve_payload())
+        write(baseline, "BENCH_pareto.json", pareto_payload())
         assert run_tool(current, baseline) == 0
 
     def test_smoke_payload_skipped(self, roots):
         current, baseline = roots
-        write(current, "BENCH_serve.json",
-              serve_payload(best_speedup=0.1, smoke=True))
-        write(baseline, "BENCH_serve.json", serve_payload())
+        write(current, "BENCH_pareto.json",
+              pareto_payload(0.1, smoke=True))
+        write(baseline, "BENCH_pareto.json", pareto_payload())
         assert run_tool(current, baseline) == 0
 
     def test_measurement_protocol_change_skipped(self, roots):
@@ -138,71 +147,64 @@ class TestSkips:
         the first run under a new protocol resets the trajectory rather
         than being judged against the old one."""
         current, baseline = roots
-        changed = serve_payload(pack_gain=0.5)  # would fail if compared
+        changed = online_payload(0.5)  # would fail if compared
         changed["measurement"] = {"protocol": "interleaved", "repeats": 2}
-        write(current, "BENCH_serve.json", changed)
-        write(baseline, "BENCH_serve.json", serve_payload(pack_gain=1.6))
+        write(current, "BENCH_online.json", changed)
+        write(baseline, "BENCH_online.json", online_payload(1.6))
         assert run_tool(current, baseline) == 0
 
     def test_same_measurement_protocol_still_compared(self, roots):
         current, baseline = roots
-        new, old = serve_payload(pack_gain=0.5), serve_payload(pack_gain=1.6)
+        new, old = online_payload(0.5), online_payload(1.6)
         for payload in (new, old):
             payload["measurement"] = {"protocol": "interleaved", "repeats": 2}
-        write(current, "BENCH_serve.json", new)
-        write(baseline, "BENCH_serve.json", old)
+        write(current, "BENCH_online.json", new)
+        write(baseline, "BENCH_online.json", old)
         assert run_tool(current, baseline) == 1
 
     def test_metric_missing_from_baseline_skipped(self, roots):
         current, baseline = roots
-        write(current, "BENCH_serve.json", serve_payload())
-        old = serve_payload()
-        del old["packing"]
-        write(baseline, "BENCH_serve.json", old)
+        write(current, "BENCH_online.json", online_payload())
+        old = online_payload()
+        del old["recovery"]
+        write(baseline, "BENCH_online.json", old)
         assert run_tool(current, baseline) == 0
 
     def test_null_in_baseline_skipped(self, roots):
         """A headline the baseline holds as null has nothing to regress
         against — clean skip, whatever the current value."""
         current, baseline = roots
-        write(current, "BENCH_serve.json", serve_payload(pack_gain=0.1))
-        write(baseline, "BENCH_serve.json", serve_payload(pack_gain=None))
+        write(current, "BENCH_online.json", online_payload(0.1))
+        write(baseline, "BENCH_online.json", online_payload(None))
         assert run_tool(current, baseline) == 0
 
     def test_corrupt_baseline_file_skipped(self, roots):
         """A truncated/mangled baseline reads as "no baseline", not a
         crash — a broken baseline can never prove a regression."""
         current, baseline = roots
-        write(current, "BENCH_serve.json", serve_payload(best_speedup=0.1))
-        (baseline / "BENCH_serve.json").write_text('{"best_speedup": 2.0')
+        write(current, "BENCH_pareto.json", pareto_payload(0.1))
+        (baseline / "BENCH_pareto.json").write_text(
+            '{"latency_dynamic_range": 2.0')
         assert run_tool(current, baseline) == 0
 
     def test_corrupt_current_file_skipped(self, roots):
         current, baseline = roots
-        (current / "BENCH_serve.json").write_text("not json at all")
-        write(baseline, "BENCH_serve.json", serve_payload())
+        (current / "BENCH_pareto.json").write_text("not json at all")
+        write(baseline, "BENCH_pareto.json", pareto_payload())
         assert run_tool(current, baseline) == 0
 
     def test_non_dict_payload_skipped(self, roots):
         current, baseline = roots
-        (current / "BENCH_serve.json").write_text('[1, 2, 3]')
-        write(baseline, "BENCH_serve.json", serve_payload())
+        (current / "BENCH_pareto.json").write_text('[1, 2, 3]')
+        write(baseline, "BENCH_pareto.json", pareto_payload())
         assert run_tool(current, baseline) == 0
 
     def test_unknown_git_ref_skips_cleanly(self, tmp_path):
         """Through the git path (no --baseline-dir), a ref that does not
         exist yields a skip for every file, not a crash."""
-        write(tmp_path, "BENCH_serve.json", serve_payload())
+        write(tmp_path, "BENCH_pareto.json", pareto_payload())
         assert tool.main(["--repo-root", str(tmp_path),
                           "--baseline-ref", "no-such-ref"]) == 0
-
-
-def online_payload(recovery_ratio=1.2, smoke=False):
-    return {
-        "benchmark": "online_loop",
-        "smoke": smoke,
-        "recovery": {"rmse_recovery_ratio": recovery_ratio},
-    }
 
 
 class TestOnlineHeadline:

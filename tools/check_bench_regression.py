@@ -8,11 +8,12 @@ directory of baseline files via ``--baseline-dir`` — and **fails (exit 1)
 when any headline metric drops by more than the tolerance** (default 10%).
 
 Headline metrics are the higher-is-better numbers each benchmark exists to
-defend, and they are all *ratios* (speedups, gains) measured within one run:
-ratios normalise machine speed, so the gate survives the baseline having
-been produced on a faster or slower box.  Absolute numbers — latencies, raw
-seconds, requests/second — are deliberately not compared; machine state
-moves them tens of percent with no code change.  Files or metrics absent
+defend, and they are all *ratios* (a recovery ratio, a latency dynamic
+range) measured within one run: ratios normalise machine speed, so the
+gate survives the baseline having been produced on a faster or slower box.
+Absolute numbers — latencies, raw seconds, requests/second — are
+deliberately not compared here; end-to-end speed is judged by the
+``bench/`` ledger.  Files or metrics absent
 from the baseline are skipped — a new benchmark cannot regress against
 nothing — and so are payloads whose ``measurement`` field (the benchmark's
 own methodology marker: repeat counts, interleaving) differs from the
@@ -39,14 +40,8 @@ from pathlib import Path
 
 # file -> dotted paths of higher-is-better headline metrics (ratios only).
 HEADLINE = {
-    "BENCH_serve.json": (
-        "best_speedup",
-        "packing.pack_gain",
-    ),
-    "BENCH_infer.json": ("speedup_single", "speedup_batched"),
     "BENCH_online.json": ("recovery.rmse_recovery_ratio",),
     "BENCH_pareto.json": ("latency_dynamic_range",),
-    "BENCH_pipeline.json": ("best_speedup",),
 }
 
 
