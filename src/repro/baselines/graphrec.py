@@ -93,7 +93,7 @@ class GraphRec(RatingModel):
         items = self._sample_neighbors(self.graph.items_of_user(user))
         if items.size == 0:
             return nn.Tensor(np.zeros(net.hidden))
-        values = np.array([self.graph.rating(user, int(i)) for i in items])
+        values = self.graph.rating_matrix(np.array([user]), items)[0][0]
         features = nn.functional.concatenate(
             [net.encoder.encode_items(items), net.rating_embed(self._rating_levels(values))],
             axis=-1,
@@ -117,7 +117,7 @@ class GraphRec(RatingModel):
         net = self.network
         users = self._sample_neighbors(self.graph.users_of_item(item))
         if users.size:
-            values = np.array([self.graph.rating(int(u), item) for u in users])
+            values = self.graph.rating_matrix(users, np.array([item]))[0][:, 0]
             features = nn.functional.concatenate(
                 [net.encoder.encode_users(users), net.rating_embed(self._rating_levels(values))],
                 axis=-1,

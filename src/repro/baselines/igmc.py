@@ -125,26 +125,21 @@ class IGMC(RatingModel):
         roles[1:len(users)] = 2           # context users
         roles[len(users) + 1:] = 3        # context items
 
-        adjacency = [np.zeros((num_nodes, num_nodes)) for _ in range(self.num_levels)]
-        for u_pos, u in enumerate(users):
-            for i_pos, i in enumerate(items):
-                if exclude_target_edge and u == user and i == item:
-                    continue
-                value = self.graph.rating(u, i)
-                if value is None:
-                    continue
-                level = int(np.clip(round(value - self.rating_low), 0,
-                                    self.num_levels - 1))
-                node_i = len(users) + i_pos
-                adjacency[level][u_pos, node_i] = 1.0
-                adjacency[level][node_i, u_pos] = 1.0
+        values, observed = self.graph.rating_matrix(np.array(users),
+                                                    np.array(items))
+        if exclude_target_edge:
+            observed[0, 0] = False
+        u_pos, i_pos = np.nonzero(observed)
+        levels = np.clip(np.rint(values[u_pos, i_pos] - self.rating_low), 0,
+                         self.num_levels - 1).astype(np.int64)
+        node_i = len(users) + i_pos
+        adjacency = np.zeros((self.num_levels, num_nodes, num_nodes))
+        adjacency[levels, u_pos, node_i] = 1.0
+        adjacency[levels, node_i, u_pos] = 1.0
         # Symmetric degree normalisation keeps message scales stable.
-        total = sum(adjacency)
-        degree = total.sum(axis=1)
+        degree = adjacency.sum(axis=(0, 2))
         scale = 1.0 / np.sqrt(np.maximum(degree, 1.0))
-        for level in range(self.num_levels):
-            adjacency[level] = scale[:, None] * adjacency[level] * scale[None, :]
-        return roles, adjacency
+        return roles, list(scale[:, None] * adjacency * scale[None, :])
 
     def _score(self, user: int, item: int, exclude_target_edge: bool) -> nn.Tensor:
         roles, adjacency = self._subgraph(user, item, exclude_target_edge)

@@ -68,20 +68,27 @@ def ensure_targets(users: np.ndarray, items: np.ndarray, target_user: int,
                    target_items: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Samplers put targets first, but defend against budget overflow.
 
-    Vectorised with :func:`np.isin`; equivalent to the original per-element
-    membership scans (pinned by ``tests/core/test_predictor.py``).
+    Membership tests are broadcast comparisons (:func:`_member`), exactly
+    equivalent to the original per-element scans (pinned by
+    ``tests/core/test_predictor.py``).
     """
     users = np.asarray(users, dtype=np.int64)
     items = np.asarray(items, dtype=np.int64)
     target_items = np.asarray(target_items, dtype=np.int64)
-    if not np.isin(target_user, users):
+    if not (users == target_user).any():
         users = np.concatenate([[target_user], users[:-1]])
-    missing = target_items[~np.isin(target_items, items)]
+    missing = target_items[~_member(target_items, items)]
     if missing.size:
         head = missing[: len(items)]
-        keep = items[~np.isin(items, head)]
+        keep = items[~_member(items, head)]
         items = np.concatenate([missing, keep])[: len(items)].astype(np.int64)
     return users, items
+
+
+def _member(values: np.ndarray, pool: np.ndarray) -> np.ndarray:
+    """``np.isin(values, pool)`` for context-sized integer arrays: one
+    broadcast comparison, without ``isin``'s per-call dispatch cost."""
+    return (values[:, None] == pool).any(axis=1)
 
 
 def task_chunk_rng(seed: int, user: int, sample_index: int,
@@ -149,22 +156,21 @@ def assemble_user_chunks(graph: RatingGraph, sampler: ContextSampler, user: int,
         users, items = ensure_targets(users, items, user, target_items)
 
         user_row = int(np.flatnonzero(users == user)[0])
-        item_pos = {int(item): col for col, item in enumerate(items)}
         # Query ratings are absent from the visible graph by construction
         # (no leakage): their cells are unobserved, hence encoded with a
         # zero rating vector — already masked from the model's view.
+        # Support cells the graph holds are force-revealed.
         forced_reveal = np.zeros((len(users), len(items)), dtype=bool)
-        for item in support_items:
-            col = item_pos.get(int(item))
-            if col is not None and graph.has_rating(user, int(item)):
-                forced_reveal[user_row, col] = True
+        forced_reveal[user_row] = (_member(items, support_items)
+                                   & _member(items, graph.items_of_user(user)))
 
         context = build_context(
             graph, users, items, rng,
             reveal_fraction=reveal_fraction,
             forced_reveal=forced_reveal,
         )
-        cols = np.array([item_pos[int(i)] for i in chunk], dtype=np.int64)
+        # Each chunk item's column (ensure_targets put every one in items).
+        cols = (chunk[:, None] == items).argmax(axis=1)
         assert not context.observed[user_row, cols].any(), (
             "query ratings leaked into the visible test-time graph"
         )

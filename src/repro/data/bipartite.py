@@ -1,12 +1,20 @@
 """User-item bipartite rating graph with fast neighbourhood queries.
 
 HIRE's context sampler (§IV-B) walks this graph hop by hop from the cold
-seed entities, so adjacency lookups must be O(1) per entity.  Every graph
-instance is immutable; the visible rating set grows by deriving a *new*
-graph — either a full rebuild from ``triples()`` plus additions, or the
-O(deltas) copy-on-write path :meth:`RatingGraph.apply_deltas`, which
-shares the adjacency arrays of untouched entities with its parent and is
-asserted bitwise identical to the rebuild (:meth:`RatingGraph.identical_to`).
+seed entities, so adjacency lookups must be O(1) per entity.  Each user's
+rated items are a sorted-unique array, and that user's rating values sit
+in a float array aligned with it; each item's raters are a sorted-unique
+array too.  Rating reads (:meth:`RatingGraph.rating`,
+:meth:`RatingGraph.rating_matrix`, :meth:`RatingGraph.pair_ratings`) are
+``searchsorted`` lookups into those rows — there is no per-pair dict.
+
+Every graph instance is immutable; the visible rating set grows by
+deriving a *new* graph — either a full rebuild from ``triples()`` plus
+additions, or the copy-on-write path :meth:`RatingGraph.apply_deltas`,
+which shallow-copies the per-entity lists (O(users + items) pointers),
+gives only the touched entities fresh rows (O(degree) each), shares every
+other row with its parent, and is asserted bitwise identical to the
+rebuild (:meth:`RatingGraph.identical_to`).
 
 Besides the per-entity adjacency arrays, each side also exposes a flat
 CSR view (:class:`CSRAdjacency`: one ``indptr`` / ``indices`` pair per
@@ -41,8 +49,9 @@ class CSRAdjacency:
     entities whose adjacency changed *after* the flat arrays were built
     (via :meth:`RatingGraph.apply_deltas`); their rows are read from
     ``lists`` — the owning graph's per-entity arrays, always current — so
-    a derived graph can keep sharing its parent's flat arrays in O(deltas)
-    instead of rebuilding O(edges) on every update.
+    a derived graph can keep sharing its parent's flat arrays (copying
+    only the O(entities) stale mask) instead of rebuilding O(edges) on
+    every update.
     """
 
     __slots__ = ("indptr", "indices", "stale", "stale_count", "lists")
@@ -104,7 +113,10 @@ class CSRAdjacency:
 
 
 class RatingGraph:
-    """Immutable bipartite graph over (user, item, rating) triples."""
+    """Immutable bipartite graph over (user, item, rating) triples.
+
+    A pair rated more than once keeps its last occurrence in ``ratings``.
+    """
 
     def __init__(self, ratings: np.ndarray, num_users: int, num_items: int):
         ratings = np.asarray(ratings, dtype=np.float64)
@@ -114,34 +126,19 @@ class RatingGraph:
             ratings = ratings.reshape(0, 3)
         self.num_users = num_users
         self.num_items = num_items
-        users = ratings[:, 0].astype(np.int64)
-        items = ratings[:, 1].astype(np.int64)
-        values = ratings[:, 2]
-
-        self._user_items: list[np.ndarray] = [None] * num_users
-        self._item_users: list[np.ndarray] = [None] * num_items
-        order_u = np.argsort(users, kind="stable")
-        self._fill_adjacency(self._user_items, users[order_u], items[order_u], num_users)
-        order_i = np.argsort(items, kind="stable")
-        self._fill_adjacency(self._item_users, items[order_i], users[order_i], num_items)
-
-        self._rating_lookup: dict[tuple[int, int], float] = {
-            (int(u), int(i)): float(v) for u, i, v in zip(users, items, values)
-        }
-        self.num_edges = len(self._rating_lookup)
+        users, items, values = _last_per_pair(ratings)
+        self.num_edges = len(users)
+        self._user_items = _rows(items, users, num_users)
+        self._user_values = _rows(values, users, num_users)
+        # Pairs are sorted by user, so a stable sort by item leaves each
+        # item's raters ascending.
+        by_item = np.argsort(items, kind="stable")
+        self._item_users = _rows(users[by_item], items[by_item], num_items)
         # Lazy flat CSR views (see CSRAdjacency).  Building one mutates
         # only this private slot; a racing double-build is benign (both
         # results are identical and assignment is atomic).
         self._csr_users: CSRAdjacency | None = None
         self._csr_items: CSRAdjacency | None = None
-
-    @staticmethod
-    def _fill_adjacency(slots, keys, neighbors, count):
-        boundaries = np.searchsorted(keys, np.arange(count + 1))
-        empty = np.empty(0, dtype=np.int64)
-        for k in range(count):
-            chunk = neighbors[boundaries[k]:boundaries[k + 1]]
-            slots[k] = np.unique(chunk) if chunk.size else empty
 
     # ------------------------------------------------------------------ #
     # Queries
@@ -181,22 +178,95 @@ class RatingGraph:
 
     def rating(self, user: int, item: int) -> float | None:
         """Observed rating of (user, item), or None if unobserved."""
-        return self._rating_lookup.get((int(user), int(item)))
+        position = self._position(user, item)
+        if position is None:
+            return None
+        return float(self._user_values[int(user)][position])
 
     def has_rating(self, user: int, item: int) -> bool:
-        return (int(user), int(item)) in self._rating_lookup
+        return self._position(user, item) is not None
+
+    def _position(self, user: int, item: int) -> int | None:
+        """Index of ``item`` in ``user``'s row, or None if unrated."""
+        user, item = int(user), int(item)
+        if not 0 <= user < self.num_users:
+            return None
+        row = self._user_items[user]
+        position = int(np.searchsorted(row, item))
+        if position < row.size and row[position] == item:
+            return position
+        return None
+
+    def pair_ratings(self, users: np.ndarray, items: np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray]:
+        """Ratings of the pairs ``(users[k], items[k])`` in one lookup.
+
+        Returns ``(values, observed)`` shaped like ``users``, with the
+        same conventions as :meth:`rating_matrix`.  User ids must lie
+        inside the graph.
+        """
+        users = np.asarray(users, dtype=np.int64)
+        items = np.asarray(items, dtype=np.int64)
+        row_users, rows = np.unique(users, return_inverse=True)
+        return self._row_ratings(row_users, rows.reshape(users.shape), items)
+
+    def rating_matrix(self, users: np.ndarray, items: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Dense sub-matrix of observed ratings for a user × item block.
+
+        Returns ``(values, observed)`` where ``observed`` is a boolean mask
+        and ``values`` holds ratings at observed cells (0 elsewhere).
+        """
+        users = np.asarray(users, dtype=np.int64)
+        items = np.asarray(items, dtype=np.int64)
+        return self._row_ratings(users, np.arange(len(users))[:, None],
+                                 items[None, :])
+
+    def _row_ratings(self, row_users: np.ndarray, rows: np.ndarray,
+                     items: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(values, observed)`` of the pairs ``(row_users[rows], items)``.
+
+        ``rows`` and ``items`` broadcast together.  Each user's row is
+        sorted, so the rows of ``row_users`` concatenated in order are one
+        ascending array of keys ``row * num_items + item``, and every pair
+        is one ``searchsorted`` against it — no loop over rows.
+        """
+        stride = self.num_items
+        # An id outside [0, num_items) would alias a neighbouring row's key.
+        queries = np.where((items >= 0) & (items < stride),
+                           rows * stride + items, -1)
+        values = np.zeros(queries.shape)
+        row_items = [self._user_items[user] for user in row_users]
+        lengths = np.fromiter(map(len, row_items), dtype=np.int64,
+                              count=len(row_items))
+        if not lengths.sum():
+            return values, np.zeros(queries.shape, dtype=bool)
+        keys = np.concatenate(row_items)
+        keys += np.repeat(np.arange(len(row_items)) * stride, lengths)
+        position = np.searchsorted(keys, queries)
+        np.minimum(position, keys.size - 1, out=position)
+        observed = keys[position] == queries
+        row_values = np.concatenate([self._user_values[user]
+                                     for user in row_users])
+        values[observed] = row_values[position[observed]]
+        return values, observed
 
     def triples(self) -> np.ndarray:
-        """All observed (user, item, rating) triples as an (E, 3) array.
+        """All observed (user, item, rating) triples as an (E, 3) array,
+        sorted by user, then item.
 
         The graph is immutable; growing the visible rating set means
         deriving a new graph — via :meth:`apply_deltas` (incremental) or by
         rebuilding from ``triples()`` plus the additions.
         """
-        if not self._rating_lookup:
+        if not self.num_edges:
             return np.empty((0, 3))
-        return np.array([[user, item, value]
-                         for (user, item), value in self._rating_lookup.items()])
+        degrees = np.fromiter(map(len, self._user_items), dtype=np.int64,
+                              count=self.num_users)
+        return np.column_stack([
+            np.repeat(np.arange(self.num_users), degrees),
+            np.concatenate(self._user_items),
+            np.concatenate(self._user_values),
+        ])
 
     # ------------------------------------------------------------------ #
     # Derivation
@@ -204,13 +274,14 @@ class RatingGraph:
     def apply_deltas(self, deltas: np.ndarray) -> "RatingGraph":
         """A new graph with ``(user, item, rating)`` deltas applied.
 
-        Copy-on-write in O(deltas) instead of O(edges): the adjacency
-        *lists* and rating lookup are shallow-copied, and only the rows of
-        touched entities get new sorted-unique arrays (``np.insert`` at the
-        ``searchsorted`` position).  Untouched entities share their arrays
-        with this graph — both graphs stay immutable and internally
-        consistent, which is what lets the serving tier pin an old snapshot
-        for in-flight requests while new submissions see the update.
+        Copy-on-write: the per-entity lists are shallow-copied
+        (O(users + items) pointers), and each touched user gets a fresh
+        value row, plus fresh adjacency rows on both sides for its new
+        pairs (O(degree) per touched entity).  Untouched entities share
+        their arrays with this graph — both graphs stay immutable and
+        internally consistent, which is what lets the serving tier pin an
+        old snapshot for in-flight requests while new submissions see the
+        update.
 
         Semantics match a full rebuild from ``triples()`` + ``deltas``
         exactly (pinned by :meth:`identical_to` under the data plane's
@@ -222,8 +293,7 @@ class RatingGraph:
             return self
         if deltas.ndim != 2 or deltas.shape[1] != 3:
             raise ValueError("deltas must be (n, 3) (user, item, rating)")
-        users = deltas[:, 0].astype(np.int64)
-        items = deltas[:, 1].astype(np.int64)
+        users, items, values = _last_per_pair(deltas)
         if (users < 0).any() or (users >= self.num_users).any():
             raise ValueError(f"delta user ids outside [0, {self.num_users})")
         if (items < 0).any() or (items >= self.num_items).any():
@@ -233,71 +303,90 @@ class RatingGraph:
         derived.num_users = self.num_users
         derived.num_items = self.num_items
         derived._user_items = list(self._user_items)
+        derived._user_values = list(self._user_values)
         derived._item_users = list(self._item_users)
-        derived._rating_lookup = dict(self._rating_lookup)
-        adjacency_users: list[int] = []
-        adjacency_items: list[int] = []
-        for user, item, value in zip(users, items, deltas[:, 2]):
-            pair = (int(user), int(item))
-            if pair not in derived._rating_lookup:
-                derived._user_items[pair[0]] = self._sorted_insert(
-                    derived._user_items[pair[0]], pair[1])
-                derived._item_users[pair[1]] = self._sorted_insert(
-                    derived._item_users[pair[1]], pair[0])
-                adjacency_users.append(pair[0])
-                adjacency_items.append(pair[1])
-            derived._rating_lookup[pair] = float(value)
-        derived.num_edges = len(derived._rating_lookup)
-        # Carry the flat CSR views forward in O(deltas): only new pairs
-        # change adjacency (re-rates touch values, not neighbour sets), so
-        # just their entities go stale.  Unbuilt views stay unbuilt.
+        new_pair = np.zeros(len(users), dtype=bool)
+        for user, start, stop in _runs(users):
+            row = self._user_items[user]
+            row_items, row_values = items[start:stop], values[start:stop]
+            position = np.searchsorted(row, row_items)
+            known = position < row.size
+            known[known] = row[position[known]] == row_items[known]
+            merged = self._user_values[user].copy()
+            merged[position[known]] = row_values[known]
+            fresh = ~known
+            if fresh.any():
+                derived._user_items[user] = np.insert(
+                    row, position[fresh], row_items[fresh])
+                merged = np.insert(merged, position[fresh], row_values[fresh])
+                new_pair[start:stop] = fresh
+            derived._user_values[user] = merged
+        # Only new pairs change adjacency (re-rates touch values, not
+        # neighbour sets); group them by item for the item side.
+        new_users, new_items = users[new_pair], items[new_pair]
+        by_item = np.argsort(new_items, kind="stable")
+        new_users, new_items = new_users[by_item], new_items[by_item]
+        for item, start, stop in _runs(new_items):
+            row = self._item_users[item]
+            raters = new_users[start:stop]
+            derived._item_users[item] = np.insert(
+                row, np.searchsorted(row, raters), raters)
+        derived.num_edges = self.num_edges + int(new_pair.sum())
+        # Carry the flat CSR views forward: just the entities of new pairs
+        # go stale.  Unbuilt views stay unbuilt.
         derived._csr_users = (
             None if self._csr_users is None else self._csr_users.derive(
-                np.asarray(adjacency_users, dtype=np.int64),
-                derived._user_items))
+                new_users, derived._user_items))
         derived._csr_items = (
             None if self._csr_items is None else self._csr_items.derive(
-                np.asarray(adjacency_items, dtype=np.int64),
-                derived._item_users))
+                new_items, derived._item_users))
         return derived
-
-    @staticmethod
-    def _sorted_insert(array: np.ndarray, value: int) -> np.ndarray:
-        """A new sorted array with ``value`` inserted (caller ensures absence)."""
-        position = np.searchsorted(array, value)
-        return np.insert(array, position, np.int64(value))
 
     def identical_to(self, other: "RatingGraph") -> bool:
         """Bitwise structural equality: dimensions, every adjacency array,
-        and every rating value (exact float compare — this is the assertion
+        and every rating value (exact bit compare — this is the assertion
         backing the incremental data plane's verify mode)."""
-        if self.num_users != other.num_users or self.num_items != other.num_items:
-            return False
-        if self._rating_lookup != other._rating_lookup:
+        if (self.num_users != other.num_users
+                or self.num_items != other.num_items
+                or self.num_edges != other.num_edges):
             return False
         return (
             all(np.array_equal(a, b) for a, b in
                 zip(self._user_items, other._user_items))
+            and all(a.tobytes() == b.tobytes() for a, b in
+                    zip(self._user_values, other._user_values))
             and all(np.array_equal(a, b) for a, b in
                     zip(self._item_users, other._item_users))
         )
 
-    def rating_matrix(self, users: np.ndarray, items: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Dense sub-matrix of observed ratings for a user × item block.
 
-        Returns ``(values, observed)`` where ``observed`` is a boolean mask
-        and ``values`` holds ratings at observed cells (0 elsewhere).
-        """
-        users = np.asarray(users, dtype=np.int64)
-        items = np.asarray(items, dtype=np.int64)
-        values = np.zeros((len(users), len(items)))
-        observed = np.zeros((len(users), len(items)), dtype=bool)
-        for row, user in enumerate(users):
-            rated = self._user_items[user]
-            if rated.size == 0:
-                continue
-            hits = np.isin(items, rated)
-            for col in np.flatnonzero(hits):
-                values[row, col] = self._rating_lookup[(int(user), int(items[col]))]
-                observed[row, col] = True
-        return values, observed
+def _last_per_pair(triples: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(users, items, values)`` of ``triples`` with one entry per
+    ``(user, item)`` pair — its last occurrence — sorted by user, then item."""
+    users = triples[:, 0].astype(np.int64)
+    items = triples[:, 1].astype(np.int64)
+    # lexsort is stable: a repeated pair's occurrences stay in input order,
+    # so the last of each run is the last occurrence.
+    order = np.lexsort((items, users))
+    users, items, values = users[order], items[order], triples[order, 2]
+    last = np.ones(len(users), dtype=bool)
+    last[:-1] = (users[1:] != users[:-1]) | (items[1:] != items[:-1])
+    return users[last], items[last], values[last]
+
+
+def _rows(values: np.ndarray, keys: np.ndarray, count: int) -> list[np.ndarray]:
+    """Split ``values`` into one row per key in ``[0, count)``; ``keys``
+    is sorted and aligned with ``values``."""
+    bounds = np.searchsorted(keys, np.arange(count + 1))
+    return [values[start:stop] for start, stop in zip(bounds[:-1], bounds[1:])]
+
+
+def _runs(keys: np.ndarray):
+    """``(key, start, stop)`` for each run of equal values in sorted ``keys``."""
+    if keys.size == 0:
+        return
+    starts = np.flatnonzero(np.diff(keys, prepend=keys[0] - 1))
+    stops = np.append(starts[1:], keys.size)
+    for start, stop in zip(starts.tolist(), stops.tolist()):
+        yield int(keys[start]), start, stop

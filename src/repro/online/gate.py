@@ -93,11 +93,10 @@ def tasks_from_deltas(deltas: np.ndarray, graph) -> list[EvalTask]:
     held-out signal.  Returns one task per user with surviving deltas.
     """
     deltas = np.asarray(deltas, dtype=np.float64).reshape(-1, 3)
-    keep = [row for row in deltas
-            if not graph.has_rating(int(row[0]), int(row[1]))]
-    if not keep:
+    _, observed = graph.pair_ratings(deltas[:, 0], deltas[:, 1])
+    deltas = deltas[~observed]
+    if not len(deltas):
         return []
-    deltas = np.stack(keep)
     tasks = []
     for user in np.unique(deltas[:, 0].astype(np.int64)):
         query = deltas[deltas[:, 0].astype(np.int64) == user]

@@ -13,14 +13,14 @@ an n × m context matrix in one forward pass, so requests for different
 users stack into one batched forward downstream (see
 :func:`repro.nn.inference.forward_inference_many`).
 
-When a ``bucket_key`` is configured, batches are additionally shaped for
-the padded packer: each batch holds requests of a single shape bucket
-(same rounded context budget), gathered bucket-first so one downstream
-packed plan execution covers the whole batch.  Requests of *other* buckets
-seen while gathering are parked in a pending buffer — never dropped — and
-lead the very next batch; a deadline flushes a partially filled bucket
-rather than waiting for exact coalescing, bounding any request's wait to
-roughly two ``max_wait_seconds`` windows.
+Batches are also shaped for the padded packer by a ``bucket_key``: each
+batch holds requests of a single shape bucket (same rounded context
+budget), gathered bucket-first so one downstream packed plan execution
+covers the whole batch.  Requests of *other* buckets seen while gathering
+are parked in a pending buffer — never dropped — and lead the very next
+batch; a deadline flushes a partially filled bucket rather than waiting
+for exact coalescing, bounding any request's wait to roughly two
+``max_wait_seconds`` windows.
 """
 
 from __future__ import annotations
@@ -99,18 +99,18 @@ def group_requests(batch: list[PredictRequest]
 class MicroBatcher:
     """Coalesce queued requests into bounded, deadline-limited batches.
 
-    With ``bucket_key`` (a callable mapping a request to a hashable shape
-    bucket), every batch is homogeneous in bucket: the first request fixes
-    the batch's bucket, same-bucket requests fill it, and other-bucket
-    requests are parked in an internal pending buffer that leads the next
-    batch.  The deadline flushes partially filled buckets — a request is
-    never held past its batch's ``max_wait_seconds`` window waiting for
-    bucket-mates, and a parked request starts its own window as soon as a
-    worker asks again.
+    ``bucket_key`` maps a request to a hashable shape bucket, and every
+    batch is homogeneous in bucket: the first request fixes the batch's
+    bucket, same-bucket requests fill it, and other-bucket requests are
+    parked in an internal pending buffer that leads the next batch.  The
+    deadline flushes partially filled buckets — a request is never held
+    past its batch's ``max_wait_seconds`` window waiting for bucket-mates,
+    and a parked request starts its own window as soon as a worker asks
+    again.
     """
 
     def __init__(self, max_batch_size: int = 8, max_wait_seconds: float = 0.002,
-                 queue_size: int = 64, clock=time.monotonic, bucket_key=None):
+                 queue_size: int = 64, clock=time.monotonic, *, bucket_key):
         if max_batch_size < 1:
             raise ValueError("max_batch_size must be >= 1")
         if max_wait_seconds < 0:
@@ -152,8 +152,6 @@ class MicroBatcher:
             if first is None:
                 return []
             first.dequeued_at = self._clock()
-        if self.bucket_key is None:
-            return self._gather(first, lambda request: True)
         bucket = self.bucket_key(first)
         return self._gather(first,
                             lambda request: self.bucket_key(request) == bucket)

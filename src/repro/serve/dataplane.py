@@ -7,8 +7,9 @@ monotonic counters — behind a lock, so request workers read consistent
 snapshots while updates land.
 
 ``apply()`` validates and dedupes a delta batch (last value per pair wins,
-no-op restatements dropped), derives the next graph through the O(deltas)
-copy-on-write :meth:`RatingGraph.apply_deltas` path, and publishes a new
+no-op restatements dropped), derives the next graph through the
+copy-on-write :meth:`RatingGraph.apply_deltas` path (O(users + items)
+pointer copies plus O(degree) per touched entity), and publishes a new
 immutable :class:`GraphSnapshot`.
 Subscribed services are then told exactly *which* entities changed, via an
 :class:`UpdateResult`, so their caches evict only the entries whose
@@ -140,11 +141,8 @@ def dedupe_deltas(graph: RatingGraph, ratings: np.ndarray) -> np.ndarray:
     _, reversed_first = np.unique(keys[::-1], return_index=True)
     keep = np.sort(len(ratings) - 1 - reversed_first)
     deduped = ratings[keep]
-    changed = np.array([
-        graph.rating(int(row[0]), int(row[1])) != row[2]
-        for row in deduped
-    ])
-    return deduped[changed]
+    held, observed = graph.pair_ratings(deduped[:, 0], deduped[:, 1])
+    return deduped[~observed | (held != deduped[:, 2])]
 
 
 class EntityVersions:
@@ -301,8 +299,8 @@ class GraphStore:
                     or np.setdiff1d(changed_items, items_pool).size > 0)
                 new_graph = self._derive(graph, applied)
                 # Keep the CSR views warm on the publish path: after an
-                # incremental derive this is O(deltas) bookkeeping (stale
-                # marks carried by apply_deltas), and when the stale
+                # incremental derive this is a stale-count check (the stale
+                # marks were carried by apply_deltas), and when the stale
                 # fraction crosses the rebuild threshold the O(edges)
                 # rebuild lands here instead of on a request.
                 new_graph.user_adjacency()

@@ -214,7 +214,7 @@ class PredictionService:
         self._embed_store = None
         # Bucket-homogeneous batches keep each micro-batch a single packed
         # plan execution downstream; with uniform budgets every request
-        # shares one bucket, so dispatch matches the unbucketed batcher.
+        # shares one bucket, so batches form by size and deadline alone.
         self._batcher = MicroBatcher(self.config.max_batch_size,
                                      self.config.max_wait_seconds,
                                      self.config.queue_size,
@@ -333,11 +333,11 @@ class PredictionService:
             raise RequestError(f"user {user} outside [0, {graph.num_users})")
         if (item_ids < 0).any() or (item_ids >= graph.num_items).any():
             raise RequestError(f"item ids outside [0, {graph.num_items})")
-        for item in item_ids:
-            if graph.has_rating(user, int(item)):
-                raise RequestError(
-                    f"({user}, {int(item)}) is already rated in the visible "
-                    "graph; serving scores unrated pairs only")
+        rated = np.flatnonzero(np.isin(item_ids, graph.items_of_user(user)))
+        if rated.size:
+            raise RequestError(
+                f"({user}, {int(item_ids[rated[0]])}) is already rated in the "
+                "visible graph; serving scores unrated pairs only")
         if support_items is None:
             support_items = graph.items_of_user(user)
         support_items = np.asarray(support_items, dtype=np.int64).ravel()

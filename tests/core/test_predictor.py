@@ -104,7 +104,7 @@ class TestPrediction:
 
 def _ensure_targets_reference(users, items, target_user, target_items):
     """The original per-element implementation of ensure_targets, kept as a
-    behavioural pin for the vectorised np.isin version."""
+    behavioural pin for the vectorised version."""
     users = np.asarray(users, dtype=np.int64)
     items = np.asarray(items, dtype=np.int64)
     target_items = np.asarray(target_items, dtype=np.int64)

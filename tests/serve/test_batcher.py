@@ -19,6 +19,11 @@ def budget_bucket(request):
     return (request.context_users, request.context_items)
 
 
+def one_bucket(request):
+    """Every request shares one bucket: batching without shape buckets."""
+    return None
+
+
 class TestGroupRequests:
     def test_identical_requests_coalesce(self):
         a, b = make_request(), make_request()
@@ -41,7 +46,8 @@ class TestGroupRequests:
 
 class TestMicroBatcher:
     def test_batch_respects_max_size(self):
-        batcher = MicroBatcher(max_batch_size=2, max_wait_seconds=1.0)
+        batcher = MicroBatcher(max_batch_size=2, max_wait_seconds=1.0,
+                               bucket_key=one_bucket)
         for _ in range(3):
             batcher.submit(make_request())
         assert len(batcher.next_batch(0.1)) == 2
@@ -49,11 +55,12 @@ class TestMicroBatcher:
         assert batcher.depth == 0
 
     def test_empty_queue_returns_empty_batch(self):
-        batcher = MicroBatcher()
+        batcher = MicroBatcher(bucket_key=one_bucket)
         assert batcher.next_batch(0.01) == []
 
     def test_zero_wait_ships_first_request_alone(self):
-        batcher = MicroBatcher(max_batch_size=8, max_wait_seconds=0.0)
+        batcher = MicroBatcher(max_batch_size=8, max_wait_seconds=0.0,
+                               bucket_key=one_bucket)
         batcher.submit(make_request())
         batcher.submit(make_request())
         assert len(batcher.next_batch(0.1)) == 1
@@ -61,7 +68,8 @@ class TestMicroBatcher:
     def test_deadline_via_fake_clock(self):
         clock_value = [0.0]
         batcher = MicroBatcher(max_batch_size=8, max_wait_seconds=0.01,
-                               clock=lambda: clock_value[0])
+                               clock=lambda: clock_value[0],
+                               bucket_key=one_bucket)
         batcher.submit(make_request())
         batcher.submit(make_request())
         clock_value[0] = 1.0  # first get succeeds, then the deadline is past
@@ -69,7 +77,8 @@ class TestMicroBatcher:
         assert len(batch) >= 1
 
     def test_close_then_drained_raises(self):
-        batcher = MicroBatcher(max_batch_size=4, max_wait_seconds=0.0)
+        batcher = MicroBatcher(max_batch_size=4, max_wait_seconds=0.0,
+                               bucket_key=one_bucket)
         batcher.submit(make_request())
         batcher.close()
         assert len(batcher.next_batch(0.1)) == 1  # drains the queued request
@@ -77,7 +86,7 @@ class TestMicroBatcher:
             batcher.next_batch(0.1)
 
     def test_drain_returns_pending(self):
-        batcher = MicroBatcher()
+        batcher = MicroBatcher(bucket_key=one_bucket)
         request = make_request()
         batcher.submit(request)
         batcher.close()
@@ -85,9 +94,9 @@ class TestMicroBatcher:
 
     def test_rejects_bad_config(self):
         with pytest.raises(ValueError):
-            MicroBatcher(max_batch_size=0)
+            MicroBatcher(max_batch_size=0, bucket_key=one_bucket)
         with pytest.raises(ValueError):
-            MicroBatcher(max_wait_seconds=-1.0)
+            MicroBatcher(max_wait_seconds=-1.0, bucket_key=one_bucket)
 
     def test_budget_overrides_break_coalescing(self):
         a = make_request(budgets=(16, 16))
@@ -113,7 +122,7 @@ class TestClockStamps:
 
     def test_submit_stamps_enqueued_at_from_batcher_clock(self):
         clock = FakeClock(now=500.0)
-        batcher = MicroBatcher(clock=clock)
+        batcher = MicroBatcher(clock=clock, bucket_key=one_bucket)
         request = make_request()
         assert request.enqueued_at != 500.0  # default stamp, pre-submit
         batcher.submit(request)
@@ -122,7 +131,7 @@ class TestClockStamps:
     def test_dequeue_and_batch_form_stamps(self):
         clock = FakeClock(now=10.0)
         batcher = MicroBatcher(max_batch_size=2, max_wait_seconds=0.0,
-                               clock=clock)
+                               clock=clock, bucket_key=one_bucket)
         request = make_request()
         batcher.submit(request)
         clock.advance(3.0)
@@ -135,7 +144,7 @@ class TestClockStamps:
     def test_queue_wait_measurable_under_fake_clock(self):
         clock = FakeClock()
         batcher = MicroBatcher(max_batch_size=2, max_wait_seconds=0.05,
-                               clock=clock)
+                               clock=clock, bucket_key=one_bucket)
         early = make_request(user=1)
         batcher.submit(early)
         clock.advance(5.0)
@@ -147,7 +156,8 @@ class TestClockStamps:
         assert waits[2] == 0.0
 
     def test_every_batch_member_shares_batch_formed_at(self):
-        batcher = MicroBatcher(max_batch_size=4, max_wait_seconds=0.2)
+        batcher = MicroBatcher(max_batch_size=4, max_wait_seconds=0.2,
+                               bucket_key=one_bucket)
         for user in range(3):
             batcher.submit(make_request(user=user))
         batch = batcher.next_batch(0.1)
