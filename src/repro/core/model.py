@@ -94,9 +94,8 @@ class HIRE(nn.Module):
         """Batched forward over equally-sized contexts: (B, n, m) ratings.
 
         HIM's attention layers batch over leading axes, so stacking B
-        same-shape contexts runs the whole mini-batch in one graph — the
-        fast path :class:`~repro.core.trainer.HIRETrainer` uses when
-        ``TrainerConfig.batched_forward`` is on.
+        same-shape contexts runs the whole mini-batch in one graph, which is
+        how :class:`~repro.core.trainer.HIRETrainer` runs every step.
         """
         if not contexts:
             raise ValueError("forward_many needs at least one context")
@@ -111,22 +110,22 @@ class HIRE(nn.Module):
 
     def predict(self, context: PredictionContext,
                 row: int | None = None) -> np.ndarray:
-        """Inference-only forward returning a numpy matrix.
+        """Inference-only forward returning a numpy array.
 
-        Uses the graph-free inference engine when supported (bitwise
-        identical, allocation-free), else a ``no_grad`` Tensor forward.
-        With ``row`` it returns only that user row's ``(m,)`` scores, which
-        the engine computes through its target-row tail (bitwise equal to
-        the same row of the full matrix).  The caller's train/eval mode is
-        restored on return.
+        With ``row`` it returns that user row's ``(m,)`` scores, computed
+        by the graph-free inference engine's target-row program (bitwise
+        equal to the same row of the full matrix) when the engine supports
+        the model, else by a ``no_grad`` Tensor forward.  Without ``row`` it
+        returns the full ``(n, m)`` matrix R̂ from the ``no_grad`` Tensor
+        forward, which runs the engine's kernels.  The caller's train/eval
+        mode is restored on return.
         """
         was_training = self.training
         self.eval()
         try:
-            if nn.inference.engine_supported(self):
-                rows = None if row is None else (row,)
-                out = nn.inference.forward_inference(self, context, rows=rows)
-                return (out if row is None else out[0]).copy()
+            if row is not None and nn.inference.engine_supported(self):
+                return nn.inference.forward_inference(
+                    self, context, rows=(row,))[0].copy()
             with nn.no_grad():
                 out_data = self.forward(context).data
             return out_data if row is None else out_data[row].copy()

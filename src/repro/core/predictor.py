@@ -270,6 +270,3 @@ class HIREPredictor:
             "query items overlap support items"
         )
         return scores
-
-    def _ensure_targets(self, users, items, target_user, target_items):
-        return ensure_targets(users, items, target_user, target_items)

@@ -46,10 +46,6 @@ class TrainerConfig:
     # the model to exploit dense and sparse context ratings alike.  Equal
     # bounds (the default) reproduce the paper's fixed p.
     reveal_fraction_high: float | None = None
-    # Run the whole mini-batch through one stacked forward/backward graph
-    # (contexts share (n, m), so they batch cleanly).  Same gradients as
-    # the per-context loop up to floating-point summation order.
-    batched_forward: bool = True
     base_lr: float = 1e-3
     grad_clip: float = 1.0
     lookahead_alpha: float = 0.5
@@ -178,19 +174,14 @@ class HIRETrainer:
             with obs.span("sample"):
                 contexts = self._sample_step_batch(step)
             with obs.span("forward"):
-                if cfg.batched_forward:
-                    predicted = self.model.forward_many(contexts)  # (B, n, m)
-                    batch_loss = None
-                    for index, context in enumerate(contexts):
-                        loss = nn.functional.masked_mse_loss(
-                            predicted[index], context.ratings, context.query)
-                        batch_loss = loss if batch_loss is None else batch_loss + loss
-                else:
-                    batch_loss = None
-                    for context in contexts:
-                        loss = nn.functional.masked_mse_loss(
-                            self.model(context), context.ratings, context.query)
-                        batch_loss = loss if batch_loss is None else batch_loss + loss
+                # The contexts share (n, m), so the whole mini-batch runs
+                # through one stacked forward/backward graph.
+                predicted = self.model.forward_many(contexts)  # (B, n, m)
+                batch_loss = None
+                for index, context in enumerate(contexts):
+                    loss = nn.functional.masked_mse_loss(
+                        predicted[index], context.ratings, context.query)
+                    batch_loss = loss if batch_loss is None else batch_loss + loss
                 batch_loss = batch_loss * (1.0 / cfg.batch_size)
             value = batch_loss.item()
             if not np.isfinite(value):

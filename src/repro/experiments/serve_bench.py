@@ -10,7 +10,7 @@ workload replayed with per-request stage tracing + rolling windows + the
 JSONL trace sink + the background exporter all on, against everything off
 — recording the overhead (must stay within a few percent), a
 trace-derived per-stage latency breakdown (queue wait / batch form /
-assemble / pack / forward / respond), and a bit-identity check proving
+assemble / forward / respond), and a bit-identity check proving
 the plane is passive.
 
 An **adaptive** section measures the budget ladder under synthetic

@@ -601,45 +601,36 @@ def _split_heads_into(qkv: np.ndarray, num_heads: int, q: np.ndarray,
 def mha_qkv_rows_into(qkv: np.ndarray, num_heads: int, out: np.ndarray,
                       q: np.ndarray, k: np.ndarray, v: np.ndarray,
                       scores: np.ndarray, ctx: np.ndarray,
-                      rows: np.ndarray, probs: np.ndarray, red: np.ndarray,
-                      spans=None, row_spans=None) -> np.ndarray:
+                      rows: np.ndarray, probs: np.ndarray,
+                      spans, row_spans) -> np.ndarray:
     """:func:`mha_qkv_into` for selected query rows only.
 
     ``rows`` indexes the query rows of ``scores`` viewed as ``(-1, t)``
     (equivalently of ``ctx`` viewed as ``(-1, hd)``), one per batch row and
-    head, in ``(batch…, head)`` order.  Only those rows are softmaxed (in
-    the ``(len(rows), t)``-sized ``probs``, with ``red`` its ``(…, 1)``
-    reduction scratch) and head-merged into ``out``, a ``(len(rows), hd)``
-    buffer read as ``(len(rows) / H, d)``.  The ``q kᵀ`` and ``probs·v``
-    GEMMs keep their full shapes: a one-row GEMM takes numpy's vector path,
-    whose sums round differently, so full-size calls are what keep the
-    selected rows' bytes equal to :func:`mha_qkv_into`'s.  Rows not
-    selected are left un-normalised in ``scores`` and stale in ``ctx``.
+    head, in ``(batch…, head)`` order.  Only those rows are gathered into
+    the ``(len(rows), t)``-sized ``probs``, softmaxed and head-merged into
+    ``out``, a ``(len(rows), hd)`` buffer read as ``(len(rows) / H, d)``.
+    The ``q kᵀ`` and ``probs·v`` GEMMs keep their full shapes: a one-row
+    GEMM takes numpy's vector path, whose sums round differently, so
+    full-size calls are what keep the selected rows' bytes equal to
+    :func:`mha_qkv_into`'s.  Rows not selected are left un-normalised in
+    ``scores`` and stale in ``ctx``.
 
     ``spans`` slices the GEMMs per shape group as in :func:`mha_qkv_into`;
-    ``row_spans`` then holds the matching ``(probs_s, red_s)`` views, so
-    each target row is softmaxed over its own context's real tokens.
+    ``row_spans`` holds the matching ``(probs_s, red_s)`` views, so each
+    target row is softmaxed over its own context's real tokens.
     """
     t = qkv.shape[-2]
     _split_heads_into(qkv, num_heads, q, k, v)
-    if spans is None:
-        np.matmul(q, np.swapaxes(k, -1, -2), out=scores)
-    else:
-        for q_s, k_sw, _v, scores_s, _red, _ctx in spans:
-            np.matmul(q_s, k_sw, out=scores_s)
+    for q_s, k_sw, _v, scores_s, _red, _ctx in spans:
+        np.matmul(q_s, k_sw, out=scores_s)
     flat = scores.reshape(-1, t)
     np.take(flat, rows, axis=0, out=probs.reshape(-1, t), mode="clip")
-    if row_spans is None:
-        softmax_into(probs, red)
-    else:
-        for probs_s, red_s in row_spans:
-            softmax_into(probs_s, red_s)
+    for probs_s, red_s in row_spans:
+        softmax_into(probs_s, red_s)
     flat[rows] = probs.reshape(-1, t)
-    if spans is None:
-        np.matmul(scores, v, out=ctx)
-    else:
-        for _q, _k, v_s, scores_s, _red, ctx_s in spans:
-            np.matmul(scores_s, v_s, out=ctx_s)
+    for _q, _k, v_s, scores_s, _red, ctx_s in spans:
+        np.matmul(scores_s, v_s, out=ctx_s)
     np.take(ctx.reshape(-1, ctx.shape[-1]), rows, axis=0, out=out,
             mode="clip")
     return out

@@ -9,33 +9,32 @@ HIRE forward (encoder → K× [MBU, MBI, MBA] → decoder) into an
 :mod:`repro.nn.functional`) whose every intermediate is a view into a
 preallocated :class:`Workspace` arena.  After the first (warmup) call at a
 given (model, batch, n, m, dtype) key, repeated calls perform **zero** new
-ndarray allocations and are bitwise identical to the ``no_grad`` Tensor path,
-whose autograd nodes run the same kernels.
+ndarray allocations, and every score is bitwise identical to the same cell
+of the ``no_grad`` Tensor forward, whose autograd nodes run the same kernels.
+
+The engine runs one program.  A prediction reads one user row of each
+context's R̂ (Eq. 16), so every call names that row (``rows=``, one per
+context) and gets back the ``(B, m)`` target rows: the first K−1 blocks run
+over every cell, the last block only for the target rows (the *target-row
+tail*, see docs/nn_substrate.md, "Target-row plans").  Contexts are padded
+into one ``(B, n, m)`` plan: the FLOP-heavy linears, layer norms and the
+per-cell MBA attention run full-padded in one batched call, while the
+MBU/MBI attention cores and the decoder GEMM run per shape group on sliced
+views of the padded arenas, so the reduction lengths the floating-point
+sums see never change (docs/nn_substrate.md, "Padded packing").  A batch
+of equal shapes is the one-group composition of that program, and a single
+context is a batch of one.  The three entry points —
+:func:`forward_inference`, :func:`forward_inference_many` and
+:func:`forward_inference_packed` — each make one call into that program.
+The full ``(n, m)`` matrix is the Tensor forward's job (``HIRE.forward``),
+as are gradients and ``capture_attention`` (see :func:`engine_supported`).
 
 Plans are cached per thread in a small LRU keyed by
-``(id(model), lead_shape, n, m)`` and are invalidated by a module-wide
+``(id(model), batch, n, m)`` and are invalidated by a module-wide
 generation counter which :class:`repro.serve.ModelRegistry` bumps on every
-hot swap (``add`` / ``activate`` / ``unregister``).  The engine only covers
-the forward; gradient work and ``capture_attention`` take the Tensor path
-(see :func:`engine_supported`).
-
-Beyond exact-shape batching (:func:`forward_inference_many`), the engine
-packs *mixed-shape* contexts into one padded plan execution
-(:func:`forward_inference_packed`): contexts smaller than the plan's
-``(n, m)`` are padded with zero rows/columns, the FLOP-heavy linears, layer
-norms and the per-cell MBA attention run full-padded in one batched call,
-and the MBU/MBI attention cores plus the decoder GEMM run per shape-group
-on sliced views of the padded arenas — which keeps every real row's scores
-bitwise identical to an unpadded forward (the reduction lengths the
-floating-point sums see never change).  See docs/nn_substrate.md ("Padded
-packing").  An :class:`EmbeddingStore` additionally caches the encoder's
-per-entity attribute rows across requests, keyed to the plan generation.
-
-A prediction reads one user row of each context's output, so every entry
-point also takes ``rows=`` (one target row per context): the plan's
-target-row tail then runs the last HIM block for those rows only and
-returns ``(B, m)`` — bitwise equal to the same rows of the full output.
-See docs/nn_substrate.md ("Target-row plans").
+hot swap (``add`` / ``activate`` / ``unregister``).  An
+:class:`EmbeddingStore` additionally caches the encoder's per-entity
+attribute rows across requests, keyed to the plan generation.
 
 Observability: every run is wrapped in an ``infer/forward`` span with one
 child span per step kind (``encode``, ``mbu``, ``mbi``, ``mba``,
@@ -221,7 +220,7 @@ class EmbeddingStore:
 class _AttnStep:
     """One attention layer bound to its input/output views and scratch.
 
-    ``key`` names the layer's span views in a :class:`_PackProgram`.
+    ``key`` names the layer's span views in a :class:`_Program`.
     """
 
     __slots__ = ("attention", "norm", "key", "x", "out_arr", "residual",
@@ -236,9 +235,8 @@ class _RowAttnStep:
     ``probs·v``); the rest are the ``R = batch·m`` target-row buffers.
     """
 
-    __slots__ = ("full", "residual", "score_rows", "probs", "red",
-                 "attn_rows", "merged", "proj", "proj_rows", "h_rows",
-                 "row_index", "out")
+    __slots__ = ("full", "residual", "score_rows", "probs", "attn_rows",
+                 "merged", "proj", "proj_rows", "h_rows", "row_index", "out")
 
 
 class _MbaStep:
@@ -254,11 +252,10 @@ class _EncodeSlot:
                  "idx_n", "idx_m", "rflt", "ilev", "emb", "pad")
 
 
-class _PackProgram:
-    """Precompiled views for one packed composition of context shapes."""
+class _Program:
+    """Precompiled views for one composition of context shapes."""
 
-    __slots__ = ("slots", "attn_spans", "dec_spans", "row_softmax",
-                 "row_dec_spans")
+    __slots__ = ("slots", "attn_spans", "row_softmax", "dec_spans")
 
 
 class InferencePlan:
@@ -272,16 +269,14 @@ class InferencePlan:
     rebuild.  The returned output is workspace-backed: it is valid until the
     next engine call on the same thread — copy it to retain it.
 
-    Every plan also carries a *target-row tail*: run with ``rows`` (one
-    user row per context), the first K−1 blocks execute as usual but the
-    last block computes only the rows a prediction reads — see
+    :meth:`run` computes one user row per context: the first K−1 blocks
+    execute over every cell, the last only for the target rows — see
     :meth:`_row_tail` and docs/nn_substrate.md ("Target-row plans").
     """
 
-    def __init__(self, model, lead: tuple[int, ...], n: int, m: int,
-                 ratings_dtype):
+    def __init__(self, model, batch: int, n: int, m: int, ratings_dtype):
         self.model = model
-        self.lead = tuple(lead)
+        self.batch = int(batch)
         self.n = int(n)
         self.m = int(m)
         self.ratings_dtype = np.dtype(ratings_dtype)
@@ -299,12 +294,12 @@ class InferencePlan:
         self.workspace = Workspace(self.dtype)
         self._reserve_buffers()
         self._bind_views()
-        self._steps, self._row_steps = self._build_steps()
+        self._steps = self._build_steps()
         # alpha pre-cast once so the sigmoid rescale allocates nothing per call.
         self._alpha = np.asarray(model.alpha, dtype=self.dtype)
-        # Packed-execution programs, keyed by the composition of real
-        # context shapes (one entry per distinct mix of (n_i, m_i) tuples).
-        self._pack_programs: dict[tuple, _PackProgram] = {}
+        # Programs keyed by the composition of real context shapes (one
+        # entry per distinct mix of (n_i, m_i) tuples).
+        self._programs: dict[tuple, _Program] = {}
 
     # ------------------------------------------------------------------ #
     # Layout
@@ -312,27 +307,27 @@ class InferencePlan:
     def _attn_shapes(self, kind: str, n: int | None = None):
         """(batch_shape, tokens, width, heads) for one interaction kind,
         over ``n`` user rows (the plan's ``n`` unless given)."""
-        lead, m = self.lead, self.m
+        batch, m = self.batch, self.m
         n = self.n if n is None else n
         if kind == "user":
             layer = self.model.blocks[0].user_attention
-            return (*lead, m), n, self.e, layer.num_heads
+            return (batch, m), n, self.e, layer.num_heads
         if kind == "item":
             layer = self.model.blocks[0].item_attention
-            return (*lead, n), m, self.e, layer.num_heads
+            return (batch, n), m, self.e, layer.num_heads
         layer = self.model.blocks[0].attr_attention
-        return (*lead, n, m), self.num_attrs, self.f, layer.num_heads
+        return (batch, n, m), self.num_attrs, self.f, layer.num_heads
 
     def _reserve_buffers(self) -> None:
         ws = self.workspace
-        lead, n, m, e, f = self.lead, self.n, self.m, self.e, self.f
-        cells = prod(lead) * n * m if lead else n * m
+        batch, n, m, e, f = self.batch, self.n, self.m, self.e, self.f
+        cells = batch * n * m
         ws.reserve("h", cells * e)
         block = self.model.blocks[0]
         if getattr(block, "use_user", False):
             ws.reserve("h_user", cells * e)
-        ws.reserve("logits", cells)
-        ws.reserve("out", cells)
+        ws.reserve("logits", batch * m)
+        ws.reserve("out", batch * m)
         # Encoder scratch.
         ws.reserve("xu", n * self.hu_f)
         ws.reserve("xi", m * self.hi_f)
@@ -351,12 +346,12 @@ class InferencePlan:
         wide_count = x_count
         for kind in self._enabled_kinds():
             bshape, t, d, heads = self._attn_shapes(kind)
-            batch = prod(bshape) if bshape else 1
+            count = prod(bshape)
             if kind == "attr":
-                batch = F.TokenMajorScratch.lanes(batch)
-                wide_count = batch * e
-            scores_count = max(scores_count, batch * heads * t * t)
-            red_count = max(red_count, batch * heads * t, batch * t)
+                count = F.TokenMajorScratch.lanes(count)
+                wide_count = count * e
+            scores_count = max(scores_count, count * heads * t * t)
+            red_count = max(red_count, count * heads * t, count * t)
         for name in ("k", "v"):
             ws.reserve(name, x_count)
         for name in ("normed", "attn", "q", "ctx"):
@@ -368,13 +363,12 @@ class InferencePlan:
         # the arenas above (n >= 2 whenever the tail exists); the tail's
         # activation lives in ``h_user``, which the tail never uses as MBU
         # output, or in its own small arena when MBU is ablated.
-        rows = prod(lead) * m
-        ws.reserve("rows", 3 * prod(lead), dtype=np.int64)
+        ws.reserve("rows", 3 * batch, dtype=np.int64)
         if getattr(block, "use_user", False):
             heads = self._attn_shapes("user")[3]
-            ws.reserve("score_rows", 2 * rows * heads, dtype=np.int64)
-        else:
-            ws.reserve("h_row", rows * e)
+            ws.reserve("score_rows", 2 * batch * m * heads, dtype=np.int64)
+        elif n > 1:
+            ws.reserve("h_row", batch * m * e)
 
     def _enabled_kinds(self):
         block = self.model.blocks[0]
@@ -389,35 +383,27 @@ class InferencePlan:
 
     def _bind_views(self) -> None:
         ws = self.workspace
-        lead, n, m, e = self.lead, self.n, self.m, self.e
-        contexts = prod(lead)
-        self.h = ws.view("h", (*lead, n, m, e))
-        self.h_user = (ws.view("h_user", (*lead, m, n, e))
+        batch, n, m, e = self.batch, self.n, self.m, self.e
+        self.h = ws.view("h", (batch, n, m, e))
+        self.h_user = (ws.view("h_user", (batch, m, n, e))
                        if "h_user" in ws._arenas else None)
-        self.logits = ws.view("logits", (*lead, n, m, 1))
-        self._logits_nm = self.logits.reshape(*lead, n, m)
-        self.out = ws.view("out", (*lead, n, m))
-        # The tail mirrors the full layout with one user row per context.
-        self.h_row = ws.view("h_user" if self.h_user is not None
-                             else "h_row", (*lead, 1, m, e))
-        self._row_logits = ws.view("logits", (*lead, 1, m, 1))
-        self._row_logits_nm = self._row_logits.reshape(contexts, m)
-        self.row_out = ws.view("out", (contexts, m))
+        # The tail mirrors the full layout with one user row per context;
+        # at n == 1 the full steps already compute the target row.
+        self.h_row = self.h if n == 1 else ws.view(
+            "h_user" if self.h_user is not None else "h_row", (batch, 1, m, e))
+        self.logits = ws.view("logits", (batch, 1, m, 1))
+        self._logits_nm = self.logits.reshape(batch, m)
+        self.out = ws.view("out", (batch, m))
         self._rows, self._row_base, self._row_index = ws.view(
-            "rows", (3, contexts))
-        np.multiply(np.arange(contexts), n, out=self._row_base)
+            "rows", (3, batch))
+        np.multiply(np.arange(batch), n, out=self._row_base)
         self._score_base = self._score_index = None
         if "score_rows" in ws._arenas:
             heads = self._attn_shapes("user")[3]
             self._score_base, self._score_index = ws.view(
-                "score_rows", (2, contexts, m * heads))
-            np.multiply(np.arange(contexts * m * heads).reshape(
-                contexts, m * heads), n, out=self._score_base)
-        # One full-shape encode slot per context slab; the encoder scratch
-        # arenas are shared across slots (encodes run sequentially).
-        slabs = self.h.reshape(-1, n, m, e)
-        self._encode_slots = [self._make_encode_slot(slabs[b], n, m)
-                              for b in range(slabs.shape[0])]
+                "score_rows", (2, batch, m * heads))
+            np.multiply(np.arange(batch * m * heads).reshape(
+                batch, m * heads), n, out=self._score_base)
 
     def _make_encode_slot(self, cell: np.ndarray, n: int, m: int) -> _EncodeSlot:
         """Encoder views for one ``(n_full, m_full, e)`` slab of ``h``,
@@ -480,29 +466,27 @@ class InferencePlan:
     def _bind_row_attention(self, block) -> _RowAttnStep:
         """The last block's MBU bound for target rows (see :meth:`_row_tail`)."""
         ws = self.workspace
-        n, m, e = self.n, self.m, self.e
+        batch, n, m, e = self.batch, self.n, self.m, self.e
         norm = block.user_norm if block.use_layer_norm else None
         full = self._bind_attention(block.user_attention, norm, "user",
                                     self.h.swapaxes(-3, -2), None,
                                     block.use_residual)
         heads = full.num_heads
-        contexts = prod(self.lead)
-        rows = contexts * m
+        rows = batch * m
         step = _RowAttnStep()
         step.full = full
         step.residual = block.use_residual
         step.score_rows = self._score_index.reshape(-1)
-        step.probs = ws.view("normed", (contexts, m, heads, n))
-        step.red = ws.view("red", (contexts, m, heads, 1))
+        step.probs = ws.view("normed", (batch, m, heads, n))
         # The projection operand is 2-D with at least two rows: a one-row
         # GEMM would take numpy's vector path and round differently.
         step.attn_rows = ws.view("attn", (max(rows, 2), e))
         step.merged = step.attn_rows[:rows].reshape(rows * heads, e // heads)
         step.proj = ws.view("normed", (max(rows, 2), e))
-        step.proj_rows = step.proj[:rows].reshape(contexts, m, e)
+        step.proj_rows = step.proj[:rows].reshape(batch, m, e)
         step.h_rows = self.h.reshape(-1, m, e)
         step.row_index = self._row_index
-        step.out = self.h_row.reshape(contexts, m, e)
+        step.out = self.h_row.reshape(batch, m, e)
         return step
 
     def _bind_mba(self, n: int) -> F.TokenMajorScratch:
@@ -522,7 +506,7 @@ class InferencePlan:
             ctx=ws.view("ctx", x_shape), y=ws.view("q", x_shape))
 
     @staticmethod
-    def _exec_mba(step: _MbaStep, pack=None) -> None:
+    def _exec_mba(step: _MbaStep, program) -> None:
         at, norm = step.attention, step.norm
         bias = at.w_output.bias
         F.attribute_attention_into(
@@ -547,12 +531,12 @@ class InferencePlan:
         F.linear_into(src, step.attention.w_qkv.data, step.qkv)
 
     @staticmethod
-    def _exec_attn(step: _AttnStep, pack=None) -> None:
+    def _exec_attn(step: _AttnStep, program) -> None:
         at = step.attention
         InferencePlan._project_qkv(step)
         F.mha_qkv_into(step.qkv, step.num_heads, step.attn_out, step.q,
                        step.k, step.v, step.scores, step.red, step.ctx,
-                       spans=None if pack is None else pack.attn_spans[step.key])
+                       spans=program.attn_spans[step.key])
         bias = at.w_output.bias
         F.linear_into(step.attn_out, at.w_output.weight.data, step.normed,
                       bias=None if bias is None else bias.data)
@@ -562,15 +546,14 @@ class InferencePlan:
             np.copyto(step.out_arr, step.normed)
 
     @staticmethod
-    def _exec_row_attn(step: _RowAttnStep, pack=None) -> None:
+    def _exec_row_attn(step: _RowAttnStep, program) -> None:
         full = step.full
         at = full.attention
         InferencePlan._project_qkv(full)
         F.mha_qkv_rows_into(
             full.qkv, full.num_heads, step.merged, full.q, full.k, full.v,
-            full.scores, full.ctx, step.score_rows, step.probs, step.red,
-            spans=None if pack is None else pack.attn_spans["user"],
-            row_spans=None if pack is None else pack.row_softmax)
+            full.scores, full.ctx, step.score_rows, step.probs,
+            program.attn_spans["user"], program.row_softmax)
         bias = at.w_output.bias
         F.linear_into(step.attn_rows, at.w_output.weight.data, step.proj,
                       bias=None if bias is None else bias.data)
@@ -582,37 +565,37 @@ class InferencePlan:
             np.copyto(step.out, step.proj_rows)
 
     @staticmethod
-    def _exec_copy(step, pack=None) -> None:
+    def _exec_copy(step, program) -> None:
         np.copyto(*step)
 
     @staticmethod
-    def _exec_gather(step, pack=None) -> None:
+    def _exec_gather(step, program) -> None:
         src, index, out = step
         np.take(src, index, axis=0, out=out, mode="clip")
 
     def _build_steps(self):
         """Flatten the K HIM blocks into ``(span name, runner, step)``
-        triples: the full-output steps, and the target-row steps (the first
-        K−1 blocks' steps, then :meth:`_row_tail`).  The latter is ``None``
-        when ``n == 1``, where the only row is the target.
+        triples: every block's full steps, except that the last block runs
+        as :meth:`_row_tail` when ``n > 1`` (at ``n == 1`` the only row is
+        the target, and ``h_row`` aliases ``h``).
 
-        The activation ping-pongs between ``h`` (row-major ``(…, n, m, e)``)
-        and ``h_user`` (``(…, m, n, e)``): MBU reads a transposed view of
+        The activation ping-pongs between ``h`` (row-major ``(B, n, m, e)``)
+        and ``h_user`` (``(B, m, n, e)``): MBU reads a transposed view of
         ``h`` and lands in ``h_user``; MBI reads the transposed view back and
         lands in ``h``; MBA runs in place on ``h``.  Ablated blocks insert an
         explicit copy so MBA always sees contiguous ``h`` (mirroring the
         reshape-copy the Tensor path performs on a non-contiguous input).
         """
-        lead, n, m = self.lead, self.n, self.m
+        batch, n, m = self.batch, self.n, self.m
         steps = []
         mba_scratch = (self._bind_mba(n) if "attr" in self._enabled_kinds()
                        else None)
-        last_start = 0
-        for block in self.model.blocks:
-            last_start = len(steps)
+        blocks = list(self.model.blocks)
+        tail = blocks.pop() if n > 1 else None
+        for block in blocks:
             in_h = True  # activation currently lives in self.h
             if block.use_user:
-                x = self.h.swapaxes(-3, -2)          # (…, m, n, e) view
+                x = self.h.swapaxes(-3, -2)          # (B, m, n, e) view
                 norm = block.user_norm if block.use_layer_norm else None
                 steps.append(("mbu", self._exec_attn, self._bind_attention(
                     block.user_attention, norm, "user", x, self.h_user,
@@ -634,29 +617,28 @@ class InferencePlan:
                 mba.attention = block.attr_attention
                 mba.norm = block.attr_norm if block.use_layer_norm else None
                 mba.residual = block.use_residual
-                mba.x = self.h.reshape(*lead, n, m, self.num_attrs, self.f)
+                mba.x = self.h.reshape(batch, n, m, self.num_attrs, self.f)
                 mba.scratch = mba_scratch
                 steps.append(("mba", self._exec_mba, mba))
             if not in_h:
                 steps.append(("mbu", self._exec_copy,
                               (self.h, self.h_user.swapaxes(-3, -2))))
-        if n == 1:
-            return steps, None
-        return steps, (steps[:last_start]
-                       + self._row_tail(self.model.blocks[-1]))
+        if tail is not None:
+            steps += self._row_tail(tail)
+        return steps
 
     def _row_tail(self, block):
         """The last block computed for one target row per context.
 
         A prediction reads only row ``rows[b]`` of context ``b``'s output.
         MBI, MBA and the decoder act within a user row, so they run on the
-        ``(…, 1, m, e)`` target rows of ``h_row`` with the same per-row
-        call shapes as the full plan.  MBU mixes rows, so its layer norm,
+        ``(B, 1, m, e)`` target rows of ``h_row`` with the same per-row
+        call shapes as the full steps.  MBU mixes rows, so its layer norm,
         QKV projection and ``q kᵀ`` / ``probs·v`` GEMMs stay full-size;
         only the softmax, head merge, output projection and residual run
         on the target rows (:func:`repro.nn.functional.mha_qkv_rows_into`).
         """
-        lead, m = self.lead, self.m
+        batch, m = self.batch, self.m
         h_row = self.h_row
         steps = []
         if block.use_user:
@@ -677,7 +659,7 @@ class InferencePlan:
             mba.attention = block.attr_attention
             mba.norm = block.attr_norm if block.use_layer_norm else None
             mba.residual = block.use_residual
-            mba.x = h_row.reshape(*lead, 1, m, self.num_attrs, self.f)
+            mba.x = h_row.reshape(batch, 1, m, self.num_attrs, self.f)
             mba.scratch = self._bind_mba(1)
             steps.append(("mba", self._exec_mba, mba))
         return steps
@@ -734,11 +716,6 @@ class InferencePlan:
         for strip in slot.pad:
             strip.fill(0.0)
 
-    def _encode_all(self, slots, contexts, store) -> None:
-        with _spans.span("encode"):
-            for slot, context in zip(slots, contexts):
-                self._encode_into(context, slot, store)
-
     def _set_rows(self, rows, contexts) -> None:
         """Check one target row per context and fill the tail's indices."""
         if len(rows) != len(contexts):
@@ -754,96 +731,56 @@ class InferencePlan:
             np.add(self._score_base, self._rows[:, None],
                    out=self._score_index)
 
-    def _execute(self, pack: _PackProgram | None = None,
-                 rows: bool = False) -> np.ndarray:
-        tail = rows and self._row_steps is not None
-        for name, run, step in (self._row_steps if tail else self._steps):
-            with _spans.span(name):
-                run(step, pack)
-        with _spans.span("decode"):
-            if tail:
-                self._decode(self.h_row, self._row_logits,
-                             self._row_logits_nm, self.row_out,
-                             None if pack is None else pack.row_dec_spans)
-            else:
-                self._decode(self.h, self.logits, self._logits_nm, self.out,
-                             None if pack is None else pack.dec_spans)
-        return self.row_out if rows else self.out
-
-    def _decode(self, h, logits, logits_nm, out, dec_spans) -> None:
-        dec = self.model.decoder
-        if dec_spans is None:
-            F.linear_into(h, dec.weight.data, logits,
-                          bias=None if dec.bias is None else dec.bias.data)
-        else:
-            # The decoder GEMM has N=1, whose OpenBLAS kernel is not
-            # M-padding-stable — run it per shape group on sliced views
-            # (each batch slice is a contiguous (m_i, e) block), then add
-            # the bias over the full buffer exactly like linear_into.
-            for h_s, out_s in dec_spans:
-                np.matmul(h_s, dec.weight.data, out=out_s)
-            if dec.bias is not None:
-                logits += dec.bias.data
-        F.sigmoid_rescale_into(logits_nm, self._alpha, out)
-
-    def run(self, context, store: EmbeddingStore | None = None,
-            rows=None) -> np.ndarray:
-        """Single-context forward: returns the workspace-backed ``(n, m)``,
-        or with ``rows=(r,)`` the ``(1, m)`` target row ``r``."""
-        if self.lead:
-            raise ValueError("batched plan cannot run a single context")
-        if rows is not None:
-            self._set_rows(rows, (context,))
-        self._encode_all(self._encode_slots, (context,), store)
-        return self._execute(rows=rows is not None)
-
-    def run_many(self, contexts, store: EmbeddingStore | None = None,
-                 rows=None) -> np.ndarray:
-        """Batched forward: returns the workspace-backed ``(B, n, m)``, or
-        with ``rows`` (one per context) the ``(B, m)`` target rows."""
-        if self.lead != (len(contexts),):
-            raise ValueError(
-                f"plan built for batch {self.lead}, got {len(contexts)}")
-        if rows is not None:
-            self._set_rows(rows, contexts)
-        self._encode_all(self._encode_slots, contexts, store)
-        return self._execute(rows=rows is not None)
-
-    # ------------------------------------------------------------------ #
-    # Padded packing
-    # ------------------------------------------------------------------ #
-    def run_packed(self, contexts, store: EmbeddingStore | None = None,
-                   rows=None) -> np.ndarray:
-        """Padded mixed-shape forward: returns workspace-backed ``(B, n, m)``,
-        or with ``rows`` the ``(B, m)`` target rows.
+    def run(self, contexts, rows, store: EmbeddingStore | None = None
+            ) -> np.ndarray:
+        """Forward ``contexts`` and return the workspace-backed ``(B, m)``
+        target rows, ``rows[b]`` of context ``b``.
 
         ``contexts`` may be smaller than the plan's ``(n, m)``; each is
         zero-padded into its slab.  Contexts must arrive grouped so equal
         shapes are contiguous (sort descending by ``(n, m)`` — see
-        :func:`forward_inference_packed`).  Real rows/columns of each slab
-        are bitwise identical to an unpadded forward of that context:
+        :func:`forward_inference_packed`).  Each target row is bitwise
+        identical to that row of an unpadded one-context forward:
         elementwise ops, layer norms, the (M≥8, N≥8) linears and the
         per-cell MBA attention are padding-stable full-batched, while the
         MBU/MBI attention cores and the N=1 decoder GEMM execute per shape
         group on sliced views whose reduction lengths equal the real ones.
-        Padded regions of the output are stale garbage — never read them.
+        Columns past a context's ``m`` are stale garbage — never read them.
         """
-        if self.lead != (len(contexts),):
+        if len(contexts) != self.batch:
             raise ValueError(
-                f"plan built for batch {self.lead}, got {len(contexts)}")
+                f"plan built for batch {self.batch}, got {len(contexts)}")
         shapes = tuple((context.n, context.m) for context in contexts)
-        program = self._pack_programs.get(shapes)
+        program = self._programs.get(shapes)
         if program is None:
-            program = self._compile_pack(shapes)
-            if len(self._pack_programs) >= _MAX_PACK_PROGRAMS:
-                self._pack_programs.clear()
-            self._pack_programs[shapes] = program
-        if rows is not None:
-            self._set_rows(rows, contexts)
-        self._encode_all(program.slots, contexts, store)
-        return self._execute(program, rows=rows is not None)
+            program = self._compile(shapes)
+            if len(self._programs) >= _MAX_PROGRAMS:
+                self._programs.clear()
+            self._programs[shapes] = program
+        self._set_rows(rows, contexts)
+        with _spans.span("encode"):
+            for slot, context in zip(program.slots, contexts):
+                self._encode_into(context, slot, store)
+        for name, execute, step in self._steps:
+            with _spans.span(name):
+                execute(step, program)
+        with _spans.span("decode"):
+            self._decode(program.dec_spans)
+        return self.out
 
-    def _compile_pack(self, shapes) -> _PackProgram:
+    def _decode(self, dec_spans) -> None:
+        dec = self.model.decoder
+        # The decoder GEMM has N=1, whose OpenBLAS kernel is not
+        # M-padding-stable — run it per shape group on sliced views (each
+        # batch slice is a contiguous (m_i, e) block), then add the bias
+        # over the full buffer exactly like linear_into.
+        for h_s, out_s in dec_spans:
+            np.matmul(h_s, dec.weight.data, out=out_s)
+        if dec.bias is not None:
+            self.logits += dec.bias.data
+        F.sigmoid_rescale_into(self._logits_nm, self._alpha, self.out)
+
+    def _compile(self, shapes) -> _Program:
         """Bind the sliced views for one composition of context shapes."""
         n, m = self.n, self.m
         groups = []  # (b0, b1, n_i, m_i) contiguous same-shape runs
@@ -857,20 +794,17 @@ class InferencePlan:
             else:
                 if (n_i, m_i) in seen:
                     raise ValueError(
-                        "packed contexts must be grouped by shape "
-                        "(sort before calling run_packed)")
+                        "contexts must be grouped by shape "
+                        "(sort before calling run)")
                 seen.add((n_i, m_i))
                 groups.append((b, b + 1, n_i, m_i))
         slabs = self.h.reshape(-1, n, m, self.e)
-        program = _PackProgram()
+        program = _Program()
         program.slots = [self._make_encode_slot(slabs[b], n_i, m_i)
                          for b, (n_i, m_i) in enumerate(shapes)]
         kinds = self._enabled_kinds()
         program.attn_spans = {kind: self._span_views(kind, groups)
                               for kind in kinds if kind != "attr"}
-        program.dec_spans = [(self.h[b0:b1, :n_i, :m_i, :],
-                              self.logits[b0:b1, :n_i, :m_i, :])
-                             for b0, b1, n_i, m_i in groups]
         # The tail: one (real) user row per context.
         row_groups = [(b0, b1, 1, m_i) for b0, b1, _, m_i in groups]
         if "item" in kinds:
@@ -885,9 +819,9 @@ class InferencePlan:
             program.row_softmax = [(probs[b0:b1, :m_i, :, :n_i],
                                     red[b0:b1, :m_i])
                                    for b0, b1, n_i, m_i in groups]
-        program.row_dec_spans = [(self.h_row[b0:b1, :, :m_i, :],
-                                  self._row_logits[b0:b1, :, :m_i, :])
-                                 for b0, b1, _, m_i in groups]
+        program.dec_spans = [(self.h_row[b0:b1, :, :m_i, :],
+                              self.logits[b0:b1, :, :m_i, :])
+                             for b0, b1, _, m_i in groups]
         return program
 
     def _span_views(self, kind: str, groups, n: int | None = None):
@@ -917,9 +851,10 @@ class InferencePlan:
             ))
         return spans
 
-    def matches(self, model, lead, n: int, m: int, ratings_dtype) -> bool:
+    def matches(self, model, batch: int, n: int, m: int,
+                ratings_dtype) -> bool:
         return (self.model is model
-                and self.lead == tuple(lead)
+                and self.batch == batch
                 and self.n == n and self.m == m
                 and self.ratings_dtype == np.dtype(ratings_dtype)
                 and self.dtype == model.decoder.weight.data.dtype)
@@ -932,9 +867,9 @@ _GEN_LOCK = threading.Lock()
 _GENERATION = 0
 # Mixed-shape traffic keys plans by *bucketed* shapes (the serve tier rounds
 # (n, m) up to pack buckets), so the key space stays small; 16 entries give
-# several lead sizes × several buckets headroom without hoarding workspaces.
+# several batch sizes × several buckets headroom without hoarding workspaces.
 _MAX_PLANS = 16
-_MAX_PACK_PROGRAMS = 32
+_MAX_PROGRAMS = 32
 
 
 def generation() -> int:
@@ -1016,8 +951,8 @@ def cache_stats() -> dict:
     }
 
 
-def get_plan(model, lead, n: int, m: int, ratings_dtype) -> InferencePlan:
-    """Fetch or build the plan for (model, lead, n, m); LRU-cached per thread."""
+def get_plan(model, batch: int, n: int, m: int, ratings_dtype) -> InferencePlan:
+    """Fetch or build the plan for (model, batch, n, m); LRU-cached per thread."""
     state = _CACHE.state
     gen = generation()
     if state.generation != gen:
@@ -1026,16 +961,16 @@ def get_plan(model, lead, n: int, m: int, ratings_dtype) -> InferencePlan:
         state.generation = gen
         if stale:
             _plans_changed(state)
-    key = (id(model), tuple(lead), n, m)
+    key = (id(model), batch, n, m)
     registry = _metrics.get_registry()
     plan = state.plans.get(key)
-    if plan is not None and plan.matches(model, lead, n, m, ratings_dtype):
+    if plan is not None and plan.matches(model, batch, n, m, ratings_dtype):
         state.plans.move_to_end(key)
         registry.counter("infer.plan_cache.hit").inc()
         return plan
     registry.counter("infer.plan_cache.miss").inc()
     with _spans.span("infer/plan_build"):
-        plan = InferencePlan(model, lead, n, m, ratings_dtype)
+        plan = InferencePlan(model, batch, n, m, ratings_dtype)
     state.plans[key] = plan
     state.plans.move_to_end(key)
     while len(state.plans) > _MAX_PLANS:
@@ -1067,79 +1002,79 @@ def engine_supported(model) -> bool:
     return True
 
 
-def forward_inference(model, context,
-                      embed_store: EmbeddingStore | None = None,
-                      rows=None) -> np.ndarray:
-    """Run one context through the compiled plan; ``(n, m)`` ratings.
-
-    With ``rows=(r,)`` only user row ``r`` is computed through the last
-    block (the target-row tail) and the result is ``(1, m)``, bitwise equal
-    to row ``r`` of the full output.  The result is a view into the plan's
-    workspace — valid until the next engine call on this thread.  Copy it
-    to retain it.  ``embed_store`` optionally reuses warm per-entity
-    attribute rows (bitwise identical).
-    """
-    plan = get_plan(model, (), context.n, context.m, context.ratings.dtype)
+def _run(model, contexts, n: int, m: int, rows, embed_store) -> np.ndarray:
+    """The engine's one program: ``contexts`` (grouped by shape) padded
+    into the cached ``(B, n, m)`` plan; returns its ``(B, m)`` target rows."""
+    ratings_dtype = contexts[0].ratings.dtype
+    for context in contexts:
+        if context.ratings.dtype != ratings_dtype:
+            raise ValueError("contexts must share a ratings dtype")
+    plan = get_plan(model, len(contexts), n, m, ratings_dtype)
     with _spans.span("infer/forward"):
-        return plan.run(context, embed_store, rows)
+        return plan.run(contexts, rows, embed_store)
+
+
+def forward_inference(model, context,
+                      embed_store: EmbeddingStore | None = None, *,
+                      rows) -> np.ndarray:
+    """Run one context as a batch of one; ``(1, m)`` target-row ratings.
+
+    ``rows=(r,)`` names the user row a prediction reads: only that row is
+    computed through the last block (the target-row tail), bitwise equal
+    to row ``r`` of the Tensor forward's ``(n, m)`` matrix.  The result is
+    a view into the plan's workspace — valid until the next engine call on
+    this thread.  Copy it to retain it.  ``embed_store`` optionally reuses
+    warm per-entity attribute rows (bitwise identical).
+    """
+    return _run(model, (context,), context.n, context.m, rows, embed_store)
 
 
 def forward_inference_many(model, contexts,
-                           embed_store: EmbeddingStore | None = None,
-                           rows=None) -> np.ndarray:
-    """Batched engine forward over same-shape contexts; ``(B, n, m)``.
+                           embed_store: EmbeddingStore | None = None, *,
+                           rows) -> np.ndarray:
+    """Batched engine forward over same-shape contexts; ``(B, m)`` ratings.
 
-    Bit-identical per slice to :func:`forward_inference` on each context,
-    matching the ``forward_many`` contract of the Tensor path.  With
-    ``rows`` (one user row per context) the result is the ``(B, m)`` target
-    rows.  The result is workspace-backed (see :func:`forward_inference`).
+    ``rows[b]`` is the target user row of ``contexts[b]``, and row ``b`` of
+    the result is bitwise equal to that row of the context's one-context
+    Tensor forward.  Mixed shapes raise ``ValueError`` (pad them with
+    :func:`forward_inference_packed`).  The result is workspace-backed (see
+    :func:`forward_inference`).
     """
     if not contexts:
         raise ValueError("forward_inference_many needs at least one context")
-    first = contexts[0]
-    plan = get_plan(model, (len(contexts),), first.n, first.m,
-                    first.ratings.dtype)
-    with _spans.span("infer/forward"):
-        return plan.run_many(contexts, embed_store, rows)
+    n, m = contexts[0].n, contexts[0].m
+    if any(context.n != n or context.m != m for context in contexts):
+        raise ValueError("forward_inference_many requires equally-sized "
+                         "contexts (use forward_inference_packed)")
+    return _run(model, contexts, n, m, rows, embed_store)
 
 
 def forward_inference_packed(model, contexts, n: int, m: int,
-                             embed_store: EmbeddingStore | None = None,
-                             rows=None):
+                             embed_store: EmbeddingStore | None = None, *,
+                             rows):
     """Padded mixed-shape engine forward through one ``(B, n, m)`` plan.
 
     Pads every context into an ``(n, m)`` slab of a single stacked plan and
     executes once, with the attention cores and decoder sliced per shape
-    group so each real row's scores stay bitwise identical to an unpadded
-    :func:`forward_inference` of the same context (see
-    :meth:`InferencePlan.run_packed`; float32 shares the same guarantee on
-    the kernels this engine generates).
+    group so each target row stays bitwise identical to an unpadded forward
+    of the same context (see :meth:`InferencePlan.run`; float32 shares the
+    same guarantee on the kernels this engine generates).
 
     Returns ``(outputs, slots)``: ``outputs`` is the workspace-backed
-    ``(B, n, m)`` padded result and ``slots[i]`` the row holding
-    ``contexts[i]`` (contexts are re-ordered internally so equal shapes sit
-    in contiguous runs).  Only the leading ``(contexts[i].n, contexts[i].m)``
-    region of a slab is meaningful.  With ``rows`` (``rows[i]`` the target
-    user row of ``contexts[i]``) ``outputs`` is the ``(B, m)`` target rows,
-    of which ``outputs[slots[i]][:contexts[i].m]`` is meaningful.
+    ``(B, m)`` target rows and ``slots[i]`` the row holding ``contexts[i]``
+    (contexts are re-ordered internally so equal shapes sit in contiguous
+    runs).  ``rows[i]`` is the target user row of ``contexts[i]``, and only
+    ``outputs[slots[i]][:contexts[i].m]`` is meaningful.
     """
     if not contexts:
         raise ValueError("forward_inference_packed needs at least one context")
-    ratings_dtype = contexts[0].ratings.dtype
-    for context in contexts:
-        if context.ratings.dtype != ratings_dtype:
-            raise ValueError("packed contexts must share a ratings dtype")
+    if len(rows) != len(contexts):
+        raise ValueError(f"got {len(rows)} target rows for "
+                         f"{len(contexts)} contexts")
     order = sorted(range(len(contexts)),
                    key=lambda i: (-contexts[i].n, -contexts[i].m))
-    ordered = [contexts[i] for i in order]
-    if rows is not None:
-        if len(rows) != len(contexts):
-            raise ValueError(f"got {len(rows)} target rows for "
-                             f"{len(contexts)} contexts")
-        rows = [rows[i] for i in order]
-    plan = get_plan(model, (len(contexts),), n, m, ratings_dtype)
-    with _spans.span("infer/forward"):
-        outputs = plan.run_packed(ordered, embed_store, rows)
+    outputs = _run(model, [contexts[i] for i in order], n, m,
+                   [rows[i] for i in order], embed_store)
     slots = [0] * len(contexts)
     for row, index in enumerate(order):
         slots[index] = row

@@ -126,12 +126,6 @@ def is_grad_enabled() -> bool:
     return _GRAD_STATE.enabled
 
 
-def _as_array(value) -> np.ndarray:
-    if isinstance(value, Tensor):
-        raise TypeError("expected raw data, got Tensor")
-    return np.asarray(value, dtype=_DEFAULT_DTYPE)
-
-
 _BASIC_INDEX_TYPES = (int, np.integer, slice, type(None), type(Ellipsis))
 
 

@@ -21,7 +21,7 @@ bit-identical with telemetry on or off):
 The serve-tier plane adds four more, all equally passive:
 
 * :mod:`~repro.obs.trace` — per-request trace ids and stage-attributed
-  timings (queue wait → batch form → assemble → pack → forward →
+  timings (queue wait → batch form → assemble → forward →
   respond) in a bounded ring buffer, with an optional JSONL sink.
 * :mod:`~repro.obs.windows` — rolling time-windowed counters/histograms
   so p50/p99/rates are reported over the last N seconds, not since boot.

@@ -64,7 +64,6 @@ class RunRecorder:
         self._flush_every = max(int(flush_every), 1)
         self._since_flush = 0
         self._finalized = False
-        self._num_events = 0
         self._file: IO[str] | None = self.path.open("w", encoding="utf-8")
         self._write({
             "type": "run_start",
@@ -78,15 +77,10 @@ class RunRecorder:
     def closed(self) -> bool:
         return self._file is None
 
-    @property
-    def num_events(self) -> int:
-        return self._num_events
-
     def _write(self, record: dict) -> None:
         if self._file is None:
             raise ValueError(f"recorder for {self.path} is closed")
         self._file.write(json.dumps(record, sort_keys=True) + "\n")
-        self._num_events += 1
         self._since_flush += 1
         if self._since_flush >= self._flush_every:
             self._file.flush()

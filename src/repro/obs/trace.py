@@ -3,10 +3,8 @@
 A *trace* follows one serve request through the pipeline's stages —
 
 ``enqueue`` (queue wait) → ``batch_form`` (waiting for batch-mates) →
-``assemble`` (context sampling + encode) → ``pack`` (padded stacked
-execution, when a mixed-shape bucket runs the packed path) →
-``forward`` (model execution outside the packed path) → ``respond``
-(result fan-out)
+``assemble`` (context sampling + encode) → ``forward`` (model execution,
+padded or not) → ``respond`` (result fan-out)
 
 — recording the wall time spent in each.  The :class:`Tracer` hands out
 monotonically increasing trace ids, keeps the most recent completed traces
@@ -15,9 +13,6 @@ instrument), and can mirror every completed trace to a JSONL sink that
 reuses :class:`~repro.obs.recorder.RunRecorder`'s append-only format — so
 trace files are readable by :func:`~repro.obs.recorder.read_run` and
 tolerate crashes mid-write.
-
-A trace marks ``pack`` only when its batch ran the packed path; its record
-then carries ``packed: True``.
 
 Tracing is **passive**: traces only read clocks and copy floats, never
 model, optimiser, or RNG state, so predictions are bit-identical with
@@ -37,10 +32,8 @@ from .recorder import RunRecorder
 __all__ = ["TRACE_STAGES", "RequestTrace", "Tracer"]
 
 # Pipeline stages in order; every completed trace reports a (possibly
-# zero) duration for each.  ``pack`` is zero, and ``packed`` False, for a
-# batch that never ran the packed path.
-TRACE_STAGES = ("enqueue", "batch_form", "assemble", "pack", "forward",
-                "respond")
+# zero) duration for each.
+TRACE_STAGES = ("enqueue", "batch_form", "assemble", "forward", "respond")
 
 
 class RequestTrace:
@@ -92,7 +85,6 @@ class Tracer:
             "trace_id": trace.trace_id,
             "started_at": trace.started_at,
             "total_seconds": max(float(total_seconds), 0.0),
-            "packed": "pack" in trace.stages,
             "stages": {stage: trace.stages.get(stage, 0.0)
                        for stage in TRACE_STAGES},
         }
@@ -124,8 +116,7 @@ class Tracer:
 
         One entry per stage: ``count`` / ``total_seconds`` /
         ``mean_seconds`` / ``max_seconds``, plus a ``total`` pseudo-stage
-        for end-to-end latency.  ``pack`` aggregates only the traces whose
-        batch ran the packed path.  Computed from the ring buffer, so it
+        for end-to-end latency.  Computed from the ring buffer, so it
         reflects the most recent ``capacity`` requests.
         """
         with self._lock:
@@ -133,8 +124,7 @@ class Tracer:
         out: dict[str, dict] = {}
         for stage in (*TRACE_STAGES, "total"):
             values = [t["total_seconds"] if stage == "total"
-                      else t["stages"][stage] for t in traces
-                      if stage != "pack" or t["packed"]]
+                      else t["stages"][stage] for t in traces]
             if not values:
                 out[stage] = {"count": 0, "total_seconds": 0.0,
                               "mean_seconds": 0.0, "max_seconds": 0.0}

@@ -21,9 +21,10 @@ Ties the serving pieces together behind ``submit()`` / ``predict()`` /
   on full invalidations such as candidate-pool growth);
 * contexts of a batch are grouped into *shape buckets* — ``(n, m)``
   rounded up to ``pack_bucket`` multiples, bounded by ``pack_max_waste``
-  — and each bucket executes as one padded, stacked
-  :func:`repro.nn.inference.forward_inference_packed` call whose real
-  rows are bitwise identical to unpadded per-request forwards;
+  — and each bucket executes as one stacked engine call (padded through
+  :func:`repro.nn.inference.forward_inference_packed` when its shapes
+  differ) whose target rows are bitwise identical to unpadded
+  per-request forwards;
 * a warm-entity :class:`repro.nn.inference.EmbeddingStore` reuses encoder
   attribute rows across requests, dropped on registry hot swaps and
   invalidated per-entity on ``update_ratings``;
@@ -384,23 +385,6 @@ class PredictionService:
                            context_users=context_users,
                            context_items=context_items).result(timeout)
 
-    def predict_many(self, requests, timeout: float = 60.0) -> list[np.ndarray]:
-        """Submit a sequence of workload-style requests, gather in order.
-
-        Each element needs ``user`` / ``item_ids`` / ``support_items``
-        attributes plus optional ``context_users`` / ``context_items``
-        budget overrides (:class:`~repro.serve.workload.WorkloadRequest`
-        fits).  All requests are enqueued before any result is awaited, so
-        micro-batching still coalesces across them.
-        """
-        futures = [
-            self.submit(request.user, request.item_ids, request.support_items,
-                        context_users=getattr(request, "context_users", None),
-                        context_items=getattr(request, "context_items", None))
-            for request in requests
-        ]
-        return [future.result(timeout) for future in futures]
-
     # ------------------------------------------------------------------ #
     # Graph updates
     # ------------------------------------------------------------------ #
@@ -698,20 +682,14 @@ class PredictionService:
                     plans.append((requests, self._chunks_for(requests[0],
                                                              state)))
             assembled_at = self._clock()
-            # Pack time accumulates here, only for batches that ran the
-            # packed path, so the forward stage can report model execution
-            # exclusive of padded stacking.
-            stage_seconds = {}
             with obs.span("serve/forward"):
-                scores_by_plan = self._score_plans(model, plans, stage_seconds)
+                scores_by_plan = self._score_plans(model, plans)
             forwarded_at = self._clock()
 
             # Batch-level stages are shared by every request in the batch.
-            stage_seconds["assemble"] = assembled_at - assemble_start
+            stage_seconds = {"assemble": assembled_at - assemble_start,
+                             "forward": forwarded_at - assembled_at}
             self._window_assemble_seconds.observe(stage_seconds["assemble"])
-            stage_seconds["forward"] = max(
-                forwarded_at - assembled_at - stage_seconds.get("pack", 0.0),
-                0.0)
             for (requests, _), scores in zip(plans, scores_by_plan):
                 self._resolve(requests, scores, forwarded_at, stage_seconds)
         except Exception as error:  # fail the whole batch, never hang callers
@@ -739,8 +717,6 @@ class PredictionService:
                 trace.mark("batch_form",
                            request.batch_formed_at - request.dequeued_at)
                 trace.mark("assemble", stage_seconds["assemble"])
-                if "pack" in stage_seconds:
-                    trace.mark("pack", stage_seconds["pack"])
                 trace.mark("forward", stage_seconds["forward"])
                 trace.mark("respond", now - forwarded_at)
                 self.tracer.finish(trace, total)
@@ -842,18 +818,17 @@ class PredictionService:
                            guard=self._store.changed_since)
         return samples
 
-    def _score_plans(self, model: HIRE, plans,
-                     stage_seconds: dict | None = None) -> list[np.ndarray]:
-        """Score every plan's chunks, stacking same-*bucket* contexts into
-        one padded :func:`~repro.nn.inference.forward_inference_packed`
-        execution (bit-identical per real row to solo forwards).  Engine
-        forwards pass each chunk's ``user_row``, so only the rows the
-        scores read run through the last HIM block.
+    def _score_plans(self, model: HIRE, plans) -> list[np.ndarray]:
+        """Score every plan's chunks with one engine call per shape
+        *bucket* (bit-identical per target row to solo forwards).  Each
+        chunk passes its ``user_row``, so only the rows the scores read run
+        through the last HIM block.
 
-        Contexts whose exact shape already fills its bucket (the common
-        case under uniform budgets) take the unpadded
-        ``forward_inference_many`` path; mixed-shape buckets pad each
-        context up to the bucket shape and run once.
+        A bucket whose contexts all fill it (the common case under uniform
+        budgets, including a bucket of one) runs
+        :func:`~repro.nn.inference.forward_inference_many`; a mixed-shape
+        bucket pads each context up to the bucket shape through
+        :func:`~repro.nn.inference.forward_inference_packed`.
         """
         entries = []  # (plan_index, sample_index, chunk)
         for plan_index, (_requests, samples) in enumerate(plans):
@@ -875,23 +850,25 @@ class PredictionService:
         with nn.no_grad():
             for (nb, mb), bucket_entries in by_bucket.items():
                 contexts = [chunk.context for _, _, chunk in bucket_entries]
-                if not all(c.n == nb and c.m == mb for c in contexts):
-                    self._score_packed(model, nb, mb, bucket_entries,
-                                       contexts, store, predicted,
-                                       stage_seconds)
-                    continue
                 rows = [chunk.user_row for _, _, chunk in bucket_entries]
-                if len(contexts) == 1:
-                    outputs = nn.inference.forward_inference(
-                        model, contexts[0], embed_store=store, rows=rows)
-                else:
+                if all(c.n == nb and c.m == mb for c in contexts):
                     outputs = nn.inference.forward_inference_many(
                         model, contexts, embed_store=store, rows=rows)
+                    slots = range(len(contexts))
+                else:
+                    outputs, slots = nn.inference.forward_inference_packed(
+                        model, contexts, nb, mb, embed_store=store, rows=rows)
+                    real = sum(c.n * c.m for c in contexts)
+                    self._counter("packed_contexts_total").inc(len(contexts))
+                    self._gauge("pack_pad_waste").set(
+                        nb * mb * len(contexts) / real - 1.0)
+                    self._histogram("pack_bucket_occupancy").observe(
+                        len(contexts))
                 # Extract each chunk's scores immediately: engine outputs
                 # are views into a reused workspace, overwritten by the
                 # next bucket's forward.
-                for (_, _, chunk), output in zip(bucket_entries, outputs):
-                    predicted[id(chunk)] = output[chunk.cols]
+                for (_, _, chunk), slot in zip(bucket_entries, slots):
+                    predicted[id(chunk)] = outputs[slot][chunk.cols]
 
         scores_by_plan: list[np.ndarray] = []
         for plan_index, (requests, samples) in enumerate(plans):
@@ -907,23 +884,3 @@ class PredictionService:
                 total = part if total is None else total + part
             scores_by_plan.append(total / len(samples))
         return scores_by_plan
-
-    def _score_packed(self, model: HIRE, nb: int, mb: int, bucket_entries,
-                      contexts, store, predicted,
-                      stage_seconds: dict | None = None) -> None:
-        """One padded stacked execution for a mixed-shape bucket."""
-        real = sum(c.n * c.m for c in contexts)
-        padded = nb * mb * len(contexts)
-        pack_start = self._clock()
-        with obs.span("serve/pack"):
-            outputs, slots = nn.inference.forward_inference_packed(
-                model, contexts, nb, mb, embed_store=store,
-                rows=[chunk.user_row for _, _, chunk in bucket_entries])
-            for index, (_, _, chunk) in enumerate(bucket_entries):
-                predicted[id(chunk)] = outputs[slots[index]][chunk.cols]
-        if stage_seconds is not None:
-            stage_seconds["pack"] = (stage_seconds.get("pack", 0.0)
-                                     + self._clock() - pack_start)
-        self._counter("packed_contexts_total").inc(len(contexts))
-        self._gauge("pack_pad_waste").set(padded / real - 1.0)
-        self._histogram("pack_bucket_occupancy").observe(len(contexts))

@@ -63,14 +63,19 @@ class TestForwardMany:
             model.forward_many([])
 
     def test_trainer_paths_agree(self, ml_dataset, ml_split):
-        """Training with and without batched_forward produces identical
-        loss trajectories (same contexts, same math)."""
+        """The trainer's stacked step produces the loss trajectory of a
+        per-context loop (same contexts, same math).  The oracle runs each
+        context through its own one-context graph and stacks the outputs,
+        so every per-context loss and its gradient come from that loop."""
         histories = []
-        for flag in (True, False):
+        for stacked in (True, False):
             model = HIRE(ml_dataset, HIREConfig(num_blocks=1, num_heads=2,
                                                 attr_dim=4, seed=0))
+            if not stacked:
+                model.forward_many = lambda contexts, model=model: F.stack(
+                    [model(context) for context in contexts], axis=0)
             trainer = HIRETrainer(model, ml_split, config=TrainerConfig(
                 steps=4, batch_size=2, context_users=8, context_items=8,
-                batched_forward=flag, seed=0))
+                seed=0))
             histories.append(trainer.fit())
         np.testing.assert_allclose(histories[0], histories[1], rtol=1e-9)

@@ -1,11 +1,11 @@
 """The graph-free inference engine: bitwise identity, caching, allocations.
 
-The engine's contract is strict: running a HIRE forward through
-:mod:`repro.nn.inference` must produce the *same bytes* as the ``no_grad``
-fused Tensor path, at both dtypes, for every ablation — and, after warmup,
-it must not allocate.  These tests pin all of it, plus the plan cache's
-invalidation triggers (shape, ratings dtype, generation bumps from registry
-hot swaps).
+The engine's contract is strict: every target row it computes through
+:mod:`repro.nn.inference` must carry the *same bytes* as that row of the
+``no_grad`` fused Tensor forward, at both dtypes, for every ablation — and,
+after warmup, it must not allocate.  These tests pin all of it, plus the
+plan cache's invalidation triggers (shape, ratings dtype, generation bumps
+from registry hot swaps).
 """
 
 import dataclasses
@@ -63,6 +63,8 @@ PAPER_HEADS = {"num_heads": 8, "attr_dim": 16}
     PAPER_HEADS,
 ])
 def test_engine_bitwise_identical_to_tensor_path(dataset, graph, dtype, flags):
+    """Every row of a context, run as a batch of one and stacked, carries
+    the bytes of the same row of the Tensor forward and ``forward_many``."""
     with nn.dtype_policy(dtype):
         model = make_model(dataset, **flags)
         model.eval()
@@ -70,10 +72,12 @@ def test_engine_bitwise_identical_to_tensor_path(dataset, graph, dtype, flags):
         with nn.no_grad():
             ref = model.forward(ctx).data.copy()
             ref_many = model.forward_many([ctx, ctx2]).data.copy()
-        out = inference.forward_inference(model, ctx).copy()
-        out_many = inference.forward_inference_many(model, [ctx, ctx2]).copy()
-    assert ref.tobytes() == out.tobytes()
-    assert ref_many.tobytes() == out_many.tobytes()
+        for row in range(ctx.n):
+            out = inference.forward_inference(model, ctx, rows=[row])
+            assert out.tobytes() == ref[row:row + 1].tobytes()
+            out_many = inference.forward_inference_many(
+                model, [ctx, ctx2], rows=[row, row])
+            assert out_many.tobytes() == ref_many[:, row].tobytes()
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -92,29 +96,43 @@ def test_batched_slices_equal_one_context_forward(dataset, graph, dtype,
         with nn.no_grad():
             solos = [model.forward(c).data.copy() for c in contexts]
             tensor_many = model.forward_many(contexts).data.copy()
-        engine_many = inference.forward_inference_many(model, contexts).copy()
+        engine_rows = [inference.forward_inference_many(
+            model, contexts, rows=[row] * len(contexts)).copy()
+            for row in range(7)]
     for index, solo in enumerate(solos):
         assert tensor_many[index].tobytes() == solo.tobytes()
-        assert engine_many[index].tobytes() == solo.tobytes()
+        for row, engine in enumerate(engine_rows):
+            assert engine[index].tobytes() == solo[row].tobytes()
 
 
 def test_predict_routes_through_engine_and_escape_hatch(dataset, graph):
-    """predict() takes the engine and matches the no_grad Tensor forward
-    bit for bit."""
+    """predict(row=...) takes the engine, predict() without a row the
+    no_grad Tensor forward; both match the Tensor forward bit for bit."""
     model = make_model(dataset)
     ctx, ctx2 = make_contexts(graph)
-    engine = model.predict(ctx)
+
+    def engine_calls():
+        stats = inference.cache_stats()
+        return stats["hits"] + stats["misses"]
+
+    before = engine_calls()
+    full = model.predict(ctx)
+    assert engine_calls() == before
+    engine = model.predict(ctx, row=2)
+    assert engine_calls() == before + 1
     model.eval()
     with nn.no_grad():
         tensor_path = model.forward(ctx).data.copy()
         tensor_many = model.forward_many([ctx, ctx2]).data.copy()
-    assert engine.tobytes() == tensor_path.tobytes()
-    engine_many = inference.forward_inference_many(model, [ctx, ctx2])
-    assert engine_many.tobytes() == tensor_many.tobytes()
+    assert full.tobytes() == tensor_path.tobytes()
+    assert engine.tobytes() == tensor_path[2].tobytes()
+    engine_many = inference.forward_inference_many(model, [ctx, ctx2],
+                                                   rows=[2, 2])
+    assert engine_many.tobytes() == tensor_many[:, 2].tobytes()
     # predict() copies out of the workspace: results must survive more calls.
-    again = model.predict(ctx2)
-    assert engine.tobytes() == model.predict(ctx).tobytes()
-    assert again.tobytes() == model.predict(ctx2).tobytes()
+    again = model.predict(ctx2, row=2)
+    assert engine.tobytes() == model.predict(ctx, row=2).tobytes()
+    assert again.tobytes() == model.predict(ctx2, row=2).tobytes()
 
 
 def test_capture_attention_falls_back(dataset):
@@ -132,11 +150,11 @@ def test_plan_cache_hits_and_shape_invalidation(dataset, graph):
     model.eval()
     ctx, _ = make_contexts(graph)
     before = inference.cache_stats()
-    inference.forward_inference(model, ctx)
+    inference.forward_inference(model, ctx, rows=[0])
     after_first = inference.cache_stats()
     assert after_first["misses"] == before["misses"] + 1
     assert after_first["plans"] == before["plans"] + 1
-    inference.forward_inference(model, ctx)
+    inference.forward_inference(model, ctx, rows=[1])
     after_second = inference.cache_stats()
     assert after_second["hits"] == after_first["hits"] + 1
     assert after_second["misses"] == after_first["misses"]
@@ -145,7 +163,7 @@ def test_plan_cache_hits_and_shape_invalidation(dataset, graph):
     rng = np.random.default_rng(5)
     wider = build_context(graph, np.arange(8), np.arange(9), rng,
                           reveal_fraction=0.3)
-    inference.forward_inference(model, wider)
+    inference.forward_inference(model, wider, rows=[0])
     after_wider = inference.cache_stats()
     assert after_wider["misses"] == after_second["misses"] + 1
     assert after_wider["plans"] == after_second["plans"] + 1
@@ -157,10 +175,10 @@ def test_ratings_dtype_change_rebuilds_plan(dataset, graph):
     model = make_model(dataset)
     model.eval()
     ctx, _ = make_contexts(graph)
-    out64 = inference.forward_inference(model, ctx).copy()
+    out64 = inference.forward_inference(model, ctx, rows=[1]).copy()
     cast = dataclasses.replace(ctx, ratings=ctx.ratings.astype(np.float32))
     before = inference.cache_stats()
-    out32 = inference.forward_inference(model, cast)
+    out32 = inference.forward_inference(model, cast, rows=[1])
     after = inference.cache_stats()
     assert after["misses"] == before["misses"] + 1
     # Same revealed integer levels -> same embeddings -> same scores.
@@ -172,11 +190,11 @@ def test_bump_generation_invalidates_all_plans(dataset, graph):
     model = make_model(dataset)
     model.eval()
     ctx, _ = make_contexts(graph)
-    inference.forward_inference(model, ctx)
+    inference.forward_inference(model, ctx, rows=[0])
     assert inference.cache_stats()["plans"] == 1
     inference.bump_generation()
     before = inference.cache_stats()
-    inference.forward_inference(model, ctx)
+    inference.forward_inference(model, ctx, rows=[0])
     after = inference.cache_stats()
     assert after["misses"] == before["misses"] + 1
 
@@ -203,18 +221,18 @@ def test_weight_updates_flow_without_rebuild(dataset, graph):
     model = make_model(dataset)
     model.eval()
     ctx, _ = make_contexts(graph)
-    first = inference.forward_inference(model, ctx).copy()
+    first = inference.forward_inference(model, ctx, rows=[2]).copy()
     state = {name: param.data * 1.5
              for name, param in model.named_parameters()}
     model.load_state_dict(state)
     before = inference.cache_stats()
-    second = inference.forward_inference(model, ctx).copy()
+    second = inference.forward_inference(model, ctx, rows=[2]).copy()
     after = inference.cache_stats()
     assert after["hits"] == before["hits"] + 1
     assert first.tobytes() != second.tobytes()
     with nn.no_grad():
         expected = model.forward(ctx).data
-    assert second.tobytes() == expected.tobytes()
+    assert second.tobytes() == expected[2:3].tobytes()
 
 
 def test_zero_steady_state_allocations(dataset, graph):
@@ -224,14 +242,14 @@ def test_zero_steady_state_allocations(dataset, graph):
     ctx, ctx2 = make_contexts(graph)
     # Warm up: builds the plans and touches every lazily-created metric.
     for _ in range(3):
-        inference.forward_inference(model, ctx)
-        inference.forward_inference_many(model, [ctx, ctx2])
+        inference.forward_inference(model, ctx, rows=[0])
+        inference.forward_inference_many(model, [ctx, ctx2], rows=[1, 2])
     gc.collect()
     tracemalloc.start()
     base = tracemalloc.take_snapshot()
     for _ in range(20):
-        inference.forward_inference(model, ctx)
-        inference.forward_inference_many(model, [ctx, ctx2])
+        inference.forward_inference(model, ctx, rows=[0])
+        inference.forward_inference_many(model, [ctx, ctx2], rows=[1, 2])
     gc.collect()
     snap = tracemalloc.take_snapshot()
     tracemalloc.stop()
@@ -275,37 +293,43 @@ def make_mixed_contexts(graph):
     PAPER_HEADS,
 ])
 def test_packed_identical_to_unpadded(dataset, graph, dtype, flags):
-    """Padded packing is exact: every real row of a packed forward matches
-    the solo unpadded forward — bitwise at float64, within the documented
-    float32 tolerance (see docs/nn_substrate.md; empirically bitwise on
-    this box at float32 too)."""
+    """Padded packing is exact: every target row of a packed forward
+    matches the unpadded batch-of-one forward — bitwise at float64, within
+    the documented float32 tolerance (see docs/nn_substrate.md; empirically
+    bitwise at float32 too)."""
     with nn.dtype_policy(dtype):
         model = make_model(dataset, **flags)
         model.eval()
         contexts = make_mixed_contexts(graph)
-        refs = [inference.forward_inference(model, c).copy() for c in contexts]
-        outputs, slots = inference.forward_inference_packed(
-            model, contexts, 8, 8)
-        got = [outputs[slots[i]][:c.n, :c.m].copy()
-               for i, c in enumerate(contexts)]
-    for ref, out in zip(refs, got):
-        if dtype is np.float64:
-            assert ref.tobytes() == out.tobytes()
-        else:
-            np.testing.assert_allclose(out, ref, rtol=2e-6, atol=1e-6)
+        for shift in range(2):
+            rows = [(shift + i) % c.n for i, c in enumerate(contexts)]
+            refs = [inference.forward_inference(model, c, rows=[r])[0].copy()
+                    for c, r in zip(contexts, rows)]
+            outputs, slots = inference.forward_inference_packed(
+                model, contexts, 8, 8, rows=rows)
+            for i, (context, ref) in enumerate(zip(contexts, refs)):
+                out = outputs[slots[i]][:context.m]
+                if dtype is np.float64:
+                    assert ref.tobytes() == out.tobytes()
+                else:
+                    np.testing.assert_allclose(out, ref, rtol=2e-6,
+                                               atol=1e-6)
 
 
 def test_packed_exact_shapes_match_forward_many(dataset, graph):
-    """When every context already fills the plan shape, packing degrades to
-    the plain stacked forward — same bytes."""
+    """When every context already fills the plan shape, a packed run is the
+    one-group composition of the stacked one — same bytes, every row."""
     model = make_model(dataset)
     model.eval()
     ctx, ctx2 = make_contexts(graph)
-    many = inference.forward_inference_many(model, [ctx, ctx2]).copy()
-    outputs, slots = inference.forward_inference_packed(
-        model, [ctx, ctx2], ctx.n, ctx.m)
-    assert slots == [0, 1]
-    assert outputs.tobytes() == many.tobytes()
+    for row in range(ctx.n):
+        rows = [row, ctx.n - 1 - row]
+        many = inference.forward_inference_many(model, [ctx, ctx2],
+                                                rows=rows).copy()
+        outputs, slots = inference.forward_inference_packed(
+            model, [ctx, ctx2], ctx.n, ctx.m, rows=rows)
+        assert slots == [0, 1]
+        assert outputs.tobytes() == many.tobytes()
 
 
 def test_packed_rejects_oversized_and_empty(dataset, graph):
@@ -313,9 +337,32 @@ def test_packed_rejects_oversized_and_empty(dataset, graph):
     model.eval()
     ctx, _ = make_contexts(graph)
     with pytest.raises(ValueError):
-        inference.forward_inference_packed(model, [], 8, 8)
+        inference.forward_inference_packed(model, [], 8, 8, rows=[])
     with pytest.raises(ValueError):
-        inference.forward_inference_packed(model, [ctx], ctx.n - 1, ctx.m)
+        inference.forward_inference_packed(model, [ctx], ctx.n - 1, ctx.m,
+                                           rows=[0])
+
+
+def test_entry_points_require_rows(dataset, graph):
+    """The engine computes target rows only: no entry point has a
+    full-matrix mode to fall back to when ``rows`` is left out."""
+    model = make_model(dataset)
+    model.eval()
+    ctx, ctx2 = make_contexts(graph)
+    with pytest.raises(TypeError):
+        inference.forward_inference(model, ctx)
+    with pytest.raises(TypeError):
+        inference.forward_inference_many(model, [ctx, ctx2])
+    with pytest.raises(TypeError):
+        inference.forward_inference_packed(model, [ctx, ctx2], 8, 8)
+
+
+def test_forward_many_rejects_mixed_shapes(dataset, graph):
+    model = make_model(dataset)
+    model.eval()
+    contexts = make_mixed_contexts(graph)[:2]
+    with pytest.raises(ValueError, match="equally-sized"):
+        inference.forward_inference_many(model, contexts, rows=[0, 0])
 
 
 def test_packed_zero_steady_state_allocations(dataset, graph):
@@ -326,15 +373,16 @@ def test_packed_zero_steady_state_allocations(dataset, graph):
     model.eval()
     contexts = make_mixed_contexts(graph)
     store = inference.EmbeddingStore(model)
+    rows = [0] * len(contexts)
     for _ in range(3):
         inference.forward_inference_packed(model, contexts, 8, 8,
-                                           embed_store=store)
+                                           embed_store=store, rows=rows)
     gc.collect()
     tracemalloc.start()
     base = tracemalloc.take_snapshot()
     for _ in range(20):
         inference.forward_inference_packed(model, contexts, 8, 8,
-                                           embed_store=store)
+                                           embed_store=store, rows=rows)
     gc.collect()
     snap = tracemalloc.take_snapshot()
     tracemalloc.stop()
@@ -351,12 +399,14 @@ class TestEmbeddingStore:
         model = make_model(dataset)
         model.eval()
         ctx, ctx2 = make_contexts(graph)
-        plain = inference.forward_inference(model, ctx).copy()
-        plain_many = inference.forward_inference_many(model, [ctx, ctx2]).copy()
+        plain = inference.forward_inference(model, ctx, rows=[1]).copy()
+        plain_many = inference.forward_inference_many(
+            model, [ctx, ctx2], rows=[1, 2]).copy()
         store = inference.EmbeddingStore(model)
-        warm = inference.forward_inference(model, ctx, embed_store=store).copy()
+        warm = inference.forward_inference(model, ctx, embed_store=store,
+                                           rows=[1]).copy()
         warm_many = inference.forward_inference_many(
-            model, [ctx, ctx2], embed_store=store).copy()
+            model, [ctx, ctx2], embed_store=store, rows=[1, 2]).copy()
         assert plain.tobytes() == warm.tobytes()
         assert plain_many.tobytes() == warm_many.tobytes()
 
@@ -365,10 +415,10 @@ class TestEmbeddingStore:
         model.eval()
         ctx, _ = make_contexts(graph)
         store = inference.EmbeddingStore(model)
-        inference.forward_inference(model, ctx, embed_store=store)
+        inference.forward_inference(model, ctx, embed_store=store, rows=[0])
         first = store.stats()
         assert first["misses"] > 0
-        inference.forward_inference(model, ctx, embed_store=store)
+        inference.forward_inference(model, ctx, embed_store=store, rows=[0])
         second = store.stats()
         assert second["misses"] == first["misses"]  # all rows warm now
         assert second["hits"] > first["hits"]
@@ -395,9 +445,9 @@ class TestEmbeddingStore:
         model = make_model(dataset)
         model.eval()
         ctx, _ = make_contexts(graph)
-        plain = inference.forward_inference(model, ctx).copy()
+        plain = inference.forward_inference(model, ctx, rows=[3]).copy()
         store = inference.EmbeddingStore(model)
-        inference.forward_inference(model, ctx, embed_store=store)
+        inference.forward_inference(model, ctx, embed_store=store, rows=[3])
         warm_users = np.flatnonzero(store._user_valid)
         warm_items = np.flatnonzero(store._item_valid)
         assert warm_users.size > 1 and warm_items.size > 1
@@ -407,7 +457,8 @@ class TestEmbeddingStore:
         assert store._user_valid[warm_users[1:]].all()
         assert store._item_valid[warm_items[1:]].all()
         baseline = store.stats()
-        out = inference.forward_inference(model, ctx, embed_store=store).copy()
+        out = inference.forward_inference(model, ctx, embed_store=store,
+                                          rows=[3]).copy()
         after = store.stats()
         assert out.tobytes() == plain.tobytes()
         # Only the swept rows were rebuilt; the rest were warm hits.
@@ -427,13 +478,14 @@ class TestEmbeddingStore:
         model.eval()
         ctx, _ = make_contexts(graph)
         store = inference.EmbeddingStore(model)
-        inference.forward_inference(model, ctx, embed_store=store)
+        inference.forward_inference(model, ctx, embed_store=store, rows=[0])
         state = {name: param.data * 2.0
                  for name, param in model.named_parameters()}
         model.load_state_dict(state)
         fresh = inference.EmbeddingStore(model)
-        out = inference.forward_inference(model, ctx, embed_store=fresh).copy()
-        expected = inference.forward_inference(model, ctx).copy()
+        out = inference.forward_inference(model, ctx, embed_store=fresh,
+                                          rows=[0]).copy()
+        expected = inference.forward_inference(model, ctx, rows=[0]).copy()
         assert out.tobytes() == expected.tobytes()
 
 
@@ -563,24 +615,24 @@ def test_row_tail_rejects_bad_rows(dataset, graph):
         inference.forward_inference_packed(model, contexts, 8, 8, rows=[0])
 
 
-def test_row_and_full_runs_share_one_plan(dataset, graph):
-    """Row mode is a tail of the same plan: no second plan, no workspace
-    growth, and a full run afterwards still returns the full matrix."""
+def test_many_and_packed_runs_share_one_plan(dataset, graph):
+    """A stacked run and a packed run at the same (B, n, m) are one
+    program: no second plan, no workspace growth, the same bytes."""
     inference.clear_cache()
     model = make_model(dataset)
     model.eval()
     ctx, ctx2 = make_contexts(graph)
-    full = inference.forward_inference_many(model, [ctx, ctx2]).copy()
-    before = inference.cache_stats()
-    rows = inference.forward_inference_many(model, [ctx, ctx2],
+    many = inference.forward_inference_many(model, [ctx, ctx2],
                                             rows=[1, 2]).copy()
+    before = inference.cache_stats()
+    packed, slots = inference.forward_inference_packed(
+        model, [ctx, ctx2], ctx.n, ctx.m, rows=[1, 2])
     after = inference.cache_stats()
-    assert after["plans"] == before["plans"]
+    assert after["plans"] == before["plans"] == 1
     assert after["workspace_bytes"] == before["workspace_bytes"]
     assert after["hits"] == before["hits"] + 1
-    assert rows.tobytes() == np.stack([full[0, 1], full[1, 2]]).tobytes()
-    again = inference.forward_inference_many(model, [ctx, ctx2])
-    assert again.tobytes() == full.tobytes()
+    assert slots == [0, 1]
+    assert packed.tobytes() == many.tobytes()
 
 
 def test_row_plans_zero_steady_state_allocations(dataset, graph):
@@ -625,7 +677,7 @@ def test_engine_step_spans_are_passive(dataset, graph):
     ctx, ctx2 = make_contexts(graph)
 
     def outputs():
-        return (inference.forward_inference(model, ctx).copy(),
+        return (inference.forward_inference(model, ctx, rows=[5]).copy(),
                 inference.forward_inference_many(model, [ctx, ctx2],
                                                  rows=[0, 3]).copy())
 
@@ -639,7 +691,7 @@ def test_engine_step_spans_are_passive(dataset, graph):
     for a, b in zip(plain, profiled):
         assert a.tobytes() == b.tobytes()
     for step in ("encode", "mbu", "mbi", "mba", "decode"):
-        # Two forwards, full and row tail, each with K = 2 blocks.
+        # Two forwards, each with K = 2 blocks (the last as the row tail).
         per_forward = 2 if step in ("mbu", "mbi", "mba") else 1
         assert totals[f"infer/forward/{step}"].count == 2 * per_forward
 
@@ -666,7 +718,8 @@ def test_workspace_gauge_sums_live_threads(dataset, graph):
     held = [0, 0]
 
     def worker(index, contexts):
-        inference.forward_inference_many(model, contexts)
+        inference.forward_inference_many(model, contexts,
+                                         rows=[0] * len(contexts))
         held[index] = inference.cache_stats()["workspace_bytes"]
         built[index].set()
         release[index].wait(30)
@@ -691,7 +744,7 @@ def test_workspace_gauge_sums_live_threads(dataset, graph):
             thread.join(30)
     assert gauge() == baseline
     # This thread's own plans count as well, and clear_cache drops them.
-    inference.forward_inference(model, ctx)
+    inference.forward_inference(model, ctx, rows=[0])
     assert gauge() == baseline + inference.cache_stats()["workspace_bytes"]
     inference.clear_cache()
     assert gauge() == baseline
@@ -721,7 +774,8 @@ def test_workspace_gauge_settles_under_thread_churn(dataset, graph):
         try:
             for step in range(6):
                 inference.forward_inference(
-                    model, contexts[(index + step) % len(contexts)])
+                    model, contexts[(index + step) % len(contexts)],
+                    rows=[0])
                 if step in (1, 3):  # exits still holding plans
                     inference.clear_cache()
         except Exception as error:  # surfaced by the assert below

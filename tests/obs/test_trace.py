@@ -70,20 +70,22 @@ class TestTracer:
         assert totals["total"]["total_seconds"] == pytest.approx(0.6)
 
     def test_pack_totals_count_only_packed_traces(self):
+        """Padded execution is part of ``forward``: there is no separate
+        pack stage, and every trace counts toward every stage's totals."""
+        assert "pack" not in TRACE_STAGES
         tracer = Tracer()
-        for pack in (None, 0.2, None):
+        for forward in (0.1, 0.2, 0.1):
             trace = tracer.begin()
-            trace.mark("forward", 0.1)
-            if pack is not None:
-                trace.mark("pack", pack)
+            trace.mark("forward", forward)
             tracer.finish(trace, 0.5)
         records = tracer.recent()
-        assert [r["packed"] for r in records] == [False, True, False]
-        assert records[0]["stages"]["pack"] == 0.0
+        assert all(set(r["stages"]) == set(TRACE_STAGES) for r in records)
+        assert all("packed" not in r for r in records)
         totals = tracer.stage_totals()
-        assert totals["pack"]["count"] == 1
-        assert totals["pack"]["mean_seconds"] == pytest.approx(0.2)
+        assert "pack" not in totals
         assert totals["forward"]["count"] == 3
+        assert totals["forward"]["mean_seconds"] == pytest.approx(0.4 / 3)
+        assert totals["enqueue"]["count"] == 3
 
     def test_stage_totals_empty(self):
         totals = Tracer().stage_totals()

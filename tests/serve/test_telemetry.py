@@ -88,8 +88,7 @@ class TestStageAttribution:
                 # Stage times cannot exceed end-to-end latency (respond
                 # overlaps the tail, so compare the pipeline stages).
                 pipeline = (stages["enqueue"] + stages["batch_form"]
-                            + stages["assemble"] + stages["pack"]
-                            + stages["forward"])
+                            + stages["assemble"] + stages["forward"])
                 assert pipeline <= trace["total_seconds"] + 1e-6
 
     def test_stage_windows_populated(self, serve_model, ml_split,
@@ -98,35 +97,39 @@ class TestStageAttribution:
             task = serve_tasks[0]
             service.predict(task.user, task.query_items, task.support_items)
             snapshot = service.metrics.snapshot()
+            assert "pack" not in obs.TRACE_STAGES
             for stage in obs.TRACE_STAGES:
                 snap = snapshot[f"serve.stage.{stage}_seconds"]
                 assert snap["type"] == "windowed_histogram"
-                # Uniform budgets run the exact path: no pack observation.
-                assert snap["count"] == (0 if stage == "pack" else 1)
+                assert snap["count"] == 1
             assert snapshot["serve.window.latency_seconds"]["count"] == 1
 
     def test_pack_stage_counts_only_packed_batches(self, serve_model,
                                                    ml_split, serve_tasks):
-        """A uniform-budget request records no pack time; a request whose
-        budget pads up to its bucket (20x26 -> 24x32) runs the packed path
-        and is the only one the pack window and stage totals count."""
+        """A padded request's model execution is its ``forward`` stage: a
+        request whose budget pads up to its bucket (20x26 -> 24x32) reports
+        forward time like a uniform-budget one, and no stage is named
+        ``pack``.  Only the padded bucket sets the packing metrics."""
         with make_service(serve_model, ml_split, serve_tasks) as service:
             uniform, mixed = serve_tasks[0], serve_tasks[1]
             service.predict(uniform.user, uniform.query_items,
                             uniform.support_items)
+            assert "serve.packed_contexts_total" not in (
+                service.metrics.snapshot())
             service.predict(mixed.user, mixed.query_items,
                             mixed.support_items, context_users=20,
                             context_items=26)
             snapshot = service.metrics.snapshot()
             traces = service.tracer.recent()
             totals = service.tracer.stage_totals()
-        assert [trace["packed"] for trace in traces] == [False, True]
-        assert traces[0]["stages"]["pack"] == 0.0
-        assert traces[1]["stages"]["pack"] > 0.0
-        assert snapshot["serve.stage.pack_seconds"]["count"] == 1
+        assert snapshot["serve.packed_contexts_total"]["value"] > 0
+        for trace in traces:
+            assert "packed" not in trace
+            assert set(trace["stages"]) == set(obs.TRACE_STAGES)
+            assert trace["stages"]["forward"] > 0.0
+        assert "serve.stage.pack_seconds" not in snapshot
         assert snapshot["serve.stage.forward_seconds"]["count"] == 2
-        assert totals["pack"]["count"] == 1
-        assert totals["pack"]["total_seconds"] == traces[1]["stages"]["pack"]
+        assert "pack" not in totals
         assert totals["forward"]["count"] == 2
 
     def test_trace_disabled_leaves_no_trace_state(self, serve_model,
@@ -155,8 +158,9 @@ class TestStageAttribution:
 
     def test_packed_path_span_attribution(self, serve_model, ml_split,
                                           serve_tasks):
-        """Mixed context budgets force the packed path; its work must show
-        up under serve/forward/serve/pack in the span tree."""
+        """Mixed context budgets force the packed path; its engine work
+        shows up under serve/forward in the span tree, and the trace's
+        forward stage counts it."""
         budgets = [(20, 26), (24, 30), (18, 28)]  # one (24, 32) bucket
         with make_service(serve_model, ml_split, serve_tasks,
                           max_batch_size=len(budgets),
@@ -173,11 +177,12 @@ class TestStageAttribution:
             totals = obs.span_totals()
         assert totals["serve/assemble"].count >= 1
         assert totals["serve/forward"].count >= 1
-        pack = totals["serve/forward/serve/pack"]
-        assert pack.count >= 1
-        assert pack.total_seconds <= totals["serve/forward"].total_seconds
-        # The trace agrees: the pack stage is non-zero on the packed path.
-        assert service.tracer.stage_totals()["pack"]["total_seconds"] > 0
+        assert not any(name.endswith("serve/pack") for name in totals)
+        engine = totals["serve/forward/infer/forward"]
+        assert engine.count >= 1
+        assert engine.total_seconds <= totals["serve/forward"].total_seconds
+        # The trace agrees: the forward stage is non-zero on the packed path.
+        assert service.tracer.stage_totals()["forward"]["total_seconds"] > 0
 
 
 class TestHealth:
