@@ -6,8 +6,8 @@ node, and head-split copies per attention call.  This module compiles the
 HIRE forward (encoder → K× [MBU, MBI, MBA] → decoder) into an
 :class:`InferencePlan` — a flat list of raw-ndarray kernel invocations
 (``linear_into`` / ``layer_norm_into`` / ``mha_qkv_into`` / … from
-:mod:`repro.nn.functional`) whose every intermediate is a view into a
-preallocated :class:`Workspace` arena.  After the first (warmup) call at a
+:mod:`repro.nn.functional`) whose every intermediate is a view into the
+calling thread's :class:`Workspace`.  After the first (warmup) call at a
 given (model, batch, n, m, dtype) key, repeated calls perform **zero** new
 ndarray allocations, and every score is bitwise identical to the same cell
 of the ``no_grad`` Tensor forward, whose autograd nodes run the same kernels.
@@ -32,16 +32,16 @@ as are gradients and ``capture_attention`` (see :func:`engine_supported`).
 Plans are cached per thread in a small LRU keyed by
 ``(id(model), batch, n, m)`` and are invalidated by a module-wide
 generation counter which :class:`repro.serve.ModelRegistry` bumps on every
-hot swap (``add`` / ``activate`` / ``unregister``).  An
-:class:`EmbeddingStore` additionally caches the encoder's per-entity
-attribute rows across requests, keyed to the plan generation.
+hot swap (``add`` / ``activate`` / ``unregister``).  A thread's plans share
+its one workspace, grown to the largest plan the thread has built; a build
+that grows it drops the thread's other plans.
 
 Observability: every run is wrapped in an ``infer/forward`` span with one
 child span per step kind (``encode``, ``mbu``, ``mbi``, ``mba``,
 ``decode``; no-ops unless profiling is on), and the process metrics
-registry tracks ``infer.plan_cache.hit`` / ``infer.plan_cache.miss`` and
-``infer.embed_store.hit`` / ``infer.embed_store.miss`` counters plus an
-``infer.workspace_bytes`` gauge summed over every live thread's plans.
+registry tracks ``infer.plan_cache.hit`` / ``infer.plan_cache.miss``
+counters plus an ``infer.workspace_bytes`` gauge summed over every live
+thread's workspace.
 """
 
 from __future__ import annotations
@@ -63,7 +63,6 @@ from ..obs import spans as _spans
 __all__ = [
     "Workspace",
     "InferencePlan",
-    "EmbeddingStore",
     "forward_inference",
     "forward_inference_many",
     "forward_inference_packed",
@@ -77,144 +76,54 @@ __all__ = [
 
 
 class Workspace:
-    """Named flat arenas of preallocated memory, carved into shaped views.
+    """One thread's flat arenas of preallocated memory, carved into views.
 
+    Arenas are keyed by ``(name, dtype)`` and only grow.  Every plan a
+    thread builds binds its views into that thread's one workspace, so the
+    footprint is the largest plan's rather than the sum over cached plans.
     Buffers that are never alive at the same time (e.g. the layer-norm
     square scratch and the attention score matrix) share an arena sized to
-    the larger of the two, so the steady-state footprint stays close to the
-    true high-water mark of the forward.
+    the larger of the two.  ``regrown`` counts arenas replaced by larger
+    ones: views bound before a regrowth still point at the old memory.
     """
 
-    def __init__(self, dtype: np.dtype):
-        self.dtype = np.dtype(dtype)
-        self._arenas: dict[str, np.ndarray] = {}
+    def __init__(self):
+        self._arenas: dict[tuple[str, np.dtype], np.ndarray] = {}
+        self.regrown = 0
 
-    def reserve(self, name: str, count: int, dtype=None) -> None:
-        """Grow arena ``name`` to at least ``count`` elements.
+    def reserve(self, name: str, count: int, dtype) -> None:
+        """Grow arena ``(name, dtype)`` to at least ``count`` elements.
 
-        Arenas start zeroed (not ``np.empty``): packed executions read
-        whole padded buffers through elementwise ops, and zero padding
-        keeps them finite — uninitialised ±inf garbage would turn a
-        padded layer-norm row into ``inf - inf`` NaN warnings.
+        A new arena starts zeroed (not ``np.empty``): padded executions
+        read whole buffers through elementwise ops, and uninitialised ±inf
+        garbage would turn a padded layer-norm row into ``inf - inf`` NaN
+        warnings.  A plan binding an existing arena finds the finite values
+        of earlier runs there; only padded cells ever read them.
         """
-        dtype = self.dtype if dtype is None else np.dtype(dtype)
-        existing = self._arenas.get(name)
+        key = (name, np.dtype(dtype))
+        existing = self._arenas.get(key)
         if existing is None or existing.size < count:
-            self._arenas[name] = np.zeros(max(count, 1), dtype=dtype)
+            self._arenas[key] = np.zeros(max(count, 1), dtype=key[1])
+            self.regrown += existing is not None
 
-    def view(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
-        """A contiguous view of arena ``name`` with the requested shape."""
+    def view(self, name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
+        """A contiguous view of arena ``(name, dtype)`` with ``shape``."""
         count = prod(shape) if shape else 1
-        arena = self._arenas[name]
+        arena = self._arenas[(name, np.dtype(dtype))]
         if count > arena.size:
             raise ValueError(
                 f"arena {name!r} holds {arena.size} elements, need {count}")
         return arena[:count].reshape(shape)
 
+    def pinned(self) -> "Workspace":
+        """A workspace over today's arenas, untouched by later growth."""
+        pinned = Workspace()
+        pinned._arenas = dict(self._arenas)
+        return pinned
+
     @property
     def nbytes(self) -> int:
         return sum(a.nbytes for a in self._arenas.values())
-
-
-class EmbeddingStore:
-    """Warm-entity cache of the encoder's per-entity attribute rows.
-
-    ``x_u`` (and ``x_i``) are pure functions of an entity's static attribute
-    row and the encoder's embedding tables, so recomputing them per request
-    is wasted work.  The store holds one precomputed row per entity —
-    ``user_rows[u] = concat_k user_transforms[k][attributes[u, k]]`` — filled
-    lazily on first sight and reused across requests; the plan encode then
-    gathers whole rows with a single ``np.take`` per side.  Rows are built
-    by the same gather ops the direct encode performs (no arithmetic), so
-    store-backed scores are bitwise identical to store-free ones.
-
-    Validity is keyed to ``(model, generation())``: a
-    :class:`repro.serve.ModelRegistry` hot swap bumps the generation and
-    retires the store (see :meth:`valid_for`).  Writes are idempotent —
-    concurrent workers may fill the same missing row with identical bytes,
-    and a row is only marked valid after its bytes land — so the store is
-    shared across worker threads without a lock; the ``hits``/``misses``
-    tallies are best-effort under concurrency.
-    """
-
-    def __init__(self, model):
-        enc = model.encoder
-        self.model = model
-        self.generation = generation()
-        self._enc = enc
-        self._f = enc.attr_dim
-        dtype = model.decoder.weight.data.dtype
-        num_users = enc._user_attributes.shape[0]
-        num_items = enc._item_attributes.shape[0]
-        self.user_rows = np.zeros((num_users, enc.num_user_attrs * enc.attr_dim),
-                                  dtype=dtype)
-        self.item_rows = np.zeros((num_items, enc.num_item_attrs * enc.attr_dim),
-                                  dtype=dtype)
-        self._user_valid = np.zeros(num_users, dtype=bool)
-        self._item_valid = np.zeros(num_items, dtype=bool)
-        self.hits = 0
-        self.misses = 0
-
-    def valid_for(self, model) -> bool:
-        """Whether the store may serve ``model`` at the current generation."""
-        return self.model is model and self.generation == generation()
-
-    def ensure(self, users: np.ndarray, items: np.ndarray) -> None:
-        """Fill any missing user/item rows so gathers can proceed."""
-        registry = _metrics.get_registry()
-        self._ensure_side(users, self._user_valid, self.user_rows,
-                          self._enc._user_attributes,
-                          self._enc.user_transforms, registry)
-        self._ensure_side(items, self._item_valid, self.item_rows,
-                          self._enc._item_attributes,
-                          self._enc.item_transforms, registry)
-
-    def _ensure_side(self, ids, valid, rows, attributes, transforms,
-                     registry) -> None:
-        if rows.shape[1] == 0:
-            return
-        present = valid[ids]
-        hits = int(present.sum())
-        if hits:
-            self.hits += hits
-            registry.counter("infer.embed_store.hit").inc(hits)
-        if hits == len(ids):
-            return
-        missing = np.unique(ids[~present])
-        f = self._f
-        col = 0
-        for k, transform in enumerate(transforms):
-            rows[missing, col:col + f] = transform.weight.data[
-                attributes[missing, k]]
-            col += f
-        valid[missing] = True
-        self.misses += int(missing.size)
-        registry.counter("infer.embed_store.miss").inc(int(missing.size))
-
-    def invalidate_entities(self, users, items) -> None:
-        """Mark these entities' rows stale so they refill on next touch.
-
-        Rating deltas cannot actually change a row (rows are pure functions
-        of static attributes and encoder weights), so this is strictly
-        conservative — the serving tier calls it on fine-grained graph
-        updates so the store's invalidation granularity matches the
-        context cache's, instead of dropping the whole store per update.
-        """
-        users = np.asarray(users, dtype=np.int64)
-        items = np.asarray(items, dtype=np.int64)
-        if users.size:
-            self._user_valid[users] = False
-        if items.size:
-            self._item_valid[items] = False
-
-    def stats(self) -> dict:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "users_cached": int(self._user_valid.sum()),
-            "items_cached": int(self._item_valid.sum()),
-            "bytes": int(self.user_rows.nbytes + self.item_rows.nbytes),
-        }
 
 
 class _AttnStep:
@@ -249,13 +158,20 @@ class _EncodeSlot:
     """Encoder views for one context slab of ``h`` (possibly sliced)."""
 
     __slots__ = ("cell", "user_block", "item_block", "rat", "xu", "xi",
-                 "idx_n", "idx_m", "rflt", "ilev", "emb", "pad")
+                 "rflt", "ilev", "emb", "pad")
 
 
 class _Program:
-    """Precompiled views for one composition of context shapes."""
+    """Precompiled views for one composition of context shapes.
 
-    __slots__ = ("slots", "attn_spans", "row_softmax", "dec_spans")
+    ``user_ids`` / ``item_ids`` hold every context's entity ids end to end,
+    ``user_idx`` / ``item_idx`` one attribute column of them, and ``xu`` /
+    ``xi`` the gathered attribute rows that each slot's ``xu`` / ``xi``
+    slices: one gather pair per attribute table encodes the whole batch.
+    """
+
+    __slots__ = ("slots", "user_ids", "item_ids", "user_idx", "item_idx",
+                 "xu", "xi", "attn_spans", "row_softmax", "dec_spans")
 
 
 class InferencePlan:
@@ -263,9 +179,10 @@ class InferencePlan:
 
     Walks the ``HIRE`` / ``HIM`` / ``ContextEncoder`` structure once at build
     time, sizes every intermediate, and binds the ``*_into`` kernels to views
-    of a shared :class:`Workspace`.  Parameter arrays are read through the
-    module attributes at *run* time, so in-place weight updates (e.g.
-    ``load_state_dict`` on a registered model) flow through without a
+    of ``workspace`` (the calling thread's, through :func:`get_plan`); the
+    plan owns only its small index arrays.  Parameter arrays are read
+    through the module attributes at *run* time, so in-place weight updates
+    (e.g. ``load_state_dict`` on a registered model) flow through without a
     rebuild.  The returned output is workspace-backed: it is valid until the
     next engine call on the same thread — copy it to retain it.
 
@@ -274,7 +191,8 @@ class InferencePlan:
     :meth:`_row_tail` and docs/nn_substrate.md ("Target-row plans").
     """
 
-    def __init__(self, model, batch: int, n: int, m: int, ratings_dtype):
+    def __init__(self, model, batch: int, n: int, m: int, ratings_dtype,
+                 workspace: Workspace):
         self.model = model
         self.batch = int(batch)
         self.n = int(n)
@@ -291,8 +209,12 @@ class InferencePlan:
         self.hi_f = enc.num_item_attrs * enc.attr_dim
         self.num_attrs = enc.num_attributes
 
-        self.workspace = Workspace(self.dtype)
+        self.workspace = workspace
         self._reserve_buffers()
+        # Every view, including those of programs compiled later, comes
+        # from the arenas as they stand now: a plan held past a build that
+        # grows the thread's workspace keeps running on its own arenas.
+        self.workspace = workspace.pinned()
         self._bind_views()
         self._steps = self._build_steps()
         # alpha pre-cast once so the sigmoid rescale allocates nothing per call.
@@ -318,23 +240,34 @@ class InferencePlan:
         layer = self.model.blocks[0].attr_attention
         return (batch, n, m), self.num_attrs, self.f, layer.num_heads
 
+    def _reserve(self, name: str, count: int, dtype=None) -> None:
+        self.workspace.reserve(name, count,
+                               self.dtype if dtype is None else dtype)
+
+    def _view(self, name: str, shape: tuple[int, ...], dtype=None
+              ) -> np.ndarray:
+        return self.workspace.view(name, shape,
+                                   self.dtype if dtype is None else dtype)
+
     def _reserve_buffers(self) -> None:
-        ws = self.workspace
         batch, n, m, e, f = self.batch, self.n, self.m, self.e, self.f
         cells = batch * n * m
-        ws.reserve("h", cells * e)
+        self._reserve("h", cells * e)
         block = self.model.blocks[0]
         if getattr(block, "use_user", False):
-            ws.reserve("h_user", cells * e)
-        ws.reserve("logits", batch * m)
-        ws.reserve("out", batch * m)
-        # Encoder scratch.
-        ws.reserve("xu", n * self.hu_f)
-        ws.reserve("xi", m * self.hi_f)
-        ws.reserve("idx", max(n, m), dtype=np.int64)
-        ws.reserve("rflt", n * m, dtype=self.ratings_dtype)
-        ws.reserve("ilev", n * m, dtype=np.int64)
-        ws.reserve("emb", n * m * f)
+            self._reserve("h_user", cells * e)
+        self._reserve("logits", batch * m)
+        self._reserve("out", batch * m)
+        # Encoder scratch: the batch's ids and attribute rows end to end,
+        # then one context's ratings at a time.
+        self._reserve("user_ids", batch * n, np.int64)
+        self._reserve("item_ids", batch * m, np.int64)
+        self._reserve("idx", batch * max(n, m), np.int64)
+        self._reserve("xu", batch * n * self.hu_f)
+        self._reserve("xi", batch * m * self.hi_f)
+        self._reserve("rflt", n * m, self.ratings_dtype)
+        self._reserve("ilev", n * m, np.int64)
+        self._reserve("emb", n * m * f)
         # Attention arenas, sized to the max over the enabled kinds.  All
         # x-shaped buffers hold exactly ``cells * e`` elements (e = h·f);
         # scores/red vary per kind.  The layer-norm square scratch shares
@@ -353,22 +286,18 @@ class InferencePlan:
             scores_count = max(scores_count, count * heads * t * t)
             red_count = max(red_count, count * heads * t, count * t)
         for name in ("k", "v"):
-            ws.reserve(name, x_count)
+            self._reserve(name, x_count)
         for name in ("normed", "attn", "q", "ctx"):
-            ws.reserve(name, wide_count)
-        ws.reserve("qkv", 3 * wide_count)
-        ws.reserve("scores", scores_count)
-        ws.reserve("red", red_count)
-        # Target-row tail: its gather indices.  Every tail buffer fits in
-        # the arenas above (n >= 2 whenever the tail exists); the tail's
-        # activation lives in ``h_user``, which the tail never uses as MBU
-        # output, or in its own small arena when MBU is ablated.
-        ws.reserve("rows", 3 * batch, dtype=np.int64)
-        if getattr(block, "use_user", False):
-            heads = self._attn_shapes("user")[3]
-            ws.reserve("score_rows", 2 * batch * m * heads, dtype=np.int64)
-        elif n > 1:
-            ws.reserve("h_row", batch * m * e)
+            self._reserve(name, wide_count)
+        self._reserve("qkv", 3 * wide_count)
+        self._reserve("scores", scores_count)
+        self._reserve("red", red_count)
+        # Target-row tail: every tail buffer fits in the arenas above
+        # (n >= 2 whenever the tail exists); the tail's activation lives in
+        # ``h_user``, which the tail never uses as MBU output, or in its own
+        # small arena when MBU is ablated.
+        if not getattr(block, "use_user", False) and n > 1:
+            self._reserve("h_row", batch * m * e)
 
     def _enabled_kinds(self):
         block = self.model.blocks[0]
@@ -382,46 +311,42 @@ class InferencePlan:
         return kinds
 
     def _bind_views(self) -> None:
-        ws = self.workspace
         batch, n, m, e = self.batch, self.n, self.m, self.e
-        self.h = ws.view("h", (batch, n, m, e))
-        self.h_user = (ws.view("h_user", (batch, m, n, e))
-                       if "h_user" in ws._arenas else None)
+        use_user = getattr(self.model.blocks[0], "use_user", False)
+        self.h = self._view("h", (batch, n, m, e))
+        self.h_user = (self._view("h_user", (batch, m, n, e))
+                       if use_user else None)
         # The tail mirrors the full layout with one user row per context;
         # at n == 1 the full steps already compute the target row.
-        self.h_row = self.h if n == 1 else ws.view(
+        self.h_row = self.h if n == 1 else self._view(
             "h_user" if self.h_user is not None else "h_row", (batch, 1, m, e))
-        self.logits = ws.view("logits", (batch, 1, m, 1))
+        self.logits = self._view("logits", (batch, 1, m, 1))
         self._logits_nm = self.logits.reshape(batch, m)
-        self.out = ws.view("out", (batch, m))
-        self._rows, self._row_base, self._row_index = ws.view(
-            "rows", (3, batch))
-        np.multiply(np.arange(batch), n, out=self._row_base)
+        self.out = self._view("out", (batch, m))
+        # The tail's gather indices are the plan's own: the bases are set
+        # once here, where a shared arena would see other plans' writes.
+        self._rows = np.zeros(batch, dtype=np.int64)
+        self._row_base = np.arange(batch) * n
+        self._row_index = np.zeros(batch, dtype=np.int64)
         self._score_base = self._score_index = None
-        if "score_rows" in ws._arenas:
+        if use_user:
             heads = self._attn_shapes("user")[3]
-            self._score_base, self._score_index = ws.view(
-                "score_rows", (2, batch, m * heads))
-            np.multiply(np.arange(batch * m * heads).reshape(
-                batch, m * heads), n, out=self._score_base)
+            self._score_base = np.arange(batch * m * heads).reshape(
+                batch, m * heads) * n
+            self._score_index = np.zeros_like(self._score_base)
 
     def _make_encode_slot(self, cell: np.ndarray, n: int, m: int) -> _EncodeSlot:
         """Encoder views for one ``(n_full, m_full, e)`` slab of ``h``,
         filled over its leading ``(n, m)`` region; any padding strips beyond
         that region are zeroed on every encode."""
-        ws = self.workspace
         slot = _EncodeSlot()
         slot.cell = cell[:n, :m]
         slot.user_block = slot.cell[:, :, : self.hu_f]
         slot.item_block = slot.cell[:, :, self.hu_f: self.hu_f + self.hi_f]
         slot.rat = slot.cell[:, :, self.hu_f + self.hi_f:]
-        slot.xu = ws.view("xu", (n, self.hu_f))
-        slot.xi = ws.view("xi", (m, self.hi_f))
-        slot.idx_n = ws.view("idx", (n,))
-        slot.idx_m = ws.view("idx", (m,))
-        slot.rflt = ws.view("rflt", (n, m))
-        slot.ilev = ws.view("ilev", (n, m))
-        slot.emb = ws.view("emb", (n, m, self.f))
+        slot.rflt = self._view("rflt", (n, m), self.ratings_dtype)
+        slot.ilev = self._view("ilev", (n, m), np.int64)
+        slot.emb = self._view("emb", (n, m, self.f))
         pad = []
         if n < cell.shape[0]:
             pad.append(cell[n:, :, :])
@@ -437,7 +362,6 @@ class InferencePlan:
                         out_arr: np.ndarray, residual: bool,
                         n: int | None = None, key: str | None = None
                         ) -> _AttnStep:
-        ws = self.workspace
         bshape, t, d, heads = self._attn_shapes(kind, n)
         head_dim = d // heads
         step = _AttnStep()
@@ -449,23 +373,22 @@ class InferencePlan:
         step.residual = residual
         step.num_heads = heads
         xshape = (*bshape, t, d)
-        step.normed = ws.view("normed", xshape)
-        step.sq = ws.view("scores", xshape)       # dead before scores live
-        step.red_ln = ws.view("red", (*bshape, t, 1))
-        step.qkv = ws.view("qkv", (*bshape, t, 3 * d))
+        step.normed = self._view("normed", xshape)
+        step.sq = self._view("scores", xshape)       # dead before scores live
+        step.red_ln = self._view("red", (*bshape, t, 1))
+        step.qkv = self._view("qkv", (*bshape, t, 3 * d))
         head_shape = (*bshape, heads, t, head_dim)
-        step.q = ws.view("q", head_shape)
-        step.k = ws.view("k", head_shape)
-        step.v = ws.view("v", head_shape)
-        step.ctx = ws.view("ctx", head_shape)
-        step.scores = ws.view("scores", (*bshape, heads, t, t))
-        step.red = ws.view("red", (*bshape, heads, t, 1))
-        step.attn_out = ws.view("attn", xshape)
+        step.q = self._view("q", head_shape)
+        step.k = self._view("k", head_shape)
+        step.v = self._view("v", head_shape)
+        step.ctx = self._view("ctx", head_shape)
+        step.scores = self._view("scores", (*bshape, heads, t, t))
+        step.red = self._view("red", (*bshape, heads, t, 1))
+        step.attn_out = self._view("attn", xshape)
         return step
 
     def _bind_row_attention(self, block) -> _RowAttnStep:
         """The last block's MBU bound for target rows (see :meth:`_row_tail`)."""
-        ws = self.workspace
         batch, n, m, e = self.batch, self.n, self.m, self.e
         norm = block.user_norm if block.use_layer_norm else None
         full = self._bind_attention(block.user_attention, norm, "user",
@@ -477,12 +400,12 @@ class InferencePlan:
         step.full = full
         step.residual = block.use_residual
         step.score_rows = self._score_index.reshape(-1)
-        step.probs = ws.view("normed", (batch, m, heads, n))
+        step.probs = self._view("normed", (batch, m, heads, n))
         # The projection operand is 2-D with at least two rows: a one-row
         # GEMM would take numpy's vector path and round differently.
-        step.attn_rows = ws.view("attn", (max(rows, 2), e))
+        step.attn_rows = self._view("attn", (max(rows, 2), e))
         step.merged = step.attn_rows[:rows].reshape(rows * heads, e // heads)
-        step.proj = ws.view("normed", (max(rows, 2), e))
+        step.proj = self._view("normed", (max(rows, 2), e))
         step.proj_rows = step.proj[:rows].reshape(batch, m, e)
         step.h_rows = self.h.reshape(-1, m, e)
         step.row_index = self._row_index
@@ -492,18 +415,17 @@ class InferencePlan:
     def _bind_mba(self, n: int) -> F.TokenMajorScratch:
         """Token-major MBA scratch over the attention arenas, for ``n``
         user rows (shared by every block: the MBA steps never overlap)."""
-        ws = self.workspace
         bshape, t, d, heads = self._attn_shapes("attr", n)
         lanes = F.TokenMajorScratch.lanes(prod(bshape))
         x_shape = (d, t, lanes)
-        normed = ws.view("normed", x_shape)
+        normed = self._view("normed", x_shape)
         return F.TokenMajorScratch(
-            xt=ws.view("attn", x_shape), xhat=normed, normed=normed,
-            stats=ws.view("red", (t, lanes)),
-            qkv=ws.view("qkv", (3 * d, t, lanes)),
-            scores=ws.view("scores", (heads, t, t, lanes)),
-            red=ws.view("red", (heads, t, 1, lanes)),
-            ctx=ws.view("ctx", x_shape), y=ws.view("q", x_shape))
+            xt=self._view("attn", x_shape), xhat=normed, normed=normed,
+            stats=self._view("red", (t, lanes)),
+            qkv=self._view("qkv", (3 * d, t, lanes)),
+            scores=self._view("scores", (heads, t, t, lanes)),
+            red=self._view("red", (heads, t, 1, lanes)),
+            ctx=self._view("ctx", x_shape), y=self._view("q", x_shape))
 
     @staticmethod
     def _exec_mba(step: _MbaStep, program) -> None:
@@ -667,34 +589,37 @@ class InferencePlan:
     # ------------------------------------------------------------------ #
     # Execution
     # ------------------------------------------------------------------ #
-    def _encode_into(self, context, slot: _EncodeSlot,
-                     store: EmbeddingStore | None = None) -> None:
-        """Fill one context's slab of ``h`` in place through ``slot``'s views."""
+    def _encode(self, contexts, program: _Program) -> None:
+        """Fill every context's slab of ``h`` through ``program``'s views.
+
+        The attribute rows of the whole batch come from one gather pair
+        per attribute table over the concatenated ids; each slot then
+        broadcasts its slice of them into its cells.
+        """
         enc = self.encoder
+        if self.hu_f:
+            np.concatenate([c.users for c in contexts], out=program.user_ids)
+            self._gather(enc._user_attributes, enc.user_transforms,
+                         program.user_ids, program.user_idx, program.xu)
+        if self.hi_f:
+            np.concatenate([c.items for c in contexts], out=program.item_ids)
+            self._gather(enc._item_attributes, enc.item_transforms,
+                         program.item_ids, program.item_idx, program.xi)
+        for slot, context in zip(program.slots, contexts):
+            self._encode_into(context, slot)
+
+    def _gather(self, attributes, transforms, ids, idx, rows) -> None:
+        """``rows[i] = concat_k transforms[k][attributes[ids[i], k]]``."""
         f = self.f
-        if store is not None:
-            # Warm path: rows were built by the identical gather ops, so a
-            # single whole-row take per side reproduces the same bytes.
-            store.ensure(context.users, context.items)
-            if self.hu_f:
-                np.take(store.user_rows, context.users, axis=0, out=slot.xu)
-            if self.hi_f:
-                np.take(store.item_rows, context.items, axis=0, out=slot.xi)
-        else:
-            col = 0
-            for k, transform in enumerate(enc.user_transforms):
-                np.take(enc._user_attributes[:, k], context.users,
-                        out=slot.idx_n)
-                np.take(transform.weight.data, slot.idx_n, axis=0,
-                        out=slot.xu[:, col:col + f])
-                col += f
-            col = 0
-            for k, transform in enumerate(enc.item_transforms):
-                np.take(enc._item_attributes[:, k], context.items,
-                        out=slot.idx_m)
-                np.take(transform.weight.data, slot.idx_m, axis=0,
-                        out=slot.xi[:, col:col + f])
-                col += f
+        for k, transform in enumerate(transforms):
+            np.take(attributes[:, k], ids, out=idx)
+            np.take(transform.weight.data, idx, axis=0,
+                    out=rows[:, k * f:(k + 1) * f])
+
+    def _encode_into(self, context, slot: _EncodeSlot) -> None:
+        """Fill one context's slab of ``h`` in place through ``slot``'s views
+        (its attribute rows already gathered into ``slot.xu`` / ``slot.xi``)."""
+        enc = self.encoder
         if self.hu_f:
             slot.user_block[...] = slot.xu[:, None, :]
         if self.hi_f:
@@ -731,8 +656,7 @@ class InferencePlan:
             np.add(self._score_base, self._rows[:, None],
                    out=self._score_index)
 
-    def run(self, contexts, rows, store: EmbeddingStore | None = None
-            ) -> np.ndarray:
+    def run(self, contexts, rows) -> np.ndarray:
         """Forward ``contexts`` and return the workspace-backed ``(B, m)``
         target rows, ``rows[b]`` of context ``b``.
 
@@ -759,8 +683,7 @@ class InferencePlan:
             self._programs[shapes] = program
         self._set_rows(rows, contexts)
         with _spans.span("encode"):
-            for slot, context in zip(program.slots, contexts):
-                self._encode_into(context, slot, store)
+            self._encode(contexts, program)
         for name, execute, step in self._steps:
             with _spans.span(name):
                 execute(step, program)
@@ -802,6 +725,20 @@ class InferencePlan:
         program = _Program()
         program.slots = [self._make_encode_slot(slabs[b], n_i, m_i)
                          for b, (n_i, m_i) in enumerate(shapes)]
+        users = sum(n_i for n_i, _ in shapes)
+        items = sum(m_i for _, m_i in shapes)
+        program.user_ids = self._view("user_ids", (users,), np.int64)
+        program.item_ids = self._view("item_ids", (items,), np.int64)
+        program.user_idx = self._view("idx", (users,), np.int64)
+        program.item_idx = self._view("idx", (items,), np.int64)
+        program.xu = self._view("xu", (users, self.hu_f))
+        program.xi = self._view("xi", (items, self.hi_f))
+        u = i = 0
+        for slot, (n_i, m_i) in zip(program.slots, shapes):
+            slot.xu = program.xu[u:u + n_i]
+            slot.xi = program.xi[i:i + m_i]
+            u += n_i
+            i += m_i
         kinds = self._enabled_kinds()
         program.attn_spans = {kind: self._span_views(kind, groups)
                               for kind in kinds if kind != "attr"}
@@ -812,10 +749,9 @@ class InferencePlan:
                 "item", row_groups, n=1)
         program.row_softmax = None
         if "user" in kinds:
-            ws = self.workspace
             heads = self._attn_shapes("user")[3]
-            probs = ws.view("normed", (len(shapes), m, heads, n))
-            red = ws.view("red", (len(shapes), m, heads, 1))
+            probs = self._view("normed", (len(shapes), m, heads, n))
+            red = self._view("red", (len(shapes), m, heads, 1))
             program.row_softmax = [(probs[b0:b1, :m_i, :, :n_i],
                                     red[b0:b1, :m_i])
                                    for b0, b1, n_i, m_i in groups]
@@ -826,16 +762,15 @@ class InferencePlan:
 
     def _span_views(self, kind: str, groups, n: int | None = None):
         """Per-group sliced (q, kᵀ, v, scores, red, ctx) views for one kind."""
-        ws = self.workspace
         bshape, t, d, heads = self._attn_shapes(kind, n)
         head_dim = d // heads
         head_shape = (*bshape, heads, t, head_dim)
-        q = ws.view("q", head_shape)
-        k = ws.view("k", head_shape)
-        v = ws.view("v", head_shape)
-        ctx = ws.view("ctx", head_shape)
-        scores = ws.view("scores", (*bshape, heads, t, t))
-        red = ws.view("red", (*bshape, heads, t, 1))
+        q = self._view("q", head_shape)
+        k = self._view("k", head_shape)
+        v = self._view("v", head_shape)
+        ctx = self._view("ctx", head_shape)
+        scores = self._view("scores", (*bshape, heads, t, t))
+        red = self._view("red", (*bshape, heads, t, 1))
         spans = []
         for b0, b1, n_i, m_i in groups:
             # MBU attends n tokens batched over m columns; MBI the reverse.
@@ -867,7 +802,8 @@ _GEN_LOCK = threading.Lock()
 _GENERATION = 0
 # Mixed-shape traffic keys plans by *bucketed* shapes (the serve tier rounds
 # (n, m) up to pack buckets), so the key space stays small; 16 entries give
-# several batch sizes × several buckets headroom without hoarding workspaces.
+# several batch sizes × several buckets headroom.  Plans hold views into the
+# thread's one workspace, so the LRU bounds only their views and indices.
 _MAX_PLANS = 16
 _MAX_PROGRAMS = 32
 
@@ -881,7 +817,7 @@ def bump_generation() -> None:
     """Invalidate every cached plan in every thread (lazily, on next lookup).
 
     Called by :class:`repro.serve.ModelRegistry` on hot swaps so no stale
-    plan keeps a retired model (or its workspace) alive.
+    plan keeps a retired model alive.  The threads' workspaces stay.
     """
     global _GENERATION
     with _GEN_LOCK:
@@ -889,17 +825,22 @@ def bump_generation() -> None:
 
 
 class _ThreadPlans:
-    """One thread's plan LRU and the workspace bytes its plans hold."""
+    """One thread's plan LRU, its workspace and the workspace's bytes.
 
-    __slots__ = ("plans", "generation", "nbytes", "__weakref__")
+    ``nbytes`` is written only by the owning thread, so other threads sum
+    it for the gauge without walking a workspace that may be growing.
+    """
+
+    __slots__ = ("plans", "generation", "workspace", "nbytes", "__weakref__")
 
     def __init__(self):
         self.plans: OrderedDict = OrderedDict()
         self.generation = -1
+        self.workspace = Workspace()
         self.nbytes = 0
 
 
-# Every live thread's plans, for the ``infer.workspace_bytes`` gauge.  A
+# Every live thread's workspace, for the ``infer.workspace_bytes`` gauge.  A
 # thread's ``_ThreadPlans`` dies with the thread's local storage at exit,
 # which drops it from the set and republishes the gauge.  Re-entrant: a
 # thread-exit finalizer may fire while this thread publishes.
@@ -926,16 +867,17 @@ class _PlanCache(threading.local):
 _CACHE = _PlanCache()
 
 
-def _plans_changed(state: _ThreadPlans) -> None:
-    state.nbytes = sum(p.workspace.nbytes for p in state.plans.values())
+def _workspace_changed(state: _ThreadPlans) -> None:
+    state.nbytes = state.workspace.nbytes
     _publish_workspace_bytes()
 
 
 def clear_cache() -> None:
-    """Drop this thread's cached plans (frees their workspaces)."""
+    """Drop this thread's cached plans and free its workspace."""
     state = _CACHE.state
     state.plans.clear()
-    _plans_changed(state)
+    state.workspace = Workspace()
+    _workspace_changed(state)
 
 
 def cache_stats() -> dict:
@@ -952,15 +894,16 @@ def cache_stats() -> dict:
 
 
 def get_plan(model, batch: int, n: int, m: int, ratings_dtype) -> InferencePlan:
-    """Fetch or build the plan for (model, batch, n, m); LRU-cached per thread."""
+    """Fetch or build the plan for (model, batch, n, m); LRU-cached per thread.
+
+    A build binds into the thread's workspace.  When it grows an arena,
+    the thread's other plans are dropped, freeing the old arenas they keep.
+    """
     state = _CACHE.state
     gen = generation()
     if state.generation != gen:
-        stale = bool(state.plans)
         state.plans.clear()
         state.generation = gen
-        if stale:
-            _plans_changed(state)
     key = (id(model), batch, n, m)
     registry = _metrics.get_registry()
     plan = state.plans.get(key)
@@ -969,13 +912,17 @@ def get_plan(model, batch: int, n: int, m: int, ratings_dtype) -> InferencePlan:
         registry.counter("infer.plan_cache.hit").inc()
         return plan
     registry.counter("infer.plan_cache.miss").inc()
+    workspace = state.workspace
+    regrown = workspace.regrown
     with _spans.span("infer/plan_build"):
-        plan = InferencePlan(model, batch, n, m, ratings_dtype)
+        plan = InferencePlan(model, batch, n, m, ratings_dtype, workspace)
+    if workspace.regrown != regrown:
+        state.plans.clear()
     state.plans[key] = plan
     state.plans.move_to_end(key)
     while len(state.plans) > _MAX_PLANS:
         state.plans.popitem(last=False)
-    _plans_changed(state)
+    _workspace_changed(state)
     return plan
 
 
@@ -1002,7 +949,7 @@ def engine_supported(model) -> bool:
     return True
 
 
-def _run(model, contexts, n: int, m: int, rows, embed_store) -> np.ndarray:
+def _run(model, contexts, n: int, m: int, rows) -> np.ndarray:
     """The engine's one program: ``contexts`` (grouped by shape) padded
     into the cached ``(B, n, m)`` plan; returns its ``(B, m)`` target rows."""
     ratings_dtype = contexts[0].ratings.dtype
@@ -1011,27 +958,22 @@ def _run(model, contexts, n: int, m: int, rows, embed_store) -> np.ndarray:
             raise ValueError("contexts must share a ratings dtype")
     plan = get_plan(model, len(contexts), n, m, ratings_dtype)
     with _spans.span("infer/forward"):
-        return plan.run(contexts, rows, embed_store)
+        return plan.run(contexts, rows)
 
 
-def forward_inference(model, context,
-                      embed_store: EmbeddingStore | None = None, *,
-                      rows) -> np.ndarray:
+def forward_inference(model, context, *, rows) -> np.ndarray:
     """Run one context as a batch of one; ``(1, m)`` target-row ratings.
 
     ``rows=(r,)`` names the user row a prediction reads: only that row is
     computed through the last block (the target-row tail), bitwise equal
     to row ``r`` of the Tensor forward's ``(n, m)`` matrix.  The result is
-    a view into the plan's workspace — valid until the next engine call on
-    this thread.  Copy it to retain it.  ``embed_store`` optionally reuses
-    warm per-entity attribute rows (bitwise identical).
+    a view into this thread's workspace — valid until the next engine call
+    on this thread.  Copy it to retain it.
     """
-    return _run(model, (context,), context.n, context.m, rows, embed_store)
+    return _run(model, (context,), context.n, context.m, rows)
 
 
-def forward_inference_many(model, contexts,
-                           embed_store: EmbeddingStore | None = None, *,
-                           rows) -> np.ndarray:
+def forward_inference_many(model, contexts, *, rows) -> np.ndarray:
     """Batched engine forward over same-shape contexts; ``(B, m)`` ratings.
 
     ``rows[b]`` is the target user row of ``contexts[b]``, and row ``b`` of
@@ -1046,12 +988,10 @@ def forward_inference_many(model, contexts,
     if any(context.n != n or context.m != m for context in contexts):
         raise ValueError("forward_inference_many requires equally-sized "
                          "contexts (use forward_inference_packed)")
-    return _run(model, contexts, n, m, rows, embed_store)
+    return _run(model, contexts, n, m, rows)
 
 
-def forward_inference_packed(model, contexts, n: int, m: int,
-                             embed_store: EmbeddingStore | None = None, *,
-                             rows):
+def forward_inference_packed(model, contexts, n: int, m: int, *, rows):
     """Padded mixed-shape engine forward through one ``(B, n, m)`` plan.
 
     Pads every context into an ``(n, m)`` slab of a single stacked plan and
@@ -1074,7 +1014,7 @@ def forward_inference_packed(model, contexts, n: int, m: int,
     order = sorted(range(len(contexts)),
                    key=lambda i: (-contexts[i].n, -contexts[i].m))
     outputs = _run(model, [contexts[i] for i in order], n, m,
-                   [rows[i] for i in order], embed_store)
+                   [rows[i] for i in order])
     slots = [0] * len(contexts)
     for row, index in enumerate(order):
         slots[index] = row

@@ -25,9 +25,6 @@ Ties the serving pieces together behind ``submit()`` / ``predict()`` /
   :func:`repro.nn.inference.forward_inference_packed` when its shapes
   differ) whose target rows are bitwise identical to unpadded
   per-request forwards;
-* a warm-entity :class:`repro.nn.inference.EmbeddingStore` reuses encoder
-  attribute rows across requests, dropped on registry hot swaps and
-  invalidated per-entity on ``update_ratings``;
 * latency histograms (p50/p99), queue-depth gauges, pad-waste/bucket
   occupancy and cache hit-rate counters stream into a
   :class:`repro.obs.MetricsRegistry`;
@@ -69,7 +66,8 @@ __all__ = ["PredictionService", "ServiceConfig"]
 class ServiceConfig:
     """Knobs of the online prediction service."""
 
-    # Context assembly (mirrors HIREPredictor's defaults).
+    # Context assembly (mirrors HIREPredictor's defaults).  Budgets are at
+    # least 2, like per-request overrides and ladder rungs.
     context_users: int = 32
     context_items: int = 32
     reveal_fraction: float = 0.1
@@ -124,6 +122,8 @@ class ServiceConfig:
     export_interval_seconds: float = 5.0
 
     def __post_init__(self):
+        if self.context_users < 2 or self.context_items < 2:
+            raise ValueError("context_users and context_items must be >= 2")
         if self.num_context_samples < 1:
             raise ValueError("num_context_samples must be >= 1")
         if self.num_workers < 1:
@@ -212,7 +212,6 @@ class PredictionService:
             verify=self.config.incremental_verify,
             rating_log=rating_log)
         self._store.subscribe(self._on_graph_update)
-        self._embed_store = None
         # Bucket-homogeneous batches keep each micro-batch a single packed
         # plan execution downstream; with uniform budgets every request
         # shares one bucket, so batches form by size and deadline alone.
@@ -399,8 +398,8 @@ class PredictionService:
         incrementally via :meth:`RatingGraph.apply_deltas`, the
         candidate pools grow with any new entities, the graph generation
         bumps, and the applied deltas tee into the store's ``rating_log``.
-        Invalidation is **fine-grained**: only cache entries and warm
-        embedding rows whose assembly read a changed user/item are dropped;
+        Invalidation is **fine-grained**: only cache entries whose assembly
+        read a changed user/item are dropped;
         the rest survive (pool growth forces a full drop — see
         ``docs/serving.md``).  Returns the number of deltas applied — zero
         means nothing changed (and nothing was invalidated).  A batch with
@@ -430,15 +429,6 @@ class PredictionService:
                     result.changed_users, result.changed_items)
                 self._counter("invalidation_evicted_total").inc(evicted)
                 self._counter("invalidation_spared_total").inc(spared)
-        if result.full_invalidation:
-            # Pool growth may have introduced entities the store has never
-            # sized rows for; retire it wholesale.
-            self._embed_store = None
-        else:
-            store = self._embed_store
-            if store is not None:
-                store.invalidate_entities(result.changed_users,
-                                          result.changed_items)
 
     @property
     def graph_store(self) -> GraphStore:
@@ -576,9 +566,6 @@ class PredictionService:
             }
         if self.cache is not None:
             out["cache"] = {**self.cache.stats.snapshot(), "entries": len(self.cache)}
-        store = self._embed_store
-        if store is not None:
-            out["embed_store"] = store.stats()
         return out
 
     def report(self) -> str:
@@ -755,15 +742,6 @@ class PredictionService:
         """The micro-batcher's bucket key: padded shape of this request."""
         return self._bucket_dims(*self._effective_budgets(request))
 
-    def _embed_store_for(self, model: HIRE):
-        """The warm-entity row store for ``model``, rebuilt when the model
-        or its parameter generation changed (registry hot swap)."""
-        store = self._embed_store
-        if store is None or not store.valid_for(model):
-            store = nn.inference.EmbeddingStore(model)
-            self._embed_store = store
-        return store
-
     # -- exact path ---------------------------------------------------- #
     def _chunks_for(self, request: PredictRequest, graph_state) -> list:
         """Per-sample assembled chunks for one request (cache-aware).
@@ -838,8 +816,6 @@ class PredictionService:
         if not entries:
             return []
 
-        store = self._embed_store_for(model)
-
         by_bucket: dict[tuple[int, int], list] = {}
         for entry in entries:
             context = entry[2].context
@@ -853,11 +829,11 @@ class PredictionService:
                 rows = [chunk.user_row for _, _, chunk in bucket_entries]
                 if all(c.n == nb and c.m == mb for c in contexts):
                     outputs = nn.inference.forward_inference_many(
-                        model, contexts, embed_store=store, rows=rows)
+                        model, contexts, rows=rows)
                     slots = range(len(contexts))
                 else:
                     outputs, slots = nn.inference.forward_inference_packed(
-                        model, contexts, nb, mb, embed_store=store, rows=rows)
+                        model, contexts, nb, mb, rows=rows)
                     real = sum(c.n * c.m for c in contexts)
                     self._counter("packed_contexts_total").inc(len(contexts))
                     self._gauge("pack_pad_waste").set(

@@ -159,14 +159,15 @@ def test_plan_cache_hits_and_shape_invalidation(dataset, graph):
     assert after_second["hits"] == after_first["hits"] + 1
     assert after_second["misses"] == after_first["misses"]
 
-    # A new shape builds a second plan instead of reusing the first.
+    # A new shape builds a second plan instead of reusing the first; it
+    # grows the thread's workspace, so it replaces the first plan.
     rng = np.random.default_rng(5)
     wider = build_context(graph, np.arange(8), np.arange(9), rng,
                           reveal_fraction=0.3)
     inference.forward_inference(model, wider, rows=[0])
     after_wider = inference.cache_stats()
     assert after_wider["misses"] == after_second["misses"] + 1
-    assert after_wider["plans"] == after_second["plans"] + 1
+    assert after_wider["plans"] == 1
     assert after_wider["workspace_bytes"] > 0
 
 
@@ -372,121 +373,20 @@ def test_packed_zero_steady_state_allocations(dataset, graph):
     model = make_model(dataset)
     model.eval()
     contexts = make_mixed_contexts(graph)
-    store = inference.EmbeddingStore(model)
     rows = [0] * len(contexts)
     for _ in range(3):
-        inference.forward_inference_packed(model, contexts, 8, 8,
-                                           embed_store=store, rows=rows)
+        inference.forward_inference_packed(model, contexts, 8, 8, rows=rows)
     gc.collect()
     tracemalloc.start()
     base = tracemalloc.take_snapshot()
     for _ in range(20):
-        inference.forward_inference_packed(model, contexts, 8, 8,
-                                           embed_store=store, rows=rows)
+        inference.forward_inference_packed(model, contexts, 8, 8, rows=rows)
     gc.collect()
     snap = tracemalloc.take_snapshot()
     tracemalloc.stop()
     growth = sum(stat.size_diff for stat in snap.compare_to(base, "filename")
                  if "repro" in (stat.traceback[0].filename or ""))
     assert growth < 1024, f"steady-state packed engine leaked {growth} bytes"
-
-
-# ---------------------------------------------------------------------- #
-# Warm-entity embedding store
-# ---------------------------------------------------------------------- #
-class TestEmbeddingStore:
-    def test_store_backed_scores_are_bitwise_identical(self, dataset, graph):
-        model = make_model(dataset)
-        model.eval()
-        ctx, ctx2 = make_contexts(graph)
-        plain = inference.forward_inference(model, ctx, rows=[1]).copy()
-        plain_many = inference.forward_inference_many(
-            model, [ctx, ctx2], rows=[1, 2]).copy()
-        store = inference.EmbeddingStore(model)
-        warm = inference.forward_inference(model, ctx, embed_store=store,
-                                           rows=[1]).copy()
-        warm_many = inference.forward_inference_many(
-            model, [ctx, ctx2], embed_store=store, rows=[1, 2]).copy()
-        assert plain.tobytes() == warm.tobytes()
-        assert plain_many.tobytes() == warm_many.tobytes()
-
-    def test_hits_and_misses_accumulate(self, dataset, graph):
-        model = make_model(dataset)
-        model.eval()
-        ctx, _ = make_contexts(graph)
-        store = inference.EmbeddingStore(model)
-        inference.forward_inference(model, ctx, embed_store=store, rows=[0])
-        first = store.stats()
-        assert first["misses"] > 0
-        inference.forward_inference(model, ctx, embed_store=store, rows=[0])
-        second = store.stats()
-        assert second["misses"] == first["misses"]  # all rows warm now
-        assert second["hits"] > first["hits"]
-
-    def test_generation_bump_invalidates(self, dataset):
-        model = make_model(dataset)
-        store = inference.EmbeddingStore(model)
-        assert store.valid_for(model)
-        inference.bump_generation()
-        assert not store.valid_for(model)
-        assert not store.valid_for(make_model(dataset))  # wrong model too
-
-    def test_registry_hot_swap_invalidates(self, dataset):
-        model = make_model(dataset)
-        store = inference.EmbeddingStore(model)
-        registry = ModelRegistry(dataset)
-        registry.add("a", make_model(dataset))  # bumps the generation
-        assert not store.valid_for(model)
-
-    def test_invalidate_entities_refills_only_touched_rows(self, dataset,
-                                                           graph):
-        """Per-entity invalidation: the swept rows go back to misses, every
-        other row keeps serving hits, and scores stay bitwise identical."""
-        model = make_model(dataset)
-        model.eval()
-        ctx, _ = make_contexts(graph)
-        plain = inference.forward_inference(model, ctx, rows=[3]).copy()
-        store = inference.EmbeddingStore(model)
-        inference.forward_inference(model, ctx, embed_store=store, rows=[3])
-        warm_users = np.flatnonzero(store._user_valid)
-        warm_items = np.flatnonzero(store._item_valid)
-        assert warm_users.size > 1 and warm_items.size > 1
-        store.invalidate_entities(warm_users[:1], warm_items[:1])
-        assert not store._user_valid[warm_users[0]]
-        assert not store._item_valid[warm_items[0]]
-        assert store._user_valid[warm_users[1:]].all()
-        assert store._item_valid[warm_items[1:]].all()
-        baseline = store.stats()
-        out = inference.forward_inference(model, ctx, embed_store=store,
-                                          rows=[3]).copy()
-        after = store.stats()
-        assert out.tobytes() == plain.tobytes()
-        # Only the swept rows were rebuilt; the rest were warm hits.
-        assert after["misses"] > baseline["misses"]
-        assert after["hits"] > baseline["hits"]
-
-    def test_invalidate_entities_accepts_empty(self, dataset):
-        store = inference.EmbeddingStore(make_model(dataset))
-        store.invalidate_entities(np.array([], dtype=np.int64),
-                                  np.array([], dtype=np.int64))
-
-    def test_stale_rows_are_not_reused_after_weight_update(self, dataset, graph):
-        """A store outliving a weight hot-update must be discarded by the
-        caller; ``valid_for`` only tracks generation bumps, so registry-less
-        updates are the caller's responsibility — pin the recipe."""
-        model = make_model(dataset)
-        model.eval()
-        ctx, _ = make_contexts(graph)
-        store = inference.EmbeddingStore(model)
-        inference.forward_inference(model, ctx, embed_store=store, rows=[0])
-        state = {name: param.data * 2.0
-                 for name, param in model.named_parameters()}
-        model.load_state_dict(state)
-        fresh = inference.EmbeddingStore(model)
-        out = inference.forward_inference(model, ctx, embed_store=fresh,
-                                          rows=[0]).copy()
-        expected = inference.forward_inference(model, ctx, rows=[0]).copy()
-        assert out.tobytes() == expected.tobytes()
 
 
 # ---------------------------------------------------------------------- #
@@ -641,7 +541,6 @@ def test_row_plans_zero_steady_state_allocations(dataset, graph):
     model.eval()
     ctx, ctx2 = make_contexts(graph)
     contexts = make_mixed_contexts(graph)
-    store = inference.EmbeddingStore(model)
     mixed_rows = [i % c.n for i, c in enumerate(contexts)]
 
     def run(index):
@@ -649,7 +548,6 @@ def test_row_plans_zero_steady_state_allocations(dataset, graph):
         inference.forward_inference_many(model, [ctx, ctx2],
                                          rows=[index % ctx.n, 0])
         inference.forward_inference_packed(model, contexts, 8, 8,
-                                           embed_store=store,
                                            rows=mixed_rows)
 
     for index in range(3):
@@ -694,6 +592,91 @@ def test_engine_step_spans_are_passive(dataset, graph):
         # Two forwards, each with K = 2 blocks (the last as the row tail).
         per_forward = 2 if step in ("mbu", "mbi", "mba") else 1
         assert totals[f"infer/forward/{step}"].count == 2 * per_forward
+
+
+def arena_bytes():
+    """The calling thread's workspace, as ``{(name, dtype): nbytes}``."""
+    arenas = inference._CACHE.state.workspace._arenas
+    return {key: arena.nbytes for key, arena in arenas.items()}
+
+
+def test_one_workspace_per_thread(wide_dataset, wide_graph):
+    """One thread runs B = 1 at 8×8, B = 8 at 16×16, B = 1 again, then the
+    same model cast to float32.  Every target row equals a run on a fresh
+    thread's cache, and the thread holds each arena at the size the largest
+    plan needs: at float64 that is the largest plan's footprint, not the
+    sum over plans."""
+    import threading
+
+    model = make_model(wide_dataset)
+    model.eval()
+    rng = np.random.default_rng(23)
+
+    def contexts(batch, size):
+        return [build_context(wide_graph, rng.choice(60, size, replace=False),
+                              rng.choice(50, size, replace=False), rng,
+                              reveal_fraction=0.3) for _ in range(batch)]
+
+    def fresh_run(batch_contexts, rows):
+        result = []
+
+        def target():
+            out = inference.forward_inference_many(model, batch_contexts,
+                                                   rows=rows)
+            result.append((out.copy(), arena_bytes()))
+
+        thread = threading.Thread(target=target)
+        thread.start()
+        thread.join(60)
+        return result[0]
+
+    small, large = contexts(1, 8), contexts(8, 16)
+    inference.clear_cache()
+    expected = {}
+    footprints = []
+    for dtype, batch_contexts in [(np.float64, small), (np.float64, large),
+                                  (np.float64, small), (np.float32, large)]:
+        if dtype is np.float32:
+            for param in model.parameters():
+                param.data = param.data.astype(np.float32)
+        rows = [b % c.n for b, c in enumerate(batch_contexts)]
+        reference, fresh = fresh_run(batch_contexts, rows)
+        got = inference.forward_inference_many(model, batch_contexts,
+                                               rows=rows)
+        assert got.dtype == dtype
+        assert got.tobytes() == reference.tobytes()
+        for key, nbytes in fresh.items():
+            expected[key] = max(expected.get(key, 0), nbytes)
+        footprints.append(sum(fresh.values()))
+        assert arena_bytes() == expected
+        workspace = inference.cache_stats()["workspace_bytes"]
+        assert workspace == sum(expected.values())
+        if dtype is np.float64:
+            assert workspace == max(footprints)
+    inference.clear_cache()
+
+
+def test_held_plan_survives_workspace_growth(dataset, graph):
+    """A plan fetched through ``get_plan`` keeps the arenas it was built
+    on: after a larger build grows the thread's workspace, a composition
+    it compiles for the first time still matches a fresh packed run."""
+    inference.clear_cache()
+    model = make_model(dataset)
+    model.eval()
+    contexts = make_mixed_contexts(graph)[:2]
+    rows = [1, 2]
+    plan = inference.get_plan(model, 2, 8, 8, contexts[0].ratings.dtype)
+    rng = np.random.default_rng(31)
+    wide = [build_context(graph, np.arange(i, i + 12), np.arange(12), rng,
+                          reveal_fraction=0.3) for i in range(4)]
+    inference.forward_inference_many(model, wide, rows=[0] * 4)
+    held = plan.run(contexts, rows).copy()
+    fresh, slots = inference.forward_inference_packed(model, contexts, 8, 8,
+                                                      rows=rows)
+    for i, context in enumerate(contexts):
+        assert held[i][:context.m].tobytes() == (
+            fresh[slots[i]][:context.m].tobytes())
+    inference.clear_cache()
 
 
 def test_workspace_gauge_sums_live_threads(dataset, graph):

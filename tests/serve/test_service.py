@@ -102,6 +102,24 @@ class TestBitIdentity:
         assert np.array_equal(before, sequential_scores[0])
         assert np.array_equal(after, other_predictor.predict_task(task))
 
+    def test_in_place_weight_load_reaches_the_next_prediction(
+            self, ml_dataset, ml_split, serve_tasks):
+        """Weights loaded into a served bare model in place score the next
+        request exactly as a service started on the loaded weights."""
+        model = HIRE(ml_dataset, HIREConfig(num_blocks=2, num_heads=2,
+                                            attr_dim=8))
+        task = serve_tasks[0]
+        args = (task.user, task.query_items, task.support_items)
+        with make_service(model, ml_split, serve_tasks) as service:
+            before = service.predict(*args)
+            model.load_state_dict({name: param.data * 1.5
+                                   for name, param in model.named_parameters()})
+            after = service.predict(*args)
+        with make_service(model, ml_split, serve_tasks) as fresh:
+            expected = fresh.predict(*args)
+        assert before.tobytes() != after.tobytes()
+        assert after.tobytes() == expected.tobytes()
+
     def test_coalesced_requests_get_independent_arrays(
             self, serve_model, ml_split, serve_tasks):
         task = serve_tasks[0]
@@ -228,6 +246,16 @@ class TestValidation:
         item = int(ml_split.train_ratings()[0, 1])
         with pytest.raises(RequestError, match="already rated"):
             service.submit(user, [item])
+
+    @pytest.mark.parametrize("budgets", [
+        {"context_users": 0}, {"context_users": 1},
+        {"context_items": 0}, {"context_items": 1},
+    ])
+    def test_config_rejects_budgets_below_two(self, budgets):
+        """The rule overrides and ladder rungs follow holds for the
+        service-wide budgets too, at construction."""
+        with pytest.raises(ValueError, match=">= 2"):
+            ServiceConfig(**budgets)
 
 
 class TestGraphUpdates:
@@ -450,61 +478,6 @@ class TestRowPathServing:
         assert ("serve.packed_contexts_total" in snapshot) is packed
         for scores, reference in zip(got, expected):
             assert scores.tobytes() == reference.tobytes()
-
-
-class TestEmbedStoreServing:
-    def test_store_warms_and_reports_stats(self, serve_model, ml_split,
-                                           serve_tasks, sequential_scores):
-        task = serve_tasks[0]
-        with make_service(serve_model, ml_split, serve_tasks,
-                          cache_enabled=False) as service:
-            first = service.predict(task.user, task.query_items,
-                                    task.support_items)
-            stats = service.stats()["embed_store"]
-            assert stats["misses"] > 0
-            second = service.predict(task.user, task.query_items,
-                                     task.support_items)
-            warmed = service.stats()["embed_store"]
-            assert warmed["hits"] > stats["hits"]
-        assert np.array_equal(first, sequential_scores[0])
-        assert np.array_equal(second, sequential_scores[0])
-
-    def test_update_ratings_invalidates_touched_rows_only(
-            self, serve_model, ml_split, serve_tasks):
-        task = serve_tasks[0]
-        item = int(task.query_items[0])
-        with make_service(serve_model, ml_split, serve_tasks) as service:
-            service.predict(task.user, task.query_items, task.support_items)
-            store = service._embed_store
-            assert store is not None
-            service.update_ratings(np.array([[task.user, item, 4.0]]))
-            # The store survives an ordinary delta; only the touched
-            # entities' rows are retired.
-            assert service._embed_store is store
-            assert not store._user_valid[task.user]
-            assert not store._item_valid[item]
-
-    def test_hot_swap_rebuilds_the_store(self, ml_dataset, serve_model,
-                                         ml_split, serve_tasks,
-                                         sequential_scores):
-        other = HIRE(ml_dataset, HIREConfig(num_blocks=1, num_heads=2,
-                                            attr_dim=8, seed=5))
-        other_predictor = HIREPredictor(other, ml_split, serve_tasks, seed=0,
-                                        per_task_rng=True)
-        registry = ModelRegistry(ml_dataset)
-        registry.add("v1", serve_model)
-        registry.add("v2", other)
-        task = serve_tasks[0]
-        with make_service(registry, ml_split, serve_tasks) as service:
-            before = service.predict(task.user, task.query_items,
-                                     task.support_items)
-            stale = service._embed_store
-            registry.activate("v2")  # generation bump invalidates the store
-            after = service.predict(task.user, task.query_items,
-                                    task.support_items)
-            assert service._embed_store is not stale
-        assert np.array_equal(before, sequential_scores[0])
-        assert np.array_equal(after, other_predictor.predict_task(task))
 
 
 class TestAdaptiveBudgets:

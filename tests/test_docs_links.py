@@ -142,12 +142,15 @@ class TestPublicSymbolsDocumented:
 
 # Metric-name lint: every instrument name emitted by the serve tier
 # (``self._counter("x")`` -> ``serve.x``), the online loop
-# (``online.x``), or the trainer metrics sink (``self._name("x")`` ->
-# ``trainer.x``) must appear in docs/observability.md — an operator
-# grepping a dashboard name has to land somewhere.
+# (``online.x``), the trainer metrics sink (``self._name("x")`` ->
+# ``trainer.x``) or the inference engine (``registry.counter("infer.x")``)
+# must appear in docs/observability.md — an operator grepping a dashboard
+# name has to land somewhere.
 SERVE_METRIC_CALL = re.compile(
     r"self\._(?:windowed_)?(?:counter|gauge|histogram)\(\s*f?\"([^\"]+)\"")
 SINK_METRIC_CALL = re.compile(r"self\._name\(\s*\"([^\"]+)\"")
+INFER_METRIC_CALL = re.compile(
+    r"\.(?:counter|gauge|histogram)\(\s*\"(infer\.[^\"]+)\"")
 
 
 def emitted_metric_names():
@@ -167,6 +170,8 @@ def emitted_metric_names():
     for source in sorted((REPO_ROOT / "src" / "repro" / "obs").glob("*.py")):
         names.update(f"trainer.{name}"
                      for name in SINK_METRIC_CALL.findall(source.read_text()))
+    engine = REPO_ROOT / "src" / "repro" / "nn" / "inference.py"
+    names.update(INFER_METRIC_CALL.findall(engine.read_text()))
     return sorted(names)
 
 
@@ -189,6 +194,8 @@ def test_metric_extraction_found_the_core_metrics():
     assert "online.promotions_total" in names
     assert "serve.invalidation_evicted_total" in names
     assert "serve.assemble.degraded_total" in names
+    assert {"infer.plan_cache.hit", "infer.plan_cache.miss",
+            "infer.workspace_bytes"} <= set(names)
 
 
 # Config surfaces: every tunable field of the serving config must be
