@@ -16,14 +16,46 @@ keep draining until the queue is empty, at which point the configured
 The error types are injectable so that subsystem façades can surface their
 own exception hierarchies (``repro.serve`` raises its typed
 ``QueueFullError`` / ``ServiceClosedError``) while sharing this code.
+
+Background work yields the CPU to serving: a pool built with
+``background=True`` runs its threads at the lowest CPU priority
+(:func:`lower_thread_priority`), so a busy background thread only gets the
+CPU the serving threads leave idle.
 """
 
 from __future__ import annotations
 
+import os
+import sys
 import threading
 from collections import deque
 
-__all__ = ["QueueFullError", "QueueClosedError", "BoundedQueue", "WorkerPool"]
+__all__ = ["QueueFullError", "QueueClosedError", "BoundedQueue", "WorkerPool",
+           "BACKGROUND_NICE", "lower_thread_priority"]
+
+# The weakest nice value Linux schedules: a thread at 19 gets a CPU shared
+# with a nice-0 thread for about 1.5% of the time.
+BACKGROUND_NICE = 19
+
+
+def lower_thread_priority() -> int | None:
+    """Run the calling thread alone at the lowest CPU priority.
+
+    On Linux a thread id is a valid ``PRIO_PROCESS`` target, so
+    ``setpriority`` lowers this thread and leaves the rest of the process
+    as it was; threads it starts later inherit the value.  Returns the
+    nice value read back from the thread, or ``None`` when the priority
+    was left unchanged: on any other platform, where a thread id names no
+    scheduling target, or when the call raised :class:`OSError`.
+    """
+    if not sys.platform.startswith("linux"):
+        return None
+    thread_id = threading.get_native_id()
+    try:
+        os.setpriority(os.PRIO_PROCESS, thread_id, BACKGROUND_NICE)
+        return os.getpriority(os.PRIO_PROCESS, thread_id)
+    except OSError:
+        return None
 
 
 class QueueFullError(RuntimeError):
@@ -119,20 +151,35 @@ class WorkerPool:
     ``False`` (or the stop event is set and the loop observes it) to exit.
     :meth:`close` sets the event and joins every thread — with a timeout,
     so shutdown can never hang forever on a stuck worker.
+
+    With ``background=True`` each thread first lowers itself to the lowest
+    CPU priority (:func:`lower_thread_priority`); :meth:`start` returns
+    once every thread has tried, and :attr:`priorities` holds what each
+    one read back.
     """
 
-    def __init__(self, loop, num_workers: int = 1, name: str = "worker"):
+    def __init__(self, loop, num_workers: int = 1, name: str = "worker",
+                 background: bool = False):
         if num_workers < 1:
             raise ValueError("num_workers must be >= 1")
         self._loop = loop
         self._stop = threading.Event()
+        self._background = background
+        self._priorities: list[int | None] = [None] * num_workers
+        self._lowered = threading.Semaphore(0)
         self._threads = [
-            threading.Thread(target=self._run, name=f"{name}-{index}", daemon=True)
+            threading.Thread(target=self._run, args=(index,),
+                             name=f"{name}-{index}", daemon=True)
             for index in range(num_workers)
         ]
         self._started = False
 
-    def _run(self) -> None:
+    def _run(self, index: int) -> None:
+        if self._background:
+            try:
+                self._priorities[index] = lower_thread_priority()
+            finally:
+                self._lowered.release()
         while not self._stop.is_set():
             if self._loop(self._stop) is False:
                 break
@@ -143,6 +190,15 @@ class WorkerPool:
         self._started = True
         for thread in self._threads:
             thread.start()
+        if self._background:
+            for _ in self._threads:
+                self._lowered.acquire()
+
+    @property
+    def priorities(self) -> list[int | None]:
+        """Per thread, the nice value a background pool lowered it to, or
+        ``None`` where the priority was left unchanged."""
+        return list(self._priorities)
 
     def join(self, timeout: float | None = None) -> None:
         """Wait for workers to exit on their own (e.g. a drained queue)

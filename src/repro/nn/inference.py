@@ -199,7 +199,6 @@ class InferencePlan:
         self.m = int(m)
         self.ratings_dtype = np.dtype(ratings_dtype)
         self.dtype = model.decoder.weight.data.dtype
-        self.generation = generation()
 
         enc = model.encoder
         self.encoder = enc

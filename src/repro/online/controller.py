@@ -15,7 +15,9 @@ Rounds run either synchronously (:meth:`run_round`, the deterministic path
 tests and benchmarks drive) or on a drain-aware background thread
 (:meth:`start` / :meth:`close`, one :class:`repro.concurrency.WorkerPool`
 worker polling the log).  Both paths share one lock, so a manual round
-never interleaves with the background one.
+never interleaves with the background one.  The background thread runs at
+the lowest CPU priority (Linux), so serving gets the CPU first and rounds
+take what it leaves: a round computes the same model, only later.
 
 After a promotion the controller watches the *live window* — deltas that
 arrived since the swap — and reverts to the predecessor when the promoted
@@ -296,13 +298,17 @@ class OnlineController:
     # Background loop
     # ------------------------------------------------------------------ #
     def start(self) -> None:
-        """Run rounds on a background thread until :meth:`close`."""
+        """Run rounds on a background thread until :meth:`close`.
+
+        The thread lowers itself to the lowest CPU priority before its
+        first round; :meth:`health` reports the value it read back.
+        """
         if self._closed:
             raise RuntimeError("controller is closed")
         if self._pool is not None:
             return
         self._pool = WorkerPool(self._loop, num_workers=1,
-                                name="online-controller")
+                                name="online-controller", background=True)
         self._pool.start()
 
     def _loop(self, stop_event) -> bool:
@@ -345,17 +351,24 @@ class OnlineController:
         self._gauge("staleness_seconds").set(self.staleness_seconds())
 
     def health(self) -> dict:
-        """Staleness SLO state plus loop liveness."""
+        """Staleness SLO state plus loop liveness.
+
+        ``background_priority`` is the nice value the background thread
+        read back after lowering itself, or ``None`` when it is not
+        running or its priority was left unchanged.
+        """
         staleness = self.staleness_seconds()
         self._touch_staleness()
         probes = {"model_staleness_seconds": (staleness, staleness)}
         statuses = obs.evaluate_slos(self._slo_rules, probes)
+        pool = self._pool
         return {
             "state": obs.worst_state(statuses),
             "slos": [status.snapshot() for status in statuses],
             "staleness_seconds": staleness,
-            "background_running": (self._pool is not None
-                                   and self._pool.alive_count() > 0),
+            "background_running": pool is not None and pool.alive_count() > 0,
+            "background_priority": (None if pool is None
+                                    else pool.priorities[0]),
             "closed": self._closed,
         }
 

@@ -652,38 +652,59 @@ class PredictionService:
         self._gauge("queue_depth").set(self._batcher.depth)
         self._histogram("batch_size").observe(len(batch))
         self._counter("batches_total").inc()
+        groups = None
         try:
             model = self._resolve_model()
             fallback_state = self._store.state
-            groups = group_requests(batch)
+            groups = [requests for _key, requests in group_requests(batch)]
+            self._serve_groups(model, groups, fallback_state)
+        except Exception as error:  # never hang callers
+            if groups is None or len(groups) == 1:
+                self._fail(batch, error)
+                return
+            # One culprit must not fail its batch-mates: re-run each group
+            # alone (scores are bit-identical whatever the batch) and fail
+            # only the groups that raise again.
+            for requests in groups:
+                pending = [r for r in requests if not r.future.done()]
+                if not pending:
+                    continue
+                try:
+                    self._serve_groups(model, [pending], fallback_state)
+                except Exception as group_error:
+                    self._fail(pending, group_error)
 
-            assemble_start = self._clock()
-            plans = []
-            with obs.span("serve/assemble"):
-                for key, requests in groups:
-                    # Snapshot isolation: assemble against the graph the
-                    # request was admitted under (requests from different
-                    # generations never coalesce — generation is in the
-                    # coalescing key).
-                    state = requests[0].graph_state or fallback_state
-                    plans.append((requests, self._chunks_for(requests[0],
-                                                             state)))
-            assembled_at = self._clock()
-            with obs.span("serve/forward"):
-                scores_by_plan = self._score_plans(model, plans)
-            forwarded_at = self._clock()
+    def _serve_groups(self, model: HIRE, groups: list[list[PredictRequest]],
+                      fallback_state) -> None:
+        """Assemble, score and resolve coalesced request groups together."""
+        assemble_start = self._clock()
+        plans = []
+        with obs.span("serve/assemble"):
+            for requests in groups:
+                # Snapshot isolation: assemble against the graph the
+                # request was admitted under (requests from different
+                # generations never coalesce — generation is in the
+                # coalescing key).
+                state = requests[0].graph_state or fallback_state
+                plans.append((requests, self._chunks_for(requests[0],
+                                                         state)))
+        assembled_at = self._clock()
+        with obs.span("serve/forward"):
+            scores_by_plan = self._score_plans(model, plans)
+        forwarded_at = self._clock()
 
-            # Batch-level stages are shared by every request in the batch.
-            stage_seconds = {"assemble": assembled_at - assemble_start,
-                             "forward": forwarded_at - assembled_at}
-            self._window_assemble_seconds.observe(stage_seconds["assemble"])
-            for (requests, _), scores in zip(plans, scores_by_plan):
-                self._resolve(requests, scores, forwarded_at, stage_seconds)
-        except Exception as error:  # fail the whole batch, never hang callers
-            self._counter("failed_total").inc(len(batch))
-            for request in batch:
-                if not request.future.done():
-                    request.future.set_exception(error)
+        # Batch-level stages are shared by every request in the batch.
+        stage_seconds = {"assemble": assembled_at - assemble_start,
+                         "forward": forwarded_at - assembled_at}
+        self._window_assemble_seconds.observe(stage_seconds["assemble"])
+        for (requests, _), scores in zip(plans, scores_by_plan):
+            self._resolve(requests, scores, forwarded_at, stage_seconds)
+
+    def _fail(self, requests: list[PredictRequest], error: Exception) -> None:
+        failed = [r for r in requests if not r.future.done()]
+        self._counter("failed_total").inc(len(failed))
+        for request in failed:
+            request.future.set_exception(error)
 
     def _resolve(self, requests: list[PredictRequest], scores: np.ndarray,
                  forwarded_at: float, stage_seconds: dict) -> None:

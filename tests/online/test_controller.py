@@ -1,6 +1,9 @@
 """OnlineController: round flow, promotion, rejection, rollback, pruning,
 background loop, staleness health."""
 
+import os
+import sys
+import threading
 import time
 
 import numpy as np
@@ -12,7 +15,7 @@ from repro.online import (
     OnlineController,
     ProbeResult,
 )
-from repro.serve import ModelRegistry
+from repro.serve import ModelRegistry, PredictionService
 
 
 def probe(rmse):
@@ -222,6 +225,63 @@ class TestBackgroundLoop:
         controller.close()
         with pytest.raises(RuntimeError, match="closed"):
             controller.start()
+
+
+def started_threads(before: set) -> list[threading.Thread]:
+    return [t for t in threading.enumerate() if t not in before]
+
+
+class TestSchedulingPriority:
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="per-thread priority is Linux-only")
+    def test_controller_thread_alone_runs_at_lowest_priority(
+            self, ml_dataset, ml_split, trainer, online_model, probe_tasks):
+        registry, controller = make_controller(ml_dataset, trainer,
+                                               online_model, FakeGate([]))
+        own = os.getpriority(os.PRIO_PROCESS, 0)
+        before = set(threading.enumerate())
+        with PredictionService.from_split(registry, ml_split,
+                                          probe_tasks) as service:
+            workers = started_threads(before)
+            with controller:
+                controller.start()
+                background = started_threads(before | set(workers))
+                assert [t.name for t in background] == [
+                    "online-controller-0"]
+                assert os.getpriority(os.PRIO_PROCESS,
+                                      background[0].native_id) == 19
+                assert controller.health()["background_priority"] == 19
+                assert workers
+                for worker in workers:
+                    assert os.getpriority(os.PRIO_PROCESS,
+                                          worker.native_id) == own
+                assert service.predict(probe_tasks[0].user,
+                                       probe_tasks[0].query_items,
+                                       probe_tasks[0].support_items).size
+        assert os.getpriority(os.PRIO_PROCESS, 0) == own
+
+    def test_refused_priority_still_runs_rounds(
+            self, ml_dataset, trainer, online_model, warm_deltas,
+            monkeypatch):
+        def refuse(*args):
+            raise PermissionError("setpriority refused")
+
+        monkeypatch.setattr(os, "setpriority", refuse, raising=False)
+        registry, controller = make_controller(
+            ml_dataset, trainer, online_model, FakeGate([1.0, 0.9]),
+            poll_interval_seconds=0.01)
+        with controller:
+            controller.start()
+            assert controller.health()["background_priority"] is None
+            controller.ingest(warm_deltas)
+            deadline = time.monotonic() + 30.0
+            while (registry.active_name == "base"
+                   and time.monotonic() < deadline):
+                time.sleep(0.02)
+            health = controller.health()
+        assert registry.active_name == "online-r0"
+        assert health["background_running"]
+        assert health["background_priority"] is None
 
 
 class TestHealth:

@@ -133,6 +133,53 @@ class TestBitIdentity:
         assert not np.array_equal(results[0], results[1])
 
 
+class TestFailureIsolation:
+    def test_one_failing_request_leaves_its_batch_mates_served(
+            self, serve_model, ml_split, serve_tasks, monkeypatch):
+        """A request that raises fails alone: the requests coalesced with
+        it are re-run and resolve with the scores of a clean run."""
+        config = dict(num_workers=1, max_batch_size=len(serve_tasks),
+                      max_wait_seconds=5.0)
+        with make_service(serve_model, ml_split, serve_tasks,
+                          **config) as service:
+            futures = [service.submit(t.user, t.query_items, t.support_items)
+                       for t in serve_tasks]
+            clean = [f.result(60) for f in futures]
+
+        culprit = serve_tasks[2].user
+        assert [t.user for t in serve_tasks].count(culprit) == 1
+        with make_service(serve_model, ml_split, serve_tasks,
+                          **config) as service:
+            original_chunks = service._chunks_for
+            original_batch = service._process_batch
+            batch_sizes = []
+
+            def flaky(request, graph_state):
+                if request.user == culprit:
+                    raise RuntimeError("injected assembly failure")
+                return original_chunks(request, graph_state)
+
+            def recorded(batch):
+                batch_sizes.append(len(batch))
+                original_batch(batch)
+
+            monkeypatch.setattr(service, "_chunks_for", flaky)
+            monkeypatch.setattr(service, "_process_batch", recorded)
+            futures = [service.submit(t.user, t.query_items, t.support_items)
+                       for t in serve_tasks]
+            for index, (future, expected) in enumerate(zip(futures, clean)):
+                if serve_tasks[index].user == culprit:
+                    with pytest.raises(RuntimeError, match="injected"):
+                        future.result(60)
+                else:
+                    assert future.result(60).tobytes() == expected.tobytes()
+            snapshot = service.metrics.snapshot()
+        assert batch_sizes == [len(serve_tasks)]
+        assert snapshot["serve.failed_total"]["value"] == 1
+        assert snapshot["serve.completed_total"]["value"] == (
+            len(serve_tasks) - 1)
+
+
 class TestShutdown:
     def test_drain_resolves_every_future(self, serve_model, ml_split,
                                          serve_tasks):
