@@ -6,13 +6,11 @@ Every benchmark regenerates one paper artifact (table or figure) at the
 Benchmarks run once per session (``rounds=1``) — the quantity of interest
 is the artifact itself plus its wall-clock cost, not statistical timing.
 
-``--smoke`` shrinks every benchmark — including the systems ones
-(``bench_substrate_micro``, ``bench_serve_throughput``,
-``bench_online_loop``, ``bench_pareto_frontier``) — to a seconds-long
-sanity pass: reduced grids, no artifact writes (the ``save`` fixture is a
-no-op), and no ``BENCH_*.json`` trajectory updates.  The full runs
-additionally assert their acceptance bars (telemetry overhead, the
-adaptive ladder, online recovery).
+``--smoke`` shrinks every benchmark — including the systems one,
+``bench_serve_throughput`` — to a seconds-long sanity pass: reduced
+grids, no artifact writes (the ``save`` fixture is a no-op), and no
+``BENCH_serve.json`` update.  Its full run additionally asserts the
+acceptance bars of the tracing plane and the adaptive ladder.
 """
 
 from pathlib import Path

@@ -11,9 +11,7 @@ from .paper_numbers import (
     paper_cell,
 )
 from .models import HIREModel, MODEL_NAMES, create_model, models_for_dataset
-from .online_bench import run_online_benchmark, write_online_bench_json
 from .serve_bench import run_serve_benchmark, write_serve_bench_json
-from .substrate_bench import run_observability_overhead, write_bench_json
 from .runner import (
     prepare_workload,
     run_ablation,
@@ -50,12 +48,8 @@ __all__ = [
     "create_model",
     "models_for_dataset",
     "prepare_workload",
-    "run_observability_overhead",
-    "write_bench_json",
     "run_serve_benchmark",
     "write_serve_bench_json",
-    "run_online_benchmark",
-    "write_online_bench_json",
     "run_experiment",
     "run_overall_performance",
     "run_test_time",

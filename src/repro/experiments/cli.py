@@ -9,18 +9,11 @@ Examples::
     python -m repro.experiments.cli serve --requests 64 --workers 2
     python -m repro.experiments.cli serve --checkpoint ckpt.npz \
         --workload traffic.jsonl -o results/
-    python -m repro.experiments.cli online --smoke --json
-    python -m repro.experiments.cli pareto --smoke --json
 
 ``run`` prints the paper-style rendering of the chosen artifact and, with
 ``--output``, writes it to ``<output>/<experiment>.txt``.  ``serve`` stands
 up a :class:`repro.serve.PredictionService`, replays a workload through it,
-and prints the service's latency/queue/cache report.  ``online`` drives
-the incremental-learning loop (``repro.online``) through a simulated
-distribution shift and a serve-while-training replay, printing recovery
-and swap stats.  ``pareto`` sweeps the context-budget grid
-(``repro.experiments.pareto_bench``) and prints the RMSE-vs-latency
-frontier the adaptive budget ladder trades along.
+and prints the service's latency/queue/cache report.
 """
 
 from __future__ import annotations
@@ -239,81 +232,6 @@ def _cmd_serve(args) -> int:
     return 0
 
 
-def _cmd_online(args) -> int:
-    """Benchmark the incremental-learning loop; print the loop report."""
-    from .online_bench import run_online_benchmark, write_online_bench_json
-
-    payload = run_online_benchmark(smoke=args.smoke)
-    recovery = payload["recovery"]
-    serving = payload["serve_during_training"]
-    reproducibility = payload["reproducibility"]
-    series = "  ".join(f"{v:.4f}" for v in recovery["active_rmse_series"])
-    recover_round = recovery["rounds_to_recover"]
-    lines = [
-        f"== online loop ({recovery['num_rounds']} rounds, "
-        f"{recovery['num_shift_deltas']} shift deltas) ==",
-        f"probe RMSE at shift : {recovery['rmse_at_shift']:.4f}",
-        f"active RMSE series  : {series}",
-        f"recovery ratio      : {recovery['rmse_recovery_ratio']:.3f}x "
-        f"(best promoted {recovery['best_promoted_rmse']:.4f})",
-        f"recovered by round  : "
-        f"{'never' if recover_round is None else recover_round}",
-        f"promotions/rejections: {recovery['promotions']}"
-        f"/{recovery['rejections']}",
-        "",
-        f"serve during training: {serving['responses_resolved']}"
-        f"/{serving['num_requests']} responses resolved, "
-        f"{serving['served_pre_swap_model']} pre-swap + "
-        f"{serving['served_post_swap_model']} post-swap, "
-        f"bit-identical: {serving['bit_identical']}",
-        f"swap latency p99    : {serving['swap_p99_ms']:.2f} ms "
-        f"({serving['swap_count']} swap(s))",
-        f"same round twice    : bit-identical "
-        f"{reproducibility['bit_identical']} "
-        f"(max param diff {reproducibility['max_param_diff']:.3g})",
-    ]
-    text = "\n".join(lines)
-    print(text)
-    if args.output:
-        out = Path(args.output)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "online_loop.txt").write_text(text + "\n")
-    if args.json:
-        path = write_online_bench_json(payload)
-        print(f"wrote {path}")
-    if not (serving["bit_identical"] and serving["all_futures_resolved"]
-            and reproducibility["bit_identical"]):
-        print("ERROR: online loop violated bit-identity or lost responses",
-              file=sys.stderr)
-        return 1
-    return 0
-
-
-def _cmd_pareto(args) -> int:
-    """Sweep the context-budget grid; print the RMSE/latency frontier."""
-    from .pareto_bench import (
-        render_pareto_bench,
-        run_pareto_benchmark,
-        write_pareto_bench_json,
-    )
-
-    payload = run_pareto_benchmark(smoke=args.smoke)
-    text = render_pareto_bench(payload)
-    print(text)
-    if args.output:
-        out = Path(args.output)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "pareto_frontier.txt").write_text(text + "\n")
-    if args.json:
-        path = write_pareto_bench_json(payload)
-        print(f"wrote {path}")
-    if not payload["deterministic"]:
-        print("ERROR: a grid point scored differently on a repeat run",
-              file=sys.stderr)
-        return 1
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-experiments",
@@ -377,28 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("-o", "--output", default=None,
                        help="directory to write serve.txt into")
     serve.set_defaults(func=_cmd_serve)
-
-    online = sub.add_parser(
-        "online",
-        help="benchmark the incremental fine-tuning / promotion loop")
-    online.add_argument("--smoke", action="store_true",
-                        help="shrunken config (seconds, not minutes)")
-    online.add_argument("--json", action="store_true",
-                        help="also write BENCH_online.json at the repo root")
-    online.add_argument("-o", "--output", default=None,
-                        help="directory to write online_loop.txt into")
-    online.set_defaults(func=_cmd_online)
-
-    pareto = sub.add_parser(
-        "pareto",
-        help="map context budgets (n, m) to RMSE vs serving latency")
-    pareto.add_argument("--smoke", action="store_true",
-                        help="shrunken grid (seconds, not minutes)")
-    pareto.add_argument("--json", action="store_true",
-                        help="also write BENCH_pareto.json at the repo root")
-    pareto.add_argument("-o", "--output", default=None,
-                        help="directory to write pareto_frontier.txt into")
-    pareto.set_defaults(func=_cmd_pareto)
     return parser
 
 

@@ -88,8 +88,7 @@ class ServiceConfig:
     # (shrink under load, grow back when the queue drains).  The deepest
     # rung whose threshold <= the current queue depth wins.  Degraded
     # predictions stay bit-identical to sequential prediction at the same
-    # (n, m); the measured quality/latency trade per rung comes from the
-    # Pareto bench (BENCH_pareto.json).
+    # (n, m).
     adaptive_budgets: bool = False
     budget_ladder: tuple = ()
     # Belt-and-braces: rebuild from scratch on every update too and assert

@@ -376,13 +376,3 @@ class TestBackwardAccumulation:
         first = x.grad.copy()
         (x * 3.0).sum().backward()
         np.testing.assert_allclose(x.grad, first + 3.0, atol=EQ_TOL)
-
-
-def test_substrate_microbench_smoke(tmp_path):
-    """Tier-1 smoke of the benchmark harness: runs in seconds, no JSON write."""
-    from repro.experiments.substrate_bench import run_observability_overhead
-
-    payload = run_observability_overhead(smoke=True)
-    assert payload["smoke"] is True
-    assert payload["trajectories_identical"]
-    assert payload["disabled"]["train_step_seconds"] > 0

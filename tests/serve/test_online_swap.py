@@ -81,17 +81,21 @@ class TestDeltaDedupe:
 
 
 class TestMidFlightSwap:
+    @pytest.mark.parametrize("swap", ["activate", "add"])
     def test_responses_match_one_of_the_two_models(
             self, ml_dataset, serve_model, other_serve_model, ml_split,
-            serve_tasks):
+            serve_tasks, swap):
         """Hot-swapping the registry while requests are in flight: every
         future resolves, and every response is bit-identical to the old or
-        the new model's sequential reference — never a blend."""
+        the new model's sequential reference — never a blend.  ``add``
+        registers and activates in one call, as ``OnlineController``
+        promotes; ``activate`` switches to an already registered version."""
         ref_old = references(serve_model, ml_split, serve_tasks)
         ref_new = references(other_serve_model, ml_split, serve_tasks)
         registry = ModelRegistry(ml_dataset)
         registry.add("v1", serve_model)
-        registry.add("v2", other_serve_model, activate=False)
+        if swap == "activate":
+            registry.add("v2", other_serve_model, activate=False)
 
         with make_service(registry, ml_split, serve_tasks, num_workers=2,
                           max_batch_size=4, queue_size=256) as service:
@@ -101,7 +105,10 @@ class TestMidFlightSwap:
                     futures.append((task_index, service.submit(
                         task.user, task.query_items, task.support_items)))
                 if round_index == 10:
-                    registry.activate("v2")
+                    if swap == "activate":
+                        registry.activate("v2")
+                    else:
+                        registry.add("v2", other_serve_model, activate=True)
             for task_index, future in futures:
                 scores = future.result(60)
                 assert (np.array_equal(scores, ref_old[task_index])

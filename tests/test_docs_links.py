@@ -5,7 +5,8 @@ Static checks only (no network, no execution of examples):
 
 * relative markdown links point at files that exist;
 * backticked repo paths (``tests/...``, ``docs/...``, ``src/...``,
-  ``benchmarks/...``, ``examples/...``) exist;
+  ``benchmarks/...``, ``examples/...``, ``tools/...``, ``results/...``,
+  ``bench/...``) and root ``BENCH_*.json`` files exist;
 * dotted ``repro.*`` references import (attribute tails resolved with
   ``getattr`` walks);
 * every package/module directly under ``src/repro`` has a module
@@ -31,7 +32,10 @@ DOC_FILES = sorted([REPO_ROOT / "README.md",
 MD_LINK = re.compile(r"(?<!\!)\[[^\]]+\]\(([^)\s]+)\)")
 # `tests/foo/bar.py` / `docs/x.md` / `src/...` style backticked paths.
 CODE_PATH = re.compile(
-    r"`((?:tests|docs|src|benchmarks|examples)/[\w./-]+)(?:::[\w:\[\]-]+)?`")
+    r"`((?:tests|docs|src|benchmarks|examples|tools|results|bench)/[\w./-]+)"
+    r"(?:::[\w:\[\]-]+)?`")
+# `BENCH_serve.json` — a benchmark file at the repo root.
+BENCH_FILE = re.compile(r"`(BENCH_\w+\.json)`")
 # Dotted module/attribute references: `repro.core.task_chunk_rng`, ...
 DOTTED_REF = re.compile(r"\brepro(?:\.\w+)+")
 
@@ -60,8 +64,8 @@ class TestLinksResolve:
 
     def test_backticked_paths_exist(self, doc):
         path, text = doc
-        missing = [ref for ref in CODE_PATH.findall(text)
-                   if not (REPO_ROOT / ref).exists()]
+        refs = CODE_PATH.findall(text) + BENCH_FILE.findall(text)
+        missing = [ref for ref in refs if not (REPO_ROOT / ref).exists()]
         assert not missing, f"{path.name}: nonexistent paths {missing}"
 
     def test_dotted_repro_references_import(self, doc):
