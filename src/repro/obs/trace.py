@@ -2,7 +2,7 @@
 
 A *trace* follows one serve request through the pipeline's stages —
 
-``enqueue`` (queue wait) → ``batch_form`` (waiting for batch-mates) →
+``enqueue`` (queue wait) → ``batch_form`` (gathering batch-mates) →
 ``assemble`` (context sampling + encode) → ``forward`` (model execution,
 padded or not) → ``respond`` (result fan-out)
 

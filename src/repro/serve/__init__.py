@@ -5,8 +5,9 @@ pipeline into an always-on prediction service:
 
 * :mod:`~repro.serve.registry` — named checkpoint/model versions with
   atomic hot swap, loading HIRE + config straight from checkpoint metadata;
-* :mod:`~repro.serve.batcher` — a bounded-queue micro-batcher coalescing
-  ``(user, item_ids)`` requests by size/deadline into shared forward passes;
+* :mod:`~repro.serve.batcher` — a bounded-queue, work-conserving
+  micro-batcher coalescing the ``(user, item_ids)`` requests already queued
+  into shared forward passes;
 * :mod:`~repro.serve.cache` — an LRU cache for assembled prediction
   contexts, with entity-tagged fine-grained invalidation driven by a
   per-entity reverse index;

@@ -1,8 +1,12 @@
 """Request micro-batching over the bounded queue.
 
 A :class:`MicroBatcher` coalesces pending requests into batches of up to
-``max_batch_size``, waiting at most ``max_wait_seconds`` after the first
-request before dispatching — the classic latency/throughput knob.  Batches
+``max_batch_size``.  Batching is *work-conserving*: after the first pop a
+worker takes every matching request that is already queued and ships at
+once, so a lone request never sits idle waiting for batch-mates.  Batches
+still fill under load, because requests pile up while the worker is busy.
+An optional ``max_wait_seconds`` window (default 0) additionally holds the
+batch open that long after the first request for late arrivals.  Batches
 are formed by whichever worker thread asks next; each request lands in
 exactly one batch (queue pops are atomic).
 
@@ -18,13 +22,14 @@ batch holds requests of a single shape bucket (same rounded context
 budget), gathered bucket-first so one downstream packed plan execution
 covers the whole batch.  Requests of *other* buckets seen while gathering
 are parked in a pending buffer — never dropped — and lead the very next
-batch; a deadline flushes a partially filled bucket rather than waiting
-for exact coalescing, bounding any request's wait to roughly two
-``max_wait_seconds`` windows.
+batch.  A partially filled bucket ships as soon as the queue is empty and
+the window has passed, bounding any request's batching wait to roughly
+two ``max_wait_seconds`` windows.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from collections import deque
@@ -97,24 +102,30 @@ def group_requests(batch: list[PredictRequest]
 
 
 class MicroBatcher:
-    """Coalesce queued requests into bounded, deadline-limited batches.
+    """Coalesce queued requests into bounded, work-conserving batches.
 
     ``bucket_key`` maps a request to a hashable shape bucket, and every
     batch is homogeneous in bucket: the first request fixes the batch's
     bucket, same-bucket requests fill it, and other-bucket requests are
-    parked in an internal pending buffer that leads the next batch.  The
-    deadline flushes partially filled buckets — a request is never held
-    past its batch's ``max_wait_seconds`` window waiting for bucket-mates,
-    and a parked request starts its own window as soon as a worker asks
-    again.
+    parked in an internal pending buffer that leads the next batch.  A
+    batch ships once it is full or the queue is empty with its
+    ``max_wait_seconds`` window passed — with the default zero window, as
+    soon as nothing more is queued.  A request is never held past its
+    batch's window waiting for bucket-mates, and a parked request starts
+    its own window as soon as a worker asks again.
     """
 
-    def __init__(self, max_batch_size: int = 8, max_wait_seconds: float = 0.002,
+    def __init__(self, max_batch_size: int = 8, max_wait_seconds: float = 0.0,
                  queue_size: int = 64, clock=time.monotonic, *, bucket_key):
         if max_batch_size < 1:
             raise ValueError("max_batch_size must be >= 1")
-        if max_wait_seconds < 0:
-            raise ValueError("max_wait_seconds must be >= 0")
+        # The window becomes a Condition.wait timeout in the worker: an
+        # infinite or oversized one would raise OverflowError there and
+        # kill the worker with the request's future unresolved.
+        if not (math.isfinite(max_wait_seconds)
+                and 0 <= max_wait_seconds <= threading.TIMEOUT_MAX):
+            raise ValueError("max_wait_seconds must be finite, >= 0 and "
+                             "<= threading.TIMEOUT_MAX")
         self.max_batch_size = max_batch_size
         self.max_wait_seconds = max_wait_seconds
         self.queue = BoundedQueue(queue_size)
@@ -135,9 +146,10 @@ class MicroBatcher:
     def next_batch(self, timeout: float = 0.05) -> list[PredictRequest]:
         """Gather the next batch, or ``[]`` if nothing arrived in time.
 
-        Blocks up to ``timeout`` for the first request, then keeps
-        gathering until ``max_batch_size`` requests are in hand or
-        ``max_wait_seconds`` has elapsed since the first one.  Raises
+        Blocks up to ``timeout`` for the first request, then takes every
+        same-bucket request already queued, blocking for more only while
+        ``max_wait_seconds`` since the first one has not elapsed; it stops
+        once ``max_batch_size`` requests are in hand.  Raises
         :class:`~repro.serve.errors.ServiceClosedError` once the queue is
         closed and fully drained (and no requests are parked).
         """
@@ -173,11 +185,10 @@ class MicroBatcher:
             kept.extend(self._pending)
             self._pending = kept
         while len(batch) < self.max_batch_size:
-            remaining = deadline - self._clock()
-            if remaining <= 0:
-                break
+            # Past the window (or with none) this only takes what is
+            # already queued: the worker never idles beside queued work.
             try:
-                request = self.queue.get(remaining)
+                request = self.queue.get(max(0.0, deadline - self._clock()))
             except ServiceClosedError:
                 break  # closed-and-drained: ship what we have
             if request is None:

@@ -73,9 +73,11 @@ class ServiceConfig:
     reveal_fraction: float = 0.1
     num_context_samples: int = 1
     seed: int = 0
-    # Micro-batching.
+    # Micro-batching.  Work-conserving: a batch ships as soon as nothing
+    # more is queued; a positive max_wait_seconds holds it open that long
+    # for late arrivals.
     max_batch_size: int = 8
-    max_wait_seconds: float = 0.002
+    max_wait_seconds: float = 0.0
     queue_size: int = 64
     num_workers: int = 1
     # Context cache.
@@ -213,7 +215,9 @@ class PredictionService:
         self._store.subscribe(self._on_graph_update)
         # Bucket-homogeneous batches keep each micro-batch a single packed
         # plan execution downstream; with uniform budgets every request
-        # shares one bucket, so batches form by size and deadline alone.
+        # shares one bucket, so a batch takes whatever is queued, up to
+        # max_batch_size.  Built before any thread starts: a window the
+        # worker cannot wait on raises here.
         self._batcher = MicroBatcher(self.config.max_batch_size,
                                      self.config.max_wait_seconds,
                                      self.config.queue_size,

@@ -58,12 +58,47 @@ class TestMicroBatcher:
         batcher = MicroBatcher(bucket_key=one_bucket)
         assert batcher.next_batch(0.01) == []
 
-    def test_zero_wait_ships_first_request_alone(self):
+    def test_zero_wait_takes_every_queued_request(self):
         batcher = MicroBatcher(max_batch_size=8, max_wait_seconds=0.0,
                                bucket_key=one_bucket)
         batcher.submit(make_request())
         batcher.submit(make_request())
-        assert len(batcher.next_batch(0.1)) == 1
+        assert len(batcher.next_batch(0.1)) == 2
+        assert batcher.depth == 0
+
+    def test_default_window_never_blocks_after_the_first_pop(self):
+        """Work-conserving: once a request is in hand the worker only takes
+        what is already queued, so a lone request ships without idling."""
+        batcher = MicroBatcher(max_batch_size=8, bucket_key=one_bucket)
+        timeouts = []
+        real_get = batcher.queue.get
+
+        def spy_get(timeout):
+            timeouts.append(timeout)
+            return real_get(timeout)
+
+        batcher.queue.get = spy_get
+        for user in range(3):
+            batcher.submit(make_request(user=user))
+        assert [r.user for r in batcher.next_batch(0.1)] == [0, 1, 2]
+        batcher.submit(make_request(user=3))
+        assert [r.user for r in batcher.next_batch(0.1)] == [3]
+        assert timeouts == [0.1, 0.0, 0.0, 0.0, 0.1, 0.0]
+
+    def test_window_passed_still_takes_queued_requests(self):
+        clock = FakeClock()
+        batcher = MicroBatcher(max_batch_size=8, max_wait_seconds=0.01,
+                               clock=clock, bucket_key=one_bucket)
+        for user in range(3):
+            batcher.submit(make_request(user=user))
+        real_get = batcher.queue.get
+
+        def late_get(timeout):
+            clock.advance(1.0)  # every pop lands past the window
+            return real_get(timeout)
+
+        batcher.queue.get = late_get
+        assert len(batcher.next_batch(0.1)) == 3
 
     def test_deadline_via_fake_clock(self):
         clock_value = [0.0]
@@ -97,6 +132,11 @@ class TestMicroBatcher:
             MicroBatcher(max_batch_size=0, bucket_key=one_bucket)
         with pytest.raises(ValueError):
             MicroBatcher(max_wait_seconds=-1.0, bucket_key=one_bucket)
+        # Windows the worker cannot wait on: Condition.wait would raise
+        # OverflowError in the worker (inf, 1e12) or never compare (NaN).
+        for window in (float("inf"), 1e12, float("nan")):
+            with pytest.raises(ValueError):
+                MicroBatcher(max_wait_seconds=window, bucket_key=one_bucket)
 
     def test_budget_overrides_break_coalescing(self):
         a = make_request(budgets=(16, 16))

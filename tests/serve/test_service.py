@@ -304,6 +304,14 @@ class TestValidation:
         with pytest.raises(ValueError, match=">= 2"):
             ServiceConfig(**budgets)
 
+    def test_unwaitable_batch_window_fails_before_any_worker_starts(
+            self, serve_model, ml_split, serve_tasks):
+        before = set(threading.enumerate())
+        with pytest.raises(ValueError, match="max_wait_seconds"):
+            make_service(serve_model, ml_split, serve_tasks,
+                         max_wait_seconds=float("inf"))
+        assert set(threading.enumerate()) <= before
+
 
 class TestGraphUpdates:
     def test_update_bumps_generation_and_invalidates_cache(

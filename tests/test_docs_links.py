@@ -13,11 +13,13 @@ Static checks only (no network, no execution of examples):
   docstring and is mentioned in at least one docs page;
 * every public symbol (``__all__``) of the serving and inference-engine
   APIs is mentioned in at least one docs page;
-* every ``ServiceConfig`` field is documented, and every field the
-  ``docs/serving.md`` configuration table names is a real field.
+* every ``ServiceConfig`` field is documented, every field the
+  ``docs/serving.md`` configuration table names is a real field, and the
+  table's default column equals ``ServiceConfig()``.
 """
 
 import ast
+import dataclasses
 import importlib
 import re
 from pathlib import Path
@@ -209,8 +211,6 @@ DOCUMENTED_CONFIGS = ["repro.serve.ServiceConfig"]
 
 
 def config_fields():
-    import dataclasses
-
     pairs = []
     for dotted in DOCUMENTED_CONFIGS:
         module_name, _, class_name = dotted.rpartition(".")
@@ -229,32 +229,52 @@ def test_config_field_documented(config, field):
         f"docs/*.md page")
 
 
-def serving_table_fields():
-    """Backticked field names in the first column of the ``docs/serving.md``
-    configuration table (a row may name several: `a` / `b`)."""
+def serving_table_rows():
+    """``(field, default)`` pairs from the ``docs/serving.md`` configuration
+    table: backticked names in the first column, backticked defaults in the
+    second (a row may name several: `a` / `b` with `1` / `2`)."""
     text = (REPO_ROOT / "docs" / "serving.md").read_text()
     section = text.split("## Configuration reference", 1)[1]
     section = section.split("\n## ", 1)[0]
-    names = []
+    rows = []
     for line in section.splitlines():
         cells = line.split("|")
         if len(cells) > 2 and line.startswith("|"):
-            names.extend(re.findall(r"`(\w+)`", cells[1]))
-    return names
+            names = re.findall(r"`(\w+)`", cells[1])
+            defaults = [part.strip().strip("`")
+                        for part in cells[2].split(" / ")]
+            if len(defaults) != len(names):
+                defaults = [None] * len(names)  # unpaired: reads as stale
+            rows.extend(zip(names, defaults))
+    return rows
 
 
 def test_serving_table_names_only_real_fields():
-    import dataclasses
-
     from repro.serve import ServiceConfig
 
-    table = serving_table_fields()
+    table = [name for name, _ in serving_table_rows()]
     assert "context_users" in table and "export_path" in table  # canary
     real = {field.name for field in dataclasses.fields(ServiceConfig)}
     stale = [name for name in table if name not in real]
     assert not stale, (
         f"docs/serving.md configuration table lists {stale}, which are not "
         f"ServiceConfig fields")
+
+
+def test_serving_table_defaults_match_service_config():
+    """The default column is what ``ServiceConfig()`` really holds: a stale
+    default there misleads an operator more than a missing row."""
+    from repro.serve import ServiceConfig
+
+    rows = serving_table_rows()
+    assert len(rows) == len(dataclasses.fields(ServiceConfig))  # canary
+    defaults = ServiceConfig()
+    stale = [(name, documented) for name, documented in rows
+             if documented is None
+             or ast.literal_eval(documented) != getattr(defaults, name)]
+    assert not stale, (
+        f"docs/serving.md configuration table defaults {stale} differ from "
+        f"ServiceConfig()")
 
 
 def test_docs_readme_links_every_docs_page():
