@@ -25,13 +25,14 @@ CPU the serving threads leave idle.
 
 from __future__ import annotations
 
+import math
 import os
 import sys
 import threading
 from collections import deque
 
 __all__ = ["QueueFullError", "QueueClosedError", "BoundedQueue", "WorkerPool",
-           "BACKGROUND_NICE", "lower_thread_priority"]
+           "BACKGROUND_NICE", "lower_thread_priority", "check_wait_seconds"]
 
 # The weakest nice value Linux schedules: a thread at 19 gets a CPU shared
 # with a nice-0 thread for about 1.5% of the time.
@@ -56,6 +57,19 @@ def lower_thread_priority() -> int | None:
         return os.getpriority(os.PRIO_PROCESS, thread_id)
     except OSError:
         return None
+
+
+def check_wait_seconds(name: str, seconds: float) -> None:
+    """Reject a loop interval a thread cannot wait on, before it starts.
+
+    The interval becomes an ``Event.wait`` timeout in a background thread:
+    an infinite or oversized one raises ``OverflowError`` there and kills
+    the thread, NaN never waits at all, and zero or less spins.  Raises
+    ``ValueError`` unless ``0 < seconds <= threading.TIMEOUT_MAX``.
+    """
+    if not (math.isfinite(seconds) and 0 < seconds <= threading.TIMEOUT_MAX):
+        raise ValueError(f"{name} must be finite, > 0 and "
+                         "<= threading.TIMEOUT_MAX")
 
 
 class QueueFullError(RuntimeError):

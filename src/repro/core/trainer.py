@@ -52,10 +52,6 @@ class TrainerConfig:
     lookahead_k: int = 6
     flat_fraction: float = 0.7
     seed: int = 0
-    # Early stopping on held-out validation contexts (0 disables it).
-    early_stopping_patience: int = 0
-    validation_contexts: int = 8
-    validate_every: int = 10
     # Per-step RNG derivation (derive_step_rng(seed, step, slot)): each
     # context is a pure function of the step index instead of one shared
     # advancing stream.  Off keeps the legacy shared stream.
@@ -66,10 +62,6 @@ class TrainerConfig:
             raise ValueError("steps must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.early_stopping_patience < 0:
-            raise ValueError("early_stopping_patience must be >= 0")
-        if self.early_stopping_patience and self.validate_every < 1:
-            raise ValueError("validate_every must be >= 1 when early stopping")
 
 
 class HIRETrainer:
@@ -105,8 +97,6 @@ class HIRETrainer:
         self.scheduler = nn.FlatThenAnnealLR(self.optimizer, total_steps=self.config.steps,
                                              flat_fraction=self.config.flat_fraction)
         self.loss_history: list[float] = []
-        self.validation_history: list[float] = []
-        self._validation_set: list[PredictionContext] | None = None
         self._attention_layers = [
             m for m in model.modules()
             if isinstance(m, nn.MultiHeadSelfAttention)
@@ -120,8 +110,8 @@ class HIRETrainer:
         """One context seeded at a random warm (user, item) rating pair.
 
         ``rng`` defaults to the trainer's stream; passing an explicit
-        generator (as :meth:`validation_loss` does) keeps independent
-        sampling streams without touching shared trainer state.
+        generator (as per-step RNG does) keeps independent sampling
+        streams without touching shared trainer state.
 
         Delegates to :func:`repro.core.sample_training_context`, which
         gives up with a descriptive :class:`RuntimeError` after
@@ -204,30 +194,6 @@ class HIRETrainer:
         self.loss_history.append(value)
         return value
 
-    def validation_loss(self) -> float:
-        """Mean masked-rating MSE over fixed held-out validation contexts.
-
-        The contexts are sampled once (seeded independently of the training
-        stream) and reused across calls, so successive values are
-        comparable.
-        """
-        if self._validation_set is None:
-            val_rng = np.random.default_rng(self.config.seed + 7919)
-            self._validation_set = [
-                self.sample_training_context(rng=val_rng)
-                for _ in range(self.config.validation_contexts)
-            ]
-        self.model.eval()
-        total = 0.0
-        with nn.no_grad():
-            for context in self._validation_set:
-                predicted = self.model(context)
-                loss = nn.functional.masked_mse_loss(
-                    predicted, context.ratings, context.query)
-                total += loss.item()
-        self.model.train()
-        return total / len(self._validation_set)
-
     def add_observer(self, observer: obs.TrainerObserver) -> None:
         """Attach an observer for subsequent :meth:`fit` calls."""
         self.observers.append(observer)
@@ -235,11 +201,6 @@ class HIRETrainer:
     def fit(self, log_every: int = 0,
             observers: list[obs.TrainerObserver] | None = None) -> list[float]:
         """Run the configured number of steps; returns the loss history.
-
-        With ``early_stopping_patience > 0``, validation loss is checked
-        every ``validate_every`` steps; after ``patience`` consecutive
-        non-improving checks training stops and the best parameters are
-        restored.
 
         ``log_every > 0`` attaches a :class:`repro.obs.ConsoleSink` at that
         cadence for this call (unless one is already observing);
@@ -254,21 +215,15 @@ class HIRETrainer:
             active.append(obs.ConsoleSink(log_every=log_every))
         for observer in active:
             observer.on_fit_start(self, cfg)
-        best_val = float("inf")
-        best_state = None
-        stale_checks = 0
-        stopped_early = False
-        steps_run = 0
         fit_start = time.perf_counter()
         for step in range(cfg.steps):
             step_start = time.perf_counter()
             loss = self.train_step()
             step_seconds = time.perf_counter() - step_start
-            steps_run = step + 1
             if active:
                 n, m, masked = self._last_step_stats
                 event = obs.StepEvent(
-                    step=steps_run, total_steps=cfg.steps, loss=loss,
+                    step=step + 1, total_steps=cfg.steps, loss=loss,
                     grad_norm=self.last_grad_norm, lr=self.last_lr,
                     step_seconds=step_seconds,
                     steps_per_second=1.0 / step_seconds if step_seconds > 0 else 0.0,
@@ -276,38 +231,13 @@ class HIRETrainer:
                 )
                 for observer in active:
                     observer.on_step(event)
-            if cfg.early_stopping_patience and steps_run % cfg.validate_every == 0:
-                with obs.span("validation"):
-                    val = self.validation_loss()
-                self.validation_history.append(val)
-                improved = val < best_val - 1e-6
-                if improved:
-                    best_val = val
-                    best_state = self.model.state_dict()
-                    stale_checks = 0
-                else:
-                    stale_checks += 1
-                if active:
-                    event = obs.ValidationEvent(step=steps_run, loss=val,
-                                                best_loss=best_val,
-                                                improved=improved)
-                    for observer in active:
-                        observer.on_validation(event)
-                if stale_checks >= cfg.early_stopping_patience:
-                    stopped_early = True
-                    break
         wall_seconds = time.perf_counter() - fit_start
-        if best_state is not None:
-            self.model.load_state_dict(best_state)
         if active:
             summary = obs.FitSummary(
-                steps_run=steps_run, total_steps=cfg.steps,
-                stopped_early=stopped_early,
-                restored_best=best_state is not None,
-                final_loss=self.loss_history[-1] if self.loss_history else float("nan"),
-                best_validation=best_val if np.isfinite(best_val) else None,
+                steps_run=cfg.steps, total_steps=cfg.steps,
+                final_loss=self.loss_history[-1],
                 wall_seconds=wall_seconds,
-                steps_per_second=steps_run / wall_seconds if wall_seconds > 0 else 0.0,
+                steps_per_second=cfg.steps / wall_seconds if wall_seconds > 0 else 0.0,
             )
             for observer in active:
                 observer.on_fit_end(summary)

@@ -284,8 +284,8 @@ class RatingGraph:
         update.
 
         Semantics match a full rebuild from ``triples()`` + ``deltas``
-        exactly (pinned by :meth:`identical_to` under the data plane's
-        verify mode): a re-rated pair keeps the delta's value, a duplicated
+        exactly (pinned by :meth:`identical_to` against rebuilds in the
+        data-plane tests): a re-rated pair keeps the delta's value, a duplicated
         pair within ``deltas`` keeps its last occurrence.
         """
         deltas = np.asarray(deltas, dtype=np.float64)
@@ -344,8 +344,8 @@ class RatingGraph:
 
     def identical_to(self, other: "RatingGraph") -> bool:
         """Bitwise structural equality: dimensions, every adjacency array,
-        and every rating value (exact bit compare — this is the assertion
-        backing the incremental data plane's verify mode)."""
+        and every rating value (exact bit compare — the assertion the
+        data-plane tests hold incremental derivation to)."""
         if (self.num_users != other.num_users
                 or self.num_items != other.num_items
                 or self.num_edges != other.num_edges):

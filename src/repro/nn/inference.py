@@ -54,9 +54,6 @@ from math import prod
 import numpy as np
 
 from . import functional as F
-# Submodule imports (not ``repro.obs`` itself): the obs package pulls in
-# ophooks → repro.nn.functional at import time, so importing the package here
-# would be circular; spans/metrics import nothing from repro.nn.
 from ..obs import metrics as _metrics
 from ..obs import spans as _spans
 

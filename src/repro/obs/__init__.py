@@ -12,9 +12,6 @@ bit-identical with telemetry on or off):
 * :mod:`~repro.obs.recorder` / :mod:`~repro.obs.sinks` — structured JSONL
   run logs plus the trainer observer API (console, recorder, and metrics
   sinks).
-* :mod:`~repro.obs.ophooks` — optional per-op timing over the
-  ``nn.functional`` kernels, attributing kernel time to the enclosing
-  span.
 * :mod:`~repro.obs.report` — renders any of the above as ``results/``-style
   text tables.
 
@@ -34,7 +31,7 @@ The serve-tier plane adds four more, all equally passive:
 See ``docs/observability.md`` for a walkthrough and overhead numbers.
 """
 
-from . import export, ophooks, report, slo, trace, windows
+from . import export, report, slo, trace, windows
 from .export import TelemetryExporter
 from .metrics import (
     Counter,
@@ -70,7 +67,6 @@ from .sinks import (
     RecorderSink,
     StepEvent,
     TrainerObserver,
-    ValidationEvent,
 )
 from .spans import (
     SpanStats,
@@ -109,13 +105,11 @@ __all__ = [
     # observer API / sinks
     "TrainerObserver",
     "StepEvent",
-    "ValidationEvent",
     "FitSummary",
     "ConsoleSink",
     "RecorderSink",
     "MetricsSink",
-    # op hooks + reports
-    "ophooks",
+    # reports
     "report",
     "render_run_report",
     "render_step_table",

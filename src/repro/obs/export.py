@@ -22,7 +22,7 @@ import os
 import threading
 import time
 
-from ..concurrency import WorkerPool
+from ..concurrency import WorkerPool, check_wait_seconds
 from .metrics import MetricsRegistry
 from .recorder import RunRecorder, jsonable
 
@@ -52,8 +52,7 @@ class TelemetryExporter:
                  sources: dict | None = None,
                  run_id: str | None = None,
                  clock=time.monotonic):
-        if interval_seconds <= 0:
-            raise ValueError("interval_seconds must be positive")
+        check_wait_seconds("interval_seconds", interval_seconds)
         self.interval_seconds = float(interval_seconds)
         self._registry = registry
         self._sources = dict(sources or {})

@@ -2,7 +2,7 @@
 
 A :class:`RunRecorder` writes newline-delimited JSON events to a single
 file: a ``run_start`` record (with a sanitised config snapshot), any number
-of typed event records (``step``, ``validation``, ...), and a final
+of typed event records (``step``, ``fit_start``, ...), and a final
 ``summary`` record written by :meth:`RunRecorder.finalize`.  The format is
 append-only and line-oriented, so a crashed run still leaves every event
 up to the crash readable by :func:`read_run`.

@@ -54,18 +54,6 @@ def render_step_table(records: list[dict], max_rows: int = 24) -> str:
     return "\n".join(lines)
 
 
-def _validation_lines(records: list[dict]) -> list[str]:
-    checks = [r for r in records if r.get("type") == "validation"]
-    if not checks:
-        return []
-    best = min(r["loss"] for r in checks)
-    return [
-        f"validation checks: {len(checks)}"
-        f"   best {best:.4f}"
-        f"   last {checks[-1]['loss']:.4f}"
-    ]
-
-
 def render_run_report(run: str | os.PathLike | list[dict],
                       max_rows: int = 24) -> str:
     """Full text report for one run: header, step table, summary."""
@@ -84,18 +72,12 @@ def render_run_report(run: str | os.PathLike | list[dict],
                 lines.append(f"config: {knobs}")
         lines.append("")
     lines.append(render_step_table(records, max_rows=max_rows))
-    validation = _validation_lines(records)
-    if validation:
-        lines.append("")
-        lines.extend(validation)
     summary = next((r for r in records if r.get("type") == "summary"), None)
     if summary is not None:
         lines.append("")
         parts = []
         if "steps_run" in summary:
             parts.append(f"{summary['steps_run']}/{summary.get('total_steps', '?')} steps")
-        if summary.get("stopped_early"):
-            parts.append("early stop")
         if summary.get("final_loss") is not None:
             parts.append(f"final loss {summary['final_loss']:.4f}")
         if summary.get("wall_seconds") is not None:

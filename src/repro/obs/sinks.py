@@ -1,8 +1,8 @@
 """Trainer observer API and the built-in sinks.
 
 :class:`HIRETrainer <repro.core.trainer.HIRETrainer>` emits one
-:class:`StepEvent` per optimisation step, a :class:`ValidationEvent` per
-early-stopping check, and a :class:`FitSummary` when ``fit`` returns.
+:class:`StepEvent` per optimisation step and a :class:`FitSummary` when
+``fit`` returns.
 Observers subclass :class:`TrainerObserver` and override any subset of the
 hooks; all telemetry is passive — observers receive plain values and must
 not mutate trainer, model, or RNG state.
@@ -29,7 +29,6 @@ from .recorder import RunRecorder
 
 __all__ = [
     "StepEvent",
-    "ValidationEvent",
     "FitSummary",
     "TrainerObserver",
     "ConsoleSink",
@@ -55,25 +54,12 @@ class StepEvent:
 
 
 @dataclass(frozen=True)
-class ValidationEvent:
-    """One early-stopping validation check."""
-
-    step: int
-    loss: float
-    best_loss: float          # best including this check
-    improved: bool
-
-
-@dataclass(frozen=True)
 class FitSummary:
     """End-of-fit aggregate, emitted exactly once per ``fit`` call."""
 
     steps_run: int
     total_steps: int
-    stopped_early: bool
-    restored_best: bool
     final_loss: float
-    best_validation: float | None
     wall_seconds: float
     steps_per_second: float
 
@@ -85,9 +71,6 @@ class TrainerObserver:
         pass
 
     def on_step(self, event: StepEvent) -> None:
-        pass
-
-    def on_validation(self, event: ValidationEvent) -> None:
         pass
 
     def on_fit_end(self, summary: FitSummary) -> None:
@@ -123,20 +106,12 @@ class ConsoleSink(TrainerObserver):
             f"  {event.steps_per_second:6.2f} steps/s"
         )
 
-    def on_validation(self, event: ValidationEvent) -> None:
-        marker = "*" if event.improved else " "
-        self._emit(
-            f"  val @ step {event.step:5d}  loss {event.loss:.4f}"
-            f"  best {event.best_loss:.4f} {marker}"
-        )
-
     def on_fit_end(self, summary: FitSummary) -> None:
-        tail = " (early stop)" if summary.stopped_early else ""
         self._emit(
             f"fit done: {summary.steps_run}/{summary.total_steps} steps"
             f"  final loss {summary.final_loss:.4f}"
             f"  {summary.wall_seconds:.2f}s"
-            f"  {summary.steps_per_second:.2f} steps/s{tail}"
+            f"  {summary.steps_per_second:.2f} steps/s"
         )
 
 
@@ -172,24 +147,12 @@ class RecorderSink(TrainerObserver):
             masked_cells=event.masked_cells,
         )
 
-    def on_validation(self, event: ValidationEvent) -> None:
-        self.recorder.record(
-            "validation",
-            step=event.step,
-            loss=event.loss,
-            best_loss=event.best_loss,
-            improved=event.improved,
-        )
-
     def on_fit_end(self, summary: FitSummary) -> None:
         if self.finalize_on_fit_end:
             self.recorder.finalize(
                 steps_run=summary.steps_run,
                 total_steps=summary.total_steps,
-                stopped_early=summary.stopped_early,
-                restored_best=summary.restored_best,
                 final_loss=summary.final_loss,
-                best_validation=summary.best_validation,
                 wall_seconds=summary.wall_seconds,
                 steps_per_second=summary.steps_per_second,
             )
@@ -218,11 +181,6 @@ class MetricsSink(TrainerObserver):
         reg.histogram(self._name("loss")).observe(event.loss)
         reg.histogram(self._name("grad_norm")).observe(event.grad_norm)
         reg.histogram(self._name("step_seconds")).observe(event.step_seconds)
-
-    def on_validation(self, event: ValidationEvent) -> None:
-        reg = self.registry
-        reg.counter(self._name("validations")).inc()
-        reg.histogram(self._name("validation_loss")).observe(event.loss)
 
     def on_fit_end(self, summary: FitSummary) -> None:
         self.registry.counter(self._name("fits")).inc()

@@ -13,9 +13,8 @@ path).  Profiling is **off by default**: :func:`span` then returns a
 shared no-op context manager, so the cost of an instrumented call site is
 one function call and one flag check — no allocation, no clock read.
 
-The aggregation table is the single sink for all wall-time attribution:
-:mod:`repro.obs.ophooks` feeds per-op timings into it under the current
-span path, and :func:`span_report` renders it as a text table.
+The aggregation table is the single sink for all wall-time attribution;
+:func:`repro.obs.report.render_span_table` renders it as a text table.
 """
 
 from __future__ import annotations
@@ -98,7 +97,7 @@ def current_span_path() -> str:
 
 
 def record_span(path: str, seconds: float) -> None:
-    """Fold one observation into the aggregation table (used by ophooks)."""
+    """Fold one observation into the aggregation table."""
     with _LOCK:
         entry = _TOTALS.get(path)
         if entry is None:

@@ -29,6 +29,7 @@ an :class:`repro.obs.MetricsRegistry` under the ``online.`` prefix, and
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from dataclasses import dataclass
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import obs
-from ..concurrency import WorkerPool
+from ..concurrency import WorkerPool, check_wait_seconds
 from ..serve.registry import ModelRegistry
 from .gate import GateDecision, ProbeResult, PromotionGate
 from .log import RatingLog
@@ -63,7 +64,6 @@ class OnlineConfig:
     # to be meaningful.
     min_rollback_ratings: int = 4
     version_prefix: str = "online"
-    metrics_prefix: str = "online"
     # Staleness SLO budget: seconds since the serving model last absorbed
     # the stream before health() degrades.
     max_staleness_seconds: float = 3600.0
@@ -73,12 +73,14 @@ class OnlineConfig:
     def __post_init__(self):
         if self.min_new_ratings < 1:
             raise ValueError("min_new_ratings must be >= 1")
+        # The controller thread waits this long between log checks.
+        check_wait_seconds("poll_interval_seconds", self.poll_interval_seconds)
         if self.retain_versions < 1:
             raise ValueError("retain_versions must be >= 1")
-        if self.window_seconds <= 0 or self.short_window_seconds <= 0:
-            raise ValueError("window_seconds must be positive")
-        if self.short_window_seconds > self.window_seconds:
-            raise ValueError("short_window_seconds must be <= window_seconds")
+        # Chained, so NaN fails too; infinity has no slice count.
+        if not 0 < self.short_window_seconds <= self.window_seconds < math.inf:
+            raise ValueError("need 0 < short_window_seconds <= window_seconds"
+                             " < inf")
 
 
 class OnlineController:
@@ -391,7 +393,7 @@ class OnlineController:
     # Metrics plumbing (mirrors the serve tier's helpers)
     # ------------------------------------------------------------------ #
     def _metric_name(self, name: str) -> str:
-        return f"{self.config.metrics_prefix}.{name}"
+        return f"online.{name}"
 
     def _counter(self, name: str):
         return self.metrics.counter(self._metric_name(name))

@@ -93,9 +93,6 @@ class FineTuneConfig:
     # Seed-pair boost for fresh deltas: each fresh triple appears this many
     # times in the context-seeding pool (1 = no emphasis).
     fresh_boost: int = 4
-    # Replay the warm training ratings alongside the deltas; False trains
-    # on logged deltas alone (aggressive adaptation, higher forgetting).
-    replay: bool = True
     context_users: int = 32
     context_items: int = 32
     reveal_fraction: float = 0.1
@@ -178,13 +175,10 @@ class IncrementalTrainer:
         deltas = np.asarray(deltas, dtype=np.float64).reshape(-1, 3)
         fresh = deltas if fresh is None else (
             np.asarray(fresh, dtype=np.float64).reshape(-1, 3))
-        pools = [self._base_ratings] if cfg.replay else []
-        pools.append(deltas)
+        pools = [self._base_ratings, deltas]
         if cfg.fresh_boost > 1 and fresh.size:
             pools.extend([fresh] * (cfg.fresh_boost - 1))
-        ratings = np.concatenate(pools) if pools else np.empty((0, 3))
-        if ratings.size == 0:
-            raise ValueError("nothing to fine-tune on: no replay, no deltas")
+        ratings = np.concatenate(pools)
         train_users = np.union1d(self.split.train_users,
                                  deltas[:, 0].astype(np.int64))
         train_items = np.union1d(self.split.train_items,
@@ -235,7 +229,7 @@ class IncrementalTrainer:
             log_offset=int(log_offset),
             steps=cfg.steps,
             fresh_count=fresh_count,
-            replay_count=len(self._base_ratings) if cfg.replay else 0,
+            replay_count=len(self._base_ratings),
             seconds=seconds,
             loss_history=list(losses),
         )

@@ -5,10 +5,8 @@ A :class:`MicroBatcher` coalesces pending requests into batches of up to
 worker takes every matching request that is already queued and ships at
 once, so a lone request never sits idle waiting for batch-mates.  Batches
 still fill under load, because requests pile up while the worker is busy.
-An optional ``max_wait_seconds`` window (default 0) additionally holds the
-batch open that long after the first request for late arrivals.  Batches
-are formed by whichever worker thread asks next; each request lands in
-exactly one batch (queue pops are atomic).
+Batches are formed by whichever worker thread asks next; each request
+lands in exactly one batch (queue pops are atomic).
 
 Identical requests inside a batch — same user, same items, same supports —
 are *coalesced* by :func:`group_requests`: the context is assembled and
@@ -22,14 +20,11 @@ batch holds requests of a single shape bucket (same rounded context
 budget), gathered bucket-first so one downstream packed plan execution
 covers the whole batch.  Requests of *other* buckets seen while gathering
 are parked in a pending buffer — never dropped — and lead the very next
-batch.  A partially filled bucket ships as soon as the queue is empty and
-the window has passed, bounding any request's batching wait to roughly
-two ``max_wait_seconds`` windows.
+batch.  A partially filled bucket ships as soon as the queue is empty.
 """
 
 from __future__ import annotations
 
-import math
 import threading
 import time
 from collections import deque
@@ -57,10 +52,10 @@ class PredictRequest:
     batcher's own clock** (``MicroBatcher(clock=...)``): ``enqueued_at`` on
     :meth:`MicroBatcher.submit`, ``dequeued_at`` when a worker pops the
     request (re-stamped if the request is parked and re-popped), and
-    ``batch_formed_at`` when its batch ships.  One clock for stamps and
-    deadlines means latency histograms and deadline flushes always agree —
-    including under a fake clock in tests.  ``trace`` optionally carries a
-    :class:`repro.obs.RequestTrace` through the pipeline.
+    ``batch_formed_at`` when its batch ships.  One clock for every stamp
+    means the stage timings always agree — including under a fake clock in
+    tests.  ``trace`` optionally carries a :class:`repro.obs.RequestTrace`
+    through the pipeline.
     """
 
     user: int
@@ -108,26 +103,15 @@ class MicroBatcher:
     batch is homogeneous in bucket: the first request fixes the batch's
     bucket, same-bucket requests fill it, and other-bucket requests are
     parked in an internal pending buffer that leads the next batch.  A
-    batch ships once it is full or the queue is empty with its
-    ``max_wait_seconds`` window passed — with the default zero window, as
-    soon as nothing more is queued.  A request is never held past its
-    batch's window waiting for bucket-mates, and a parked request starts
-    its own window as soon as a worker asks again.
+    batch ships once it is full or nothing more is queued, so a request is
+    never held waiting for bucket-mates.
     """
 
-    def __init__(self, max_batch_size: int = 8, max_wait_seconds: float = 0.0,
-                 queue_size: int = 64, clock=time.monotonic, *, bucket_key):
+    def __init__(self, max_batch_size: int = 8, queue_size: int = 64,
+                 clock=time.monotonic, *, bucket_key):
         if max_batch_size < 1:
             raise ValueError("max_batch_size must be >= 1")
-        # The window becomes a Condition.wait timeout in the worker: an
-        # infinite or oversized one would raise OverflowError there and
-        # kill the worker with the request's future unresolved.
-        if not (math.isfinite(max_wait_seconds)
-                and 0 <= max_wait_seconds <= threading.TIMEOUT_MAX):
-            raise ValueError("max_wait_seconds must be finite, >= 0 and "
-                             "<= threading.TIMEOUT_MAX")
         self.max_batch_size = max_batch_size
-        self.max_wait_seconds = max_wait_seconds
         self.queue = BoundedQueue(queue_size)
         self._clock = clock
         self.bucket_key = bucket_key
@@ -138,7 +122,7 @@ class MicroBatcher:
         """Enqueue a request (non-blocking; sheds load when full).
 
         Stamps ``enqueued_at`` from the batcher's clock so queue-wait
-        measurements share a timebase with the gather deadline.
+        measurements share a timebase with the dequeue stamps.
         """
         request.enqueued_at = self._clock()
         self.queue.put(request)
@@ -147,8 +131,7 @@ class MicroBatcher:
         """Gather the next batch, or ``[]`` if nothing arrived in time.
 
         Blocks up to ``timeout`` for the first request, then takes every
-        same-bucket request already queued, blocking for more only while
-        ``max_wait_seconds`` since the first one has not elapsed; it stops
+        same-bucket request already queued without blocking again; it stops
         once ``max_batch_size`` requests are in hand.  Raises
         :class:`~repro.serve.errors.ServiceClosedError` once the queue is
         closed and fully drained (and no requests are parked).
@@ -171,7 +154,6 @@ class MicroBatcher:
     def _gather(self, first: PredictRequest, accept) -> list[PredictRequest]:
         batch = [first]
         now = self._clock()
-        deadline = now + self.max_wait_seconds
         # Parked requests first: they have been waiting the longest.
         with self._pending_lock:
             kept: deque[PredictRequest] = deque()
@@ -185,10 +167,10 @@ class MicroBatcher:
             kept.extend(self._pending)
             self._pending = kept
         while len(batch) < self.max_batch_size:
-            # Past the window (or with none) this only takes what is
-            # already queued: the worker never idles beside queued work.
+            # Only what is already queued: the worker never idles beside
+            # queued work.
             try:
-                request = self.queue.get(max(0.0, deadline - self._clock()))
+                request = self.queue.get(0.0)
             except ServiceClosedError:
                 break  # closed-and-drained: ship what we have
             if request is None:

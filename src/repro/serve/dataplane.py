@@ -191,17 +191,13 @@ class GraphStore:
 
     ``rating_range`` is the ``(low, high)`` scale deltas must fall in —
     the served model's :attr:`~repro.core.HIRE.rating_range`.  Graphs are
-    derived via :meth:`RatingGraph.apply_deltas`; ``verify=True``
-    additionally rebuilds from scratch on every update and asserts the two
-    graphs bitwise identical (``identical_to``).
+    derived via :meth:`RatingGraph.apply_deltas`.
     """
 
     def __init__(self, graph: RatingGraph, candidate_users: np.ndarray,
                  candidate_items: np.ndarray, *,
-                 rating_range: tuple[float, float], verify: bool = False,
-                 rating_log=None):
+                 rating_range: tuple[float, float], rating_log=None):
         self.rating_range = (float(rating_range[0]), float(rating_range[1]))
-        self.verify = verify
         self.rating_log = rating_log
         # Warm the flat CSR adjacency views up front: the vectorised
         # sampler gathers frontiers through them on every request, so the
@@ -297,7 +293,7 @@ class GraphStore:
                 pool_grew = (
                     np.setdiff1d(changed_users, users_pool).size > 0
                     or np.setdiff1d(changed_items, items_pool).size > 0)
-                new_graph = self._derive(graph, applied)
+                new_graph = graph.apply_deltas(applied)
                 # Keep the CSR views warm on the publish path: after an
                 # incremental derive this is a stale-count check (the stale
                 # marks were carried by apply_deltas), and when the stale
@@ -332,16 +328,3 @@ class GraphStore:
         if result.applied and self.rating_log is not None:
             self.rating_log.append(applied)
         return result
-
-    def _derive(self, graph: RatingGraph, applied: np.ndarray) -> RatingGraph:
-        """The next graph, via :meth:`RatingGraph.apply_deltas` — with
-        ``verify`` asserting it bitwise identical to a full rebuild."""
-        derived = graph.apply_deltas(applied)
-        if self.verify:
-            rebuilt = RatingGraph(np.concatenate([graph.triples(), applied]),
-                                  graph.num_users, graph.num_items)
-            if not derived.identical_to(rebuilt):
-                raise AssertionError(
-                    "incremental apply_deltas diverged from the full rebuild "
-                    f"on a {len(applied)}-delta batch")
-        return derived

@@ -37,6 +37,7 @@ Ties the serving pieces together behind ``submit()`` / ``predict()`` /
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from concurrent.futures import Future
@@ -50,6 +51,7 @@ from ..core.predictor import (
     build_serving_graph,
     task_chunk_rng,
 )
+from ..concurrency import check_wait_seconds
 from ..core.sampling import ContextSampler, NeighborhoodSampler
 from ..data.bipartite import RatingGraph
 from .batcher import MicroBatcher, PredictRequest, group_requests
@@ -74,10 +76,8 @@ class ServiceConfig:
     num_context_samples: int = 1
     seed: int = 0
     # Micro-batching.  Work-conserving: a batch ships as soon as nothing
-    # more is queued; a positive max_wait_seconds holds it open that long
-    # for late arrivals.
+    # more is queued.
     max_batch_size: int = 8
-    max_wait_seconds: float = 0.0
     queue_size: int = 64
     num_workers: int = 1
     # Context cache.
@@ -93,9 +93,6 @@ class ServiceConfig:
     # (n, m).
     adaptive_budgets: bool = False
     budget_ladder: tuple = ()
-    # Belt-and-braces: rebuild from scratch on every update too and assert
-    # the incremental graph bitwise identical.
-    incremental_verify: bool = False
     # Padded packing: contexts whose (n, m) land in the same bucket —
     # dimensions rounded up to the next pack_bucket multiple, unless that
     # inflates the cell count by more than pack_max_waste — execute as one
@@ -104,7 +101,6 @@ class ServiceConfig:
     # keeps every shape exact.
     pack_bucket: int = 8
     pack_max_waste: float = 1.0
-    metrics_prefix: str = "serve"
     # Telemetry plane (all passive — see docs/observability.md).
     # Per-request stage tracing into a bounded ring buffer; trace_sink
     # optionally mirrors completed traces to a JSONL file.
@@ -125,6 +121,8 @@ class ServiceConfig:
     def __post_init__(self):
         if self.context_users < 2 or self.context_items < 2:
             raise ValueError("context_users and context_items must be >= 2")
+        if not 0 <= self.reveal_fraction < 1:
+            raise ValueError("reveal_fraction must be in [0, 1)")
         if self.num_context_samples < 1:
             raise ValueError("num_context_samples must be >= 1")
         if self.num_workers < 1:
@@ -135,12 +133,13 @@ class ServiceConfig:
             raise ValueError("pack_max_waste must be >= 0")
         if self.trace_buffer < 1:
             raise ValueError("trace_buffer must be >= 1")
-        if self.window_seconds <= 0 or self.short_window_seconds <= 0:
-            raise ValueError("window_seconds must be positive")
-        if self.short_window_seconds > self.window_seconds:
-            raise ValueError("short_window_seconds must be <= window_seconds")
-        if self.export_interval_seconds <= 0:
-            raise ValueError("export_interval_seconds must be positive")
+        # Chained, so NaN fails too; infinity has no slice count.
+        if not 0 < self.short_window_seconds <= self.window_seconds < math.inf:
+            raise ValueError("need 0 < short_window_seconds <= window_seconds"
+                             " < inf")
+        # The exporter thread waits this long between ticks.
+        check_wait_seconds("export_interval_seconds",
+                           self.export_interval_seconds)
         self.budget_ladder = tuple(
             (int(depth), int(n), int(m)) for depth, n, m in self.budget_ladder)
         if self.adaptive_budgets:
@@ -195,9 +194,9 @@ class PredictionService:
         self.sampler = sampler or NeighborhoodSampler()
         self.metrics = metrics if metrics is not None else obs.MetricsRegistry()
         # One injectable clock for everything time-related on the serve
-        # path: batcher deadlines, request stamps, latency histograms,
-        # rolling windows, trace timings.  One timebase means the numbers
-        # agree with each other — and with a fake clock in tests.
+        # path: request stamps, latency histograms, rolling windows, trace
+        # timings.  One timebase means the numbers agree with each other —
+        # and with a fake clock in tests.
         self._clock = clock
         self.cache = (ContextCache(self.config.cache_entries)
                       if self.config.cache_enabled else None)
@@ -210,16 +209,13 @@ class PredictionService:
             np.asarray(candidate_users, dtype=np.int64),
             np.asarray(candidate_items, dtype=np.int64),
             rating_range=self._resolve_model().rating_range,
-            verify=self.config.incremental_verify,
             rating_log=rating_log)
         self._store.subscribe(self._on_graph_update)
         # Bucket-homogeneous batches keep each micro-batch a single packed
         # plan execution downstream; with uniform budgets every request
         # shares one bucket, so a batch takes whatever is queued, up to
-        # max_batch_size.  Built before any thread starts: a window the
-        # worker cannot wait on raises here.
+        # max_batch_size.
         self._batcher = MicroBatcher(self.config.max_batch_size,
-                                     self.config.max_wait_seconds,
                                      self.config.queue_size,
                                      clock=clock,
                                      bucket_key=self._request_bucket)
@@ -609,7 +605,7 @@ class PredictionService:
     # Worker internals
     # ------------------------------------------------------------------ #
     def _metric_name(self, name: str) -> str:
-        return f"{self.config.metrics_prefix}.{name}"
+        return f"serve.{name}"
 
     def _counter(self, name: str):
         return self.metrics.counter(self._metric_name(name))

@@ -1,72 +1,8 @@
-"""Trainer extensions: validation loss and early stopping."""
+"""Trainer extensions: HIM design flags."""
 
 import numpy as np
-import pytest
 
 from repro.core import HIRE, HIREConfig, HIRETrainer, TrainerConfig
-
-
-def make_trainer(ml_dataset, ml_split, **config_overrides):
-    model = HIRE(ml_dataset, HIREConfig(num_blocks=1, num_heads=2, attr_dim=4, seed=0))
-    defaults = dict(steps=30, batch_size=1, context_users=8, context_items=8, seed=0)
-    defaults.update(config_overrides)
-    return HIRETrainer(model, ml_split, config=TrainerConfig(**defaults))
-
-
-class TestValidationLoss:
-    def test_fixed_validation_set(self, ml_dataset, ml_split):
-        trainer = make_trainer(ml_dataset, ml_split)
-        a = trainer.validation_loss()
-        b = trainer.validation_loss()
-        assert a == pytest.approx(b)  # same contexts, same params
-
-    def test_validation_improves_with_training(self, ml_dataset, ml_split):
-        trainer = make_trainer(ml_dataset, ml_split, steps=50)
-        before = trainer.validation_loss()
-        trainer.fit()
-        after = trainer.validation_loss()
-        assert after < before
-
-    def test_validation_contexts_count(self, ml_dataset, ml_split):
-        trainer = make_trainer(ml_dataset, ml_split, validation_contexts=3)
-        trainer.validation_loss()
-        assert len(trainer._validation_set) == 3
-
-
-class TestEarlyStopping:
-    def test_records_validation_history(self, ml_dataset, ml_split):
-        trainer = make_trainer(ml_dataset, ml_split, steps=20,
-                               early_stopping_patience=5, validate_every=5)
-        trainer.fit()
-        assert len(trainer.validation_history) >= 1
-
-    def test_stops_early_with_tiny_patience(self, ml_dataset, ml_split):
-        """Patience 1 with frequent checks should halt before max steps on
-        a model this small (validation plateaus quickly)."""
-        trainer = make_trainer(ml_dataset, ml_split, steps=200,
-                               early_stopping_patience=1, validate_every=2)
-        trainer.fit()
-        assert len(trainer.loss_history) < 200
-
-    def test_restores_best_parameters(self, ml_dataset, ml_split):
-        trainer = make_trainer(ml_dataset, ml_split, steps=40,
-                               early_stopping_patience=2, validate_every=5)
-        trainer.fit()
-        # After restore, the validation loss equals the best recorded value.
-        final = trainer.validation_loss()
-        assert final == pytest.approx(min(trainer.validation_history), abs=1e-9)
-
-    def test_disabled_by_default(self, ml_dataset, ml_split):
-        trainer = make_trainer(ml_dataset, ml_split, steps=12)
-        trainer.fit()
-        assert trainer.validation_history == []
-        assert len(trainer.loss_history) == 12
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            TrainerConfig(early_stopping_patience=-1)
-        with pytest.raises(ValueError):
-            TrainerConfig(early_stopping_patience=2, validate_every=0)
 
 
 class TestHIMDesignFlags:

@@ -12,7 +12,6 @@ import pytest
 
 from repro import obs
 from repro.core import HIRE, HIREConfig, HIRETrainer, TrainerConfig
-from repro.obs import ophooks
 
 
 @pytest.fixture(autouse=True)
@@ -20,7 +19,6 @@ def clean_obs():
     obs.reset_spans()
     obs.enable_profiling(False)
     yield
-    ophooks.uninstrument()
     obs.reset_spans()
     obs.enable_profiling(False)
 
@@ -39,7 +37,6 @@ class CollectingObserver(obs.TrainerObserver):
     def __init__(self):
         self.fit_starts = []
         self.steps = []
-        self.validations = []
         self.summaries = []
 
     def on_fit_start(self, trainer, config):
@@ -47,9 +44,6 @@ class CollectingObserver(obs.TrainerObserver):
 
     def on_step(self, event):
         self.steps.append(event)
-
-    def on_validation(self, event):
-        self.validations.append(event)
 
     def on_fit_end(self, summary):
         self.summaries.append(summary)
@@ -78,9 +72,6 @@ class TestObserverEvents:
         (summary,) = collector.summaries
         assert summary.steps_run == 6
         assert summary.total_steps == 6
-        assert not summary.stopped_early
-        assert not summary.restored_best
-        assert summary.best_validation is None
         assert summary.final_loss == trainer.loss_history[-1]
         assert summary.wall_seconds > 0.0
 
@@ -97,19 +88,6 @@ class TestObserverEvents:
         trainer.add_observer(collector)
         trainer.fit()
         assert len(collector.steps) == 6
-
-    def test_validation_events_under_early_stopping(self, ml_dataset, ml_split):
-        collector = CollectingObserver()
-        trainer = make_trainer(ml_dataset, ml_split, observers=[collector],
-                               steps=12, early_stopping_patience=5,
-                               validate_every=3)
-        trainer.fit()
-        assert len(collector.validations) == len(trainer.validation_history)
-        for event, loss in zip(collector.validations,
-                               trainer.validation_history):
-            assert event.loss == loss
-            assert event.best_loss <= event.loss + 1e-12
-        assert collector.validations[0].improved  # first check always improves
 
 
 class TestConsoleSink:
@@ -164,26 +142,6 @@ class TestRecorderIntegration:
         report = obs.render_run_report(path)
         assert "summary:" in report
 
-    def test_early_stopping_recorded_and_best_state_restored(
-            self, ml_dataset, ml_split, tmp_path):
-        path = tmp_path / "run.jsonl"
-        trainer = make_trainer(ml_dataset, ml_split, steps=200,
-                               early_stopping_patience=1, validate_every=2)
-        recorder = obs.RunRecorder(path, config=trainer.config)
-        trainer.fit(observers=[obs.RecorderSink(recorder)])
-        assert len(trainer.loss_history) < 200  # stopped early
-        # Restored parameters score the best recorded validation loss.
-        assert trainer.validation_loss() == pytest.approx(
-            min(trainer.validation_history), abs=1e-9)
-        records = obs.read_run(path)
-        summary = records[-1]
-        assert summary["stopped_early"] is True
-        assert summary["restored_best"] is True
-        assert summary["best_validation"] == pytest.approx(
-            min(trainer.validation_history))
-        validations = [r for r in records if r["type"] == "validation"]
-        assert len(validations) == len(trainer.validation_history)
-
     def test_divergence_error_leaves_readable_run_file(self, ml_dataset,
                                                        ml_split, tmp_path):
         path = tmp_path / "run.jsonl"
@@ -230,7 +188,7 @@ class TestPassivity:
         ]
         recorded = make_trainer(ml_dataset, ml_split, steps=8,
                                 observers=observers)
-        with obs.profiling(True), ophooks.op_hooks():
+        with obs.profiling(True):
             recorded.fit()
         assert recorded.loss_history == plain.loss_history  # bit-identical
 

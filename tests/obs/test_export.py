@@ -1,5 +1,6 @@
 """TelemetryExporter: periodic snapshots, drain-on-close, source errors."""
 
+import threading
 import time
 
 import pytest
@@ -43,6 +44,17 @@ class TestExportOnce:
     def test_interval_validated(self, tmp_path):
         with pytest.raises(ValueError):
             TelemetryExporter(tmp_path / "t.jsonl", interval_seconds=0.0)
+
+    @pytest.mark.parametrize("interval", [float("inf"), 1e12, float("nan")])
+    def test_unwaitable_interval_rejected_before_the_thread_starts(
+            self, tmp_path, interval):
+        """inf and 1e12 would overflow the thread's wait and kill it; NaN
+        would never wait.  Nothing is started or written."""
+        before = set(threading.enumerate())
+        with pytest.raises(ValueError, match="interval_seconds"):
+            TelemetryExporter(tmp_path / "t.jsonl", interval_seconds=interval)
+        assert set(threading.enumerate()) <= before
+        assert not (tmp_path / "t.jsonl").exists()
 
 
 class TestBackgroundThread:

@@ -110,10 +110,8 @@ class TestReport:
                 recorder.record("step", step=step, loss=1.0 / step,
                                 grad_norm=0.5, lr=1e-3, step_seconds=0.01,
                                 context_n=8, context_m=8, masked_cells=12)
-            recorder.record("validation", step=steps, loss=0.4,
-                            best_loss=0.4, improved=True)
             recorder.finalize(steps_run=steps, total_steps=steps,
-                              stopped_early=False, final_loss=1.0 / steps,
+                              final_loss=1.0 / steps,
                               wall_seconds=0.05, steps_per_second=100.0)
         return path
 
@@ -123,7 +121,6 @@ class TestReport:
         assert "run demo" in text
         assert "Loss" in text and "|grad|" in text
         assert "1.0000" in text   # first step's loss
-        assert "validation checks: 1" in text
         assert "summary:" in text and "steps/s" in text
 
     def test_step_table_thins_long_runs(self, tmp_path):

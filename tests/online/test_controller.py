@@ -375,3 +375,21 @@ class TestHealth:
         assert controller.health()["state"] == "ok"
         snapshot = controller.metrics.snapshot()
         assert snapshot["online.staleness_seconds"]["value"] == 0.0
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize("interval", [float("inf"), 1e12, float("nan"),
+                                          0.0, -1.0])
+    def test_poll_interval_must_be_waitable(self, interval):
+        """The controller thread waits on the interval: inf and 1e12 used
+        to kill it at its first wait while health() still read ok, NaN
+        made it spin, and zero or less is no wait at all."""
+        with pytest.raises(ValueError, match="poll_interval_seconds"):
+            OnlineConfig(poll_interval_seconds=interval)
+
+    @pytest.mark.parametrize("field", ["window_seconds",
+                                       "short_window_seconds"])
+    @pytest.mark.parametrize("seconds", [float("nan"), float("inf"), 0.0])
+    def test_windows_must_be_finite_and_positive(self, field, seconds):
+        with pytest.raises(ValueError, match="window_seconds"):
+            OnlineConfig(**{field: seconds})

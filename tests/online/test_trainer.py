@@ -44,12 +44,6 @@ class TestViewAssembly:
         base = len(ml_split.train_ratings())
         assert len(view.ratings) == base + 3 * len(warm_deltas)
 
-    def test_replay_off_trains_on_deltas_only(self, ml_split, warm_deltas):
-        trainer = IncrementalTrainer(ml_split, config=FineTuneConfig(
-            steps=1, replay=False, fresh_boost=1))
-        view = trainer.build_view(warm_deltas)
-        assert len(view.ratings) == len(warm_deltas)
-
     def test_new_entities_join_the_pools(self, ml_split):
         trainer = IncrementalTrainer(ml_split, config=FineTuneConfig(steps=1))
         new_user = int(ml_split.train_users.max()) + 1
@@ -58,11 +52,10 @@ class TestViewAssembly:
         assert new_user in view.train_users
         assert new_item in view.train_items
 
-    def test_nothing_to_train_on_raises(self, ml_split):
-        trainer = IncrementalTrainer(ml_split, config=FineTuneConfig(
-            steps=1, replay=False))
-        with pytest.raises(ValueError, match="nothing to fine-tune"):
-            trainer.build_view(np.empty((0, 3)))
+    def test_no_deltas_trains_on_the_replay_pool(self, ml_split):
+        trainer = IncrementalTrainer(ml_split, config=FineTuneConfig(steps=1))
+        view = trainer.build_view(np.empty((0, 3)))
+        assert np.array_equal(view.ratings, ml_split.train_ratings())
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -46,8 +46,7 @@ class TestGroupRequests:
 
 class TestMicroBatcher:
     def test_batch_respects_max_size(self):
-        batcher = MicroBatcher(max_batch_size=2, max_wait_seconds=1.0,
-                               bucket_key=one_bucket)
+        batcher = MicroBatcher(max_batch_size=2, bucket_key=one_bucket)
         for _ in range(3):
             batcher.submit(make_request())
         assert len(batcher.next_batch(0.1)) == 2
@@ -59,8 +58,7 @@ class TestMicroBatcher:
         assert batcher.next_batch(0.01) == []
 
     def test_zero_wait_takes_every_queued_request(self):
-        batcher = MicroBatcher(max_batch_size=8, max_wait_seconds=0.0,
-                               bucket_key=one_bucket)
+        batcher = MicroBatcher(max_batch_size=8, bucket_key=one_bucket)
         batcher.submit(make_request())
         batcher.submit(make_request())
         assert len(batcher.next_batch(0.1)) == 2
@@ -85,35 +83,8 @@ class TestMicroBatcher:
         assert [r.user for r in batcher.next_batch(0.1)] == [3]
         assert timeouts == [0.1, 0.0, 0.0, 0.0, 0.1, 0.0]
 
-    def test_window_passed_still_takes_queued_requests(self):
-        clock = FakeClock()
-        batcher = MicroBatcher(max_batch_size=8, max_wait_seconds=0.01,
-                               clock=clock, bucket_key=one_bucket)
-        for user in range(3):
-            batcher.submit(make_request(user=user))
-        real_get = batcher.queue.get
-
-        def late_get(timeout):
-            clock.advance(1.0)  # every pop lands past the window
-            return real_get(timeout)
-
-        batcher.queue.get = late_get
-        assert len(batcher.next_batch(0.1)) == 3
-
-    def test_deadline_via_fake_clock(self):
-        clock_value = [0.0]
-        batcher = MicroBatcher(max_batch_size=8, max_wait_seconds=0.01,
-                               clock=lambda: clock_value[0],
-                               bucket_key=one_bucket)
-        batcher.submit(make_request())
-        batcher.submit(make_request())
-        clock_value[0] = 1.0  # first get succeeds, then the deadline is past
-        batch = batcher.next_batch(0.1)
-        assert len(batch) >= 1
-
     def test_close_then_drained_raises(self):
-        batcher = MicroBatcher(max_batch_size=4, max_wait_seconds=0.0,
-                               bucket_key=one_bucket)
+        batcher = MicroBatcher(max_batch_size=4, bucket_key=one_bucket)
         batcher.submit(make_request())
         batcher.close()
         assert len(batcher.next_batch(0.1)) == 1  # drains the queued request
@@ -130,13 +101,6 @@ class TestMicroBatcher:
     def test_rejects_bad_config(self):
         with pytest.raises(ValueError):
             MicroBatcher(max_batch_size=0, bucket_key=one_bucket)
-        with pytest.raises(ValueError):
-            MicroBatcher(max_wait_seconds=-1.0, bucket_key=one_bucket)
-        # Windows the worker cannot wait on: Condition.wait would raise
-        # OverflowError in the worker (inf, 1e12) or never compare (NaN).
-        for window in (float("inf"), 1e12, float("nan")):
-            with pytest.raises(ValueError):
-                MicroBatcher(max_wait_seconds=window, bucket_key=one_bucket)
 
     def test_budget_overrides_break_coalescing(self):
         a = make_request(budgets=(16, 16))
@@ -170,7 +134,7 @@ class TestClockStamps:
 
     def test_dequeue_and_batch_form_stamps(self):
         clock = FakeClock(now=10.0)
-        batcher = MicroBatcher(max_batch_size=2, max_wait_seconds=0.0,
+        batcher = MicroBatcher(max_batch_size=2,
                                clock=clock, bucket_key=one_bucket)
         request = make_request()
         batcher.submit(request)
@@ -183,7 +147,7 @@ class TestClockStamps:
 
     def test_queue_wait_measurable_under_fake_clock(self):
         clock = FakeClock()
-        batcher = MicroBatcher(max_batch_size=2, max_wait_seconds=0.05,
+        batcher = MicroBatcher(max_batch_size=2,
                                clock=clock, bucket_key=one_bucket)
         early = make_request(user=1)
         batcher.submit(early)
@@ -196,8 +160,7 @@ class TestClockStamps:
         assert waits[2] == 0.0
 
     def test_every_batch_member_shares_batch_formed_at(self):
-        batcher = MicroBatcher(max_batch_size=4, max_wait_seconds=0.2,
-                               bucket_key=one_bucket)
+        batcher = MicroBatcher(max_batch_size=4, bucket_key=one_bucket)
         for user in range(3):
             batcher.submit(make_request(user=user))
         batch = batcher.next_batch(0.1)
@@ -209,7 +172,7 @@ class TestClockStamps:
 
     def test_parked_request_is_restamped_on_final_pop(self):
         clock = FakeClock()
-        batcher = MicroBatcher(max_batch_size=2, max_wait_seconds=0.0,
+        batcher = MicroBatcher(max_batch_size=2,
                                clock=clock, bucket_key=budget_bucket)
         a = make_request(budgets=(8, 8))
         b = make_request(budgets=(16, 16))
@@ -227,8 +190,7 @@ class TestClockStamps:
 
 class TestBucketedBatcher:
     def test_batches_are_bucket_homogeneous(self):
-        batcher = MicroBatcher(max_batch_size=8, max_wait_seconds=0.01,
-                               bucket_key=budget_bucket)
+        batcher = MicroBatcher(max_batch_size=8, bucket_key=budget_bucket)
         small = [make_request(user=u, budgets=(16, 16)) for u in range(2)]
         large = [make_request(user=u, budgets=(32, 32)) for u in range(2)]
         for request in (small[0], large[0], small[1], large[1]):
@@ -241,8 +203,7 @@ class TestBucketedBatcher:
         assert batcher.depth == 0
 
     def test_parked_requests_lead_the_next_batch(self):
-        batcher = MicroBatcher(max_batch_size=8, max_wait_seconds=0.01,
-                               bucket_key=budget_bucket)
+        batcher = MicroBatcher(max_batch_size=8, bucket_key=budget_bucket)
         batcher.submit(make_request(user=0, budgets=(16, 16)))
         batcher.submit(make_request(user=1, budgets=(32, 32)))
         batcher.next_batch(0.1)  # ships bucket (16, 16), parks user 1
@@ -252,20 +213,18 @@ class TestBucketedBatcher:
         assert [r.user for r in batch] == [1, 2]
 
     def test_deadline_flushes_partial_bucket_with_bounded_latency(self):
-        """A lone request in its bucket ships after one wait window — it is
-        never held hostage waiting for bucket-mates."""
-        batcher = MicroBatcher(max_batch_size=8, max_wait_seconds=0.02,
-                               bucket_key=budget_bucket)
+        """A lone request in its bucket ships at once — it is never held
+        hostage waiting for bucket-mates."""
+        batcher = MicroBatcher(max_batch_size=8, bucket_key=budget_bucket)
         batcher.submit(make_request(budgets=(16, 16)))
         start = time.perf_counter()
         batch = batcher.next_batch(0.5)
         elapsed = time.perf_counter() - start
         assert len(batch) == 1
-        assert elapsed < 0.25  # one wait window + slack, not the full timeout
+        assert elapsed < 0.25  # slack, not the full timeout
 
     def test_depth_and_drain_include_parked_requests(self):
-        batcher = MicroBatcher(max_batch_size=2, max_wait_seconds=0.01,
-                               bucket_key=budget_bucket)
+        batcher = MicroBatcher(max_batch_size=2, bucket_key=budget_bucket)
         keep = make_request(user=0, budgets=(16, 16))
         parked = make_request(user=1, budgets=(32, 32))
         batcher.submit(keep)
@@ -277,8 +236,7 @@ class TestBucketedBatcher:
         assert batcher.depth == 0
 
     def test_parked_request_survives_close(self):
-        batcher = MicroBatcher(max_batch_size=2, max_wait_seconds=0.01,
-                               bucket_key=budget_bucket)
+        batcher = MicroBatcher(max_batch_size=2, bucket_key=budget_bucket)
         batcher.submit(make_request(user=0, budgets=(16, 16)))
         batcher.submit(make_request(user=1, budgets=(32, 32)))
         batcher.next_batch(0.1)  # parks user 1

@@ -15,6 +15,18 @@ from repro.data import RatingGraph
 from repro.serve import GraphStore, PredictionService, dedupe_deltas
 from repro.serve.dataplane import EntityVersions
 
+from .graph_oracle import rebuild_checked
+
+
+@pytest.fixture
+def rebuild_checks(monkeypatch):
+    """Hold every graph derivation in the test to a full rebuild; returns
+    the sizes of the checked delta batches."""
+    checks = []
+    monkeypatch.setattr(RatingGraph, "apply_deltas",
+                        rebuild_checked(RatingGraph.apply_deltas, checks))
+    return checks
+
 
 def random_graph(rng, num_users=20, num_items=15, num_edges=60):
     users = rng.integers(num_users, size=num_edges)
@@ -158,10 +170,17 @@ class TestGraphStore:
         assert not store.changed_since([1], [0], 0)
         assert not store.changed_since([0], [1], 1)
 
-    def test_verify_mode_asserts_equivalence(self):
-        store = self.make_store(verify=True)
+    def test_verify_mode_asserts_equivalence(self, rebuild_checks):
+        store = self.make_store()
         store.apply(np.array([[0, 1, 5.0], [1, 0, 2.0], [0, 0, 1.0]]))
         assert store.generation == 1
+        assert rebuild_checks == [3]
+
+    def test_rebuild_oracle_catches_a_diverged_derivation(self):
+        graph = RatingGraph(np.array([[0, 0, 3.0]]), 2, 2)
+        ignore_deltas = rebuild_checked(lambda graph, deltas: graph, [])
+        with pytest.raises(AssertionError, match="diverged"):
+            ignore_deltas(graph, np.array([[1, 1, 4.0]]))
 
     def test_stats_counts(self):
         store = self.make_store()
@@ -278,11 +297,11 @@ class TestServiceIncrementalInvalidation:
             assert np.array_equal(again, scores_a)
 
     def test_random_update_stream_stays_identical_to_rebuilds(
-            self, serve_model, ml_split, serve_tasks):
-        """Serving through many incremental updates (verify mode on)
-        matches a service rebuilt from scratch at the final graph."""
+            self, serve_model, ml_split, serve_tasks, rebuild_checks):
+        """Serving through many incremental updates (each derivation held
+        to a full rebuild) matches a service rebuilt from scratch at the
+        final graph."""
         from repro.core.predictor import build_serving_graph
-        from repro.serve import ServiceConfig
 
         rng = np.random.default_rng(7)
         graph, users, items = build_serving_graph(ml_split, serve_tasks)
@@ -295,11 +314,10 @@ class TestServiceIncrementalInvalidation:
                 float(rng.integers(1, 6))])
         deltas = np.asarray(deltas, dtype=np.float64)
 
-        config = ServiceConfig(incremental_verify=True)
-        with PredictionService(serve_model, graph, users, items,
-                               config=config) as service:
+        with PredictionService(serve_model, graph, users, items) as service:
             for row in deltas:
                 service.update_ratings(row[None])
+            assert rebuild_checks  # the stream applied at least one delta
             incremental = service.predict(task.user, task.query_items,
                                           task.support_items)
             final_state = service.graph_store.state

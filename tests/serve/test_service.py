@@ -121,12 +121,14 @@ class TestBitIdentity:
         assert after.tobytes() == expected.tobytes()
 
     def test_coalesced_requests_get_independent_arrays(
-            self, serve_model, ml_split, serve_tasks):
+            self, serve_model, ml_split, serve_tasks, parked_worker):
         task = serve_tasks[0]
         with make_service(serve_model, ml_split, serve_tasks,
-                          max_batch_size=4, max_wait_seconds=0.05) as service:
-            futures = [service.submit(task.user, task.query_items,
-                                      task.support_items) for _ in range(3)]
+                          max_batch_size=4) as service:
+            with parked_worker(service):
+                futures = [service.submit(task.user, task.query_items,
+                                          task.support_items)
+                           for _ in range(3)]
             results = [f.result(60) for f in futures]
         results[0][:] = -1.0
         assert np.array_equal(results[1], results[2])
@@ -135,15 +137,17 @@ class TestBitIdentity:
 
 class TestFailureIsolation:
     def test_one_failing_request_leaves_its_batch_mates_served(
-            self, serve_model, ml_split, serve_tasks, monkeypatch):
+            self, serve_model, ml_split, serve_tasks, monkeypatch,
+            parked_worker):
         """A request that raises fails alone: the requests coalesced with
         it are re-run and resolve with the scores of a clean run."""
-        config = dict(num_workers=1, max_batch_size=len(serve_tasks),
-                      max_wait_seconds=5.0)
+        config = dict(num_workers=1, max_batch_size=len(serve_tasks))
         with make_service(serve_model, ml_split, serve_tasks,
                           **config) as service:
-            futures = [service.submit(t.user, t.query_items, t.support_items)
-                       for t in serve_tasks]
+            with parked_worker(service):
+                futures = [service.submit(t.user, t.query_items,
+                                          t.support_items)
+                           for t in serve_tasks]
             clean = [f.result(60) for f in futures]
 
         culprit = serve_tasks[2].user
@@ -165,8 +169,10 @@ class TestFailureIsolation:
 
             monkeypatch.setattr(service, "_chunks_for", flaky)
             monkeypatch.setattr(service, "_process_batch", recorded)
-            futures = [service.submit(t.user, t.query_items, t.support_items)
-                       for t in serve_tasks]
+            with parked_worker(service):
+                futures = [service.submit(t.user, t.query_items,
+                                          t.support_items)
+                           for t in serve_tasks]
             for index, (future, expected) in enumerate(zip(futures, clean)):
                 if serve_tasks[index].user == culprit:
                     with pytest.raises(RuntimeError, match="injected"):
@@ -304,13 +310,13 @@ class TestValidation:
         with pytest.raises(ValueError, match=">= 2"):
             ServiceConfig(**budgets)
 
-    def test_unwaitable_batch_window_fails_before_any_worker_starts(
-            self, serve_model, ml_split, serve_tasks):
-        before = set(threading.enumerate())
-        with pytest.raises(ValueError, match="max_wait_seconds"):
-            make_service(serve_model, ml_split, serve_tasks,
-                         max_wait_seconds=float("inf"))
-        assert set(threading.enumerate()) <= before
+    @pytest.mark.parametrize("fraction", [-0.1, 1.0, 1.5, float("nan")])
+    def test_config_rejects_reveal_fraction_outside_unit_interval(
+            self, fraction):
+        """A fraction outside [0, 1) would fail every request; it fails
+        the config instead."""
+        with pytest.raises(ValueError, match="reveal_fraction"):
+            ServiceConfig(reveal_fraction=fraction)
 
 
 class TestGraphUpdates:
@@ -414,18 +420,19 @@ class TestPackedServing:
         return refs
 
     def test_mixed_budgets_pack_and_stay_bitwise_identical(
-            self, serve_model, ml_split, serve_tasks):
+            self, serve_model, ml_split, serve_tasks, parked_worker):
         """Three different context budgets land in one (24, 32) bucket, run
         as one padded stacked forward, and every real row still matches the
         offline predictor with that budget — bit for bit."""
         refs = self.reference_scores(serve_model, ml_split, serve_tasks)
         with make_service(serve_model, ml_split, serve_tasks,
-                          max_batch_size=8, num_workers=1,
-                          max_wait_seconds=0.25) as service:
-            futures = [
-                service.submit(task.user, task.query_items, task.support_items,
-                               context_users=n, context_items=m)
-                for task, (n, m) in zip(serve_tasks, self.BUDGETS)]
+                          max_batch_size=8, num_workers=1) as service:
+            with parked_worker(service):
+                futures = [
+                    service.submit(task.user, task.query_items,
+                                   task.support_items,
+                                   context_users=n, context_items=m)
+                    for task, (n, m) in zip(serve_tasks, self.BUDGETS)]
             got = [f.result(60) for f in futures]
             snapshot = service.metrics.snapshot()
         assert snapshot["serve.packed_contexts_total"]["value"] > 0
@@ -517,15 +524,17 @@ class TestRowPathServing:
         (TestPackedServing.BUDGETS, True),  # mixed: packed rows
     ])
     def test_served_rows_equal_tensor_forward_rows(
-            self, serve_model, ml_split, serve_tasks, budgets, packed):
+            self, serve_model, ml_split, serve_tasks, budgets, packed,
+            parked_worker):
         serve_model.eval()
         with make_service(serve_model, ml_split, serve_tasks,
-                          max_batch_size=8, num_workers=1,
-                          max_wait_seconds=0.25) as service:
-            futures = [
-                service.submit(task.user, task.query_items, task.support_items,
-                               context_users=n, context_items=m)
-                for task, (n, m) in zip(serve_tasks, budgets)]
+                          max_batch_size=8, num_workers=1) as service:
+            with parked_worker(service):
+                futures = [
+                    service.submit(task.user, task.query_items,
+                                   task.support_items,
+                                   context_users=n, context_items=m)
+                    for task, (n, m) in zip(serve_tasks, budgets)]
             got = [f.result(60) for f in futures]
             expected = [self.tensor_reference(serve_model, service, task, n, m)
                         for task, (n, m) in zip(serve_tasks, budgets)]

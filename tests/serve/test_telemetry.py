@@ -157,21 +157,22 @@ class TestStageAttribution:
             assert "health: ok" in report
 
     def test_packed_path_span_attribution(self, serve_model, ml_split,
-                                          serve_tasks):
+                                          serve_tasks, parked_worker):
         """Mixed context budgets force the packed path; its engine work
         shows up under serve/forward in the span tree, and the trace's
         forward stage counts it."""
         budgets = [(20, 26), (24, 30), (18, 28)]  # one (24, 32) bucket
         with make_service(serve_model, ml_split, serve_tasks,
-                          max_batch_size=len(budgets),
-                          max_wait_seconds=0.25) as service:
+                          max_batch_size=len(budgets)) as service:
             obs.reset_spans()
             with obs.profiling():
                 task = serve_tasks[0]
-                futures = [service.submit(task.user, task.query_items,
-                                          task.support_items,
-                                          context_users=n, context_items=m)
-                           for n, m in budgets]
+                with parked_worker(service):
+                    futures = [service.submit(task.user, task.query_items,
+                                              task.support_items,
+                                              context_users=n,
+                                              context_items=m)
+                               for n, m in budgets]
                 for future in futures:
                     future.result(60)
             totals = obs.span_totals()
@@ -331,3 +332,19 @@ class TestConfigValidation:
             ServiceConfig(trace_buffer=0)
         with pytest.raises(ValueError):
             ServiceConfig(export_interval_seconds=0.0)
+
+    @pytest.mark.parametrize("field", ["window_seconds",
+                                       "short_window_seconds"])
+    @pytest.mark.parametrize("seconds", [float("nan"), float("inf")])
+    def test_window_must_be_a_finite_number(self, field, seconds):
+        """NaN passed every ordered comparison and failed only when the
+        service built its windows; infinity has no slice count."""
+        with pytest.raises(ValueError, match="window_seconds"):
+            ServiceConfig(**{field: seconds})
+
+    @pytest.mark.parametrize("interval", [float("inf"), 1e12, float("nan")])
+    def test_export_interval_must_be_waitable(self, interval):
+        """The exporter thread waits on the interval: inf and 1e12
+        overflow its wait, NaN never waits."""
+        with pytest.raises(ValueError, match="export_interval_seconds"):
+            ServiceConfig(export_interval_seconds=interval)

@@ -13,9 +13,10 @@ Static checks only (no network, no execution of examples):
   docstring and is mentioned in at least one docs page;
 * every public symbol (``__all__``) of the serving and inference-engine
   APIs is mentioned in at least one docs page;
-* every ``ServiceConfig`` field is documented, every field the
-  ``docs/serving.md`` configuration table names is a real field, and the
-  table's default column equals ``ServiceConfig()``.
+* every field of the five configs (serving, training, fine-tuning, gate,
+  online loop) is documented, every field a configuration table names is
+  a real field, and each table's default column equals the config's
+  defaults.
 """
 
 import ast
@@ -204,20 +205,29 @@ def test_metric_extraction_found_the_core_metrics():
             "infer.workspace_bytes"} <= set(names)
 
 
-# Config surfaces: every tunable field of the serving config must be
-# documented somewhere — an operator reading a config dataclass has to
-# find each knob's meaning in the docs.
-DOCUMENTED_CONFIGS = ["repro.serve.ServiceConfig"]
+# Config surfaces: every tunable field of a config must be documented
+# in its reference table — an operator reading a config dataclass has to
+# find each knob's meaning, and who changes it, in the docs.  Each config
+# maps to the docs page and heading whose table lists it.
+DOCUMENTED_CONFIGS = {
+    "repro.serve.ServiceConfig": ("serving.md", "## Configuration reference"),
+    "repro.core.TrainerConfig": ("training_pipeline.md",
+                                 "## Configuration reference"),
+    "repro.online.FineTuneConfig": ("online_learning.md",
+                                    "### `FineTuneConfig`"),
+    "repro.online.GateConfig": ("online_learning.md", "### `GateConfig`"),
+    "repro.online.OnlineConfig": ("online_learning.md", "### `OnlineConfig`"),
+}
+
+
+def config_class(dotted):
+    module_name, _, class_name = dotted.rpartition(".")
+    return getattr(importlib.import_module(module_name), class_name)
 
 
 def config_fields():
-    pairs = []
-    for dotted in DOCUMENTED_CONFIGS:
-        module_name, _, class_name = dotted.rpartition(".")
-        cls = getattr(importlib.import_module(module_name), class_name)
-        pairs.extend((dotted, field.name)
-                     for field in dataclasses.fields(cls))
-    return pairs
+    return [(dotted, field.name) for dotted in DOCUMENTED_CONFIGS
+            for field in dataclasses.fields(config_class(dotted))]
 
 
 @pytest.mark.parametrize("config,field", config_fields(),
@@ -229,13 +239,15 @@ def test_config_field_documented(config, field):
         f"docs/*.md page")
 
 
-def serving_table_rows():
-    """``(field, default)`` pairs from the ``docs/serving.md`` configuration
-    table: backticked names in the first column, backticked defaults in the
-    second (a row may name several: `a` / `b` with `1` / `2`)."""
-    text = (REPO_ROOT / "docs" / "serving.md").read_text()
-    section = text.split("## Configuration reference", 1)[1]
-    section = section.split("\n## ", 1)[0]
+def config_table_rows(dotted):
+    """``(field, default)`` pairs from a config's reference table: the
+    table under its heading, up to the next heading, with backticked names
+    in the first column and backticked defaults in the second (a row may
+    name several: `a` / `b` with `1` / `2`)."""
+    page, heading = DOCUMENTED_CONFIGS[dotted]
+    text = (REPO_ROOT / "docs" / page).read_text()
+    section = text.split("\n" + heading + "\n", 1)[1]
+    section = section.split("\n#", 1)[0]
     rows = []
     for line in section.splitlines():
         cells = line.split("|")
@@ -249,32 +261,52 @@ def serving_table_rows():
     return rows
 
 
-def test_serving_table_names_only_real_fields():
-    from repro.serve import ServiceConfig
-
-    table = [name for name, _ in serving_table_rows()]
-    assert "context_users" in table and "export_path" in table  # canary
-    real = {field.name for field in dataclasses.fields(ServiceConfig)}
+def check_table_names_only_real_fields(dotted):
+    table = [name for name, _ in config_table_rows(dotted)]
+    real = {field.name for field in dataclasses.fields(config_class(dotted))}
     stale = [name for name in table if name not in real]
     assert not stale, (
-        f"docs/serving.md configuration table lists {stale}, which are not "
-        f"ServiceConfig fields")
+        f"the {dotted} configuration table lists {stale}, which are not "
+        f"its fields")
 
 
-def test_serving_table_defaults_match_service_config():
-    """The default column is what ``ServiceConfig()`` really holds: a stale
+def check_table_defaults_match_config(dotted):
+    """The default column is what the config really holds: a stale
     default there misleads an operator more than a missing row."""
-    from repro.serve import ServiceConfig
-
-    rows = serving_table_rows()
-    assert len(rows) == len(dataclasses.fields(ServiceConfig))  # canary
-    defaults = ServiceConfig()
+    cls = config_class(dotted)
+    rows = config_table_rows(dotted)
+    assert len(rows) == len(dataclasses.fields(cls))  # one row per field
+    defaults = cls()
     stale = [(name, documented) for name, documented in rows
              if documented is None
              or ast.literal_eval(documented) != getattr(defaults, name)]
     assert not stale, (
-        f"docs/serving.md configuration table defaults {stale} differ from "
-        f"ServiceConfig()")
+        f"the {dotted} configuration table defaults {stale} differ from "
+        f"{cls.__name__}()")
+
+
+def test_serving_table_names_only_real_fields():
+    table = [name for name, _ in config_table_rows("repro.serve.ServiceConfig")]
+    assert "context_users" in table and "export_path" in table  # canary
+    check_table_names_only_real_fields("repro.serve.ServiceConfig")
+
+
+def test_serving_table_defaults_match_service_config():
+    check_table_defaults_match_config("repro.serve.ServiceConfig")
+
+
+OTHER_CONFIGS = [name for name in DOCUMENTED_CONFIGS
+                 if name != "repro.serve.ServiceConfig"]
+
+
+@pytest.mark.parametrize("config", OTHER_CONFIGS)
+def test_config_table_names_only_real_fields(config):
+    check_table_names_only_real_fields(config)
+
+
+@pytest.mark.parametrize("config", OTHER_CONFIGS)
+def test_config_table_defaults_match_config(config):
+    check_table_defaults_match_config(config)
 
 
 def test_docs_readme_links_every_docs_page():
