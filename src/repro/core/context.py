@@ -17,7 +17,7 @@ import numpy as np
 
 from ..data.bipartite import RatingGraph
 
-__all__ = ["PredictionContext", "build_context"]
+__all__ = ["PredictionContext", "build_context", "check_reveal_fraction"]
 
 
 @dataclass
@@ -69,6 +69,13 @@ class PredictionContext:
         )
 
 
+def check_reveal_fraction(name: str, value: float) -> None:
+    """Reject a reveal fraction outside [0, 1); the chained test fails NaN
+    too."""
+    if not 0.0 <= value < 1.0:
+        raise ValueError(f"{name} must be in [0, 1), got {value}")
+
+
 def build_context(graph: RatingGraph, users: np.ndarray, items: np.ndarray,
                   rng: np.random.Generator, reveal_fraction: float = 0.1,
                   forced_query: np.ndarray | None = None,
@@ -82,8 +89,7 @@ def build_context(graph: RatingGraph, users: np.ndarray, items: np.ndarray,
     ``forced_reveal`` marks cells that must be visible regardless (the cold
     entity's known support ratings).
     """
-    if not 0.0 <= reveal_fraction < 1.0:
-        raise ValueError(f"reveal_fraction must be in [0, 1), got {reveal_fraction}")
+    check_reveal_fraction("reveal_fraction", reveal_fraction)
     users = np.asarray(users, dtype=np.int64)
     items = np.asarray(items, dtype=np.int64)
     ratings, observed = graph.rating_matrix(users, items)

@@ -19,7 +19,7 @@ import numpy as np
 from .. import nn, obs
 from ..data.bipartite import RatingGraph
 from ..data.splits import ColdStartSplit
-from .context import PredictionContext
+from .context import PredictionContext, check_reveal_fraction
 from .model import HIRE
 from .sampling import (
     MAX_CONTEXT_RETRIES,
@@ -62,6 +62,10 @@ class TrainerConfig:
             raise ValueError("steps must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        check_reveal_fraction("reveal_fraction", self.reveal_fraction)
+        if self.reveal_fraction_high is not None:
+            check_reveal_fraction("reveal_fraction_high",
+                                  self.reveal_fraction_high)
 
 
 class HIRETrainer:

@@ -14,7 +14,6 @@ from pathlib import Path
 import numpy as np
 
 from .module import Module
-from .tensor import get_default_dtype
 
 __all__ = ["save_checkpoint", "load_checkpoint", "save_module", "load_module"]
 
@@ -50,18 +49,13 @@ def save_checkpoint(path: str | Path, state: dict[str, np.ndarray],
     return path
 
 
-def load_checkpoint(path: str | Path, dtype=None) -> tuple[dict[str, np.ndarray], dict]:
+def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
     """Read ``(state, metadata)`` from a checkpoint written by
     :func:`save_checkpoint`.
 
-    ``dtype`` casts floating-point arrays on load: pass ``"default"`` to
-    follow the active dtype policy (:func:`repro.nn.set_default_dtype`), an
-    explicit dtype, or ``None`` (default) to keep the stored dtypes.
-    :meth:`Module.load_state_dict` casts to each parameter's dtype anyway,
-    so the cast here matters when the state dict is consumed directly.
+    Arrays keep their stored dtypes; :meth:`Module.load_state_dict` casts
+    each one to its parameter's dtype.
     """
-    if dtype == "default":
-        dtype = get_default_dtype()
     path = Path(path)
     if not path.exists():
         path = _with_npz_suffix(path)
@@ -70,10 +64,7 @@ def load_checkpoint(path: str | Path, dtype=None) -> tuple[dict[str, np.ndarray]
         for key in archive.files:
             if key == _META_KEY:
                 continue
-            value = archive[key]  # a fresh array per npz access
-            if dtype is not None and np.issubdtype(value.dtype, np.floating):
-                value = value.astype(dtype, copy=False)
-            state[key] = value
+            state[key] = archive[key]  # a fresh array per npz access
         metadata: dict = {}
         if _META_KEY in archive.files:
             metadata = json.loads(bytes(archive[_META_KEY].tobytes()).decode())

@@ -8,9 +8,10 @@ into ``.grad`` of every tensor created with ``requires_grad=True``.
 
 Design choices:
 
-* ``float64`` by default — gradcheck territory; a process-wide dtype policy
+* ``float32`` by default, for throughput; a process-wide dtype policy
   (:func:`set_default_dtype` / :class:`dtype_policy`) switches new tensors,
-  initialisers, and optimizer state to ``float32`` for production throughput.
+  initialisers, and optimizer state to ``float64`` for gradchecks and other
+  numerical oracles.
 * Broadcasting follows numpy semantics; :func:`_unbroadcast` folds gradients
   back onto the original shapes.
 * The graph holds strong references to parents only while a tensor is alive,
@@ -49,7 +50,7 @@ class _GradState(threading.local):
 _GRAD_STATE = _GradState()
 
 _FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
-_DEFAULT_DTYPE = np.dtype(np.float64)
+_DEFAULT_DTYPE = np.dtype(np.float32)
 
 
 def get_default_dtype() -> np.dtype:

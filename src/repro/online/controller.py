@@ -138,6 +138,7 @@ class OnlineController:
         self._window_probe_rmse = self._windowed_histogram("window.probe_rmse")
         self._pool: WorkerPool | None = None
         self._closed = False
+        self._last_error: str | None = None
 
     # ------------------------------------------------------------------ #
     # Ingestion
@@ -317,11 +318,15 @@ class OnlineController:
         stop_event.wait(self.config.poll_interval_seconds)
         if stop_event.is_set():
             return False
-        if (self.pending() >= self.config.min_new_ratings
-                or self._previous_name is not None):
-            self.run_round()
-        else:
-            self._touch_staleness()
+        try:
+            if (self.pending() >= self.config.min_new_ratings
+                    or self._previous_name is not None):
+                self.run_round()
+            else:
+                self._touch_staleness()
+        except Exception as error:  # a failed round must not end the loop
+            self._last_error = f"{type(error).__name__}: {error}"
+            self._counter("round_errors_total").inc()
         return True
 
     def close(self, timeout: float = 30.0) -> None:
@@ -355,22 +360,30 @@ class OnlineController:
     def health(self) -> dict:
         """Staleness SLO state plus loop liveness.
 
-        ``background_priority`` is the nice value the background thread
-        read back after lowering itself, or ``None`` when it is not
-        running or its priority was left unchanged.
+        ``state`` is ``breach`` whenever the background loop was started,
+        is not closed and has no live thread.  ``last_error`` is the last
+        exception a background round raised (the loop survives it), or
+        ``None``.  ``background_priority`` is the nice value the
+        background thread read back after lowering itself, or ``None``
+        when it is not running or its priority was left unchanged.
         """
         staleness = self.staleness_seconds()
         self._touch_staleness()
         probes = {"model_staleness_seconds": (staleness, staleness)}
         statuses = obs.evaluate_slos(self._slo_rules, probes)
         pool = self._pool
+        running = pool is not None and pool.alive_count() > 0
+        state = obs.worst_state(statuses)
+        if pool is not None and not self._closed and not running:
+            state = "breach"
         return {
-            "state": obs.worst_state(statuses),
+            "state": state,
             "slos": [status.snapshot() for status in statuses],
             "staleness_seconds": staleness,
-            "background_running": pool is not None and pool.alive_count() > 0,
+            "background_running": running,
             "background_priority": (None if pool is None
                                     else pool.priorities[0]),
+            "last_error": self._last_error,
             "closed": self._closed,
         }
 

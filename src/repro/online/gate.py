@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..core.context import check_reveal_fraction
 from ..core.model import HIRE
 from ..core.predictor import HIREPredictor, build_serving_graph
 from ..core.sampling import ContextSampler, NeighborhoodSampler
@@ -61,6 +62,7 @@ class GateConfig:
             raise ValueError("accept_margin must be >= 0")
         if self.rollback_margin < 0:
             raise ValueError("rollback_margin must be >= 0")
+        check_reveal_fraction("reveal_fraction", self.reveal_fraction)
 
 
 @dataclass

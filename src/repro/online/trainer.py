@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..core.context import check_reveal_fraction
 from ..core.model import HIRE
 from ..core.sampling import ContextSampler, NeighborhoodSampler
 from ..core.trainer import HIRETrainer, TrainerConfig
@@ -105,6 +106,7 @@ class FineTuneConfig:
             raise ValueError("steps must be >= 1")
         if self.fresh_boost < 1:
             raise ValueError("fresh_boost must be >= 1")
+        check_reveal_fraction("reveal_fraction", self.reveal_fraction)
 
 
 @dataclass

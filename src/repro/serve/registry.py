@@ -43,9 +43,8 @@ class ModelRegistry:
     dataset.
     """
 
-    def __init__(self, dataset: RatingDataset, dtype=None):
+    def __init__(self, dataset: RatingDataset):
         self.dataset = dataset
-        self._dtype = dtype
         self._lock = threading.RLock()
         self._versions: dict[str, tuple[ModelVersion, HIRE]] = {}
         self._active: str | None = None
@@ -60,7 +59,7 @@ class ModelRegistry:
         The first registered version becomes active automatically;
         ``activate=True`` swaps later versions in atomically.
         """
-        state, metadata = load_checkpoint(path, dtype=self._dtype)
+        state, metadata = load_checkpoint(path)
         config_dict = metadata.get("config")
         if config_dict is None:
             raise ValueError(

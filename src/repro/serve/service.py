@@ -52,6 +52,7 @@ from ..core.predictor import (
     task_chunk_rng,
 )
 from ..concurrency import check_wait_seconds
+from ..core.context import check_reveal_fraction
 from ..core.sampling import ContextSampler, NeighborhoodSampler
 from ..data.bipartite import RatingGraph
 from .batcher import MicroBatcher, PredictRequest, group_requests
@@ -121,8 +122,7 @@ class ServiceConfig:
     def __post_init__(self):
         if self.context_users < 2 or self.context_items < 2:
             raise ValueError("context_users and context_items must be >= 2")
-        if not 0 <= self.reveal_fraction < 1:
-            raise ValueError("reveal_fraction must be in [0, 1)")
+        check_reveal_fraction("reveal_fraction", self.reveal_fraction)
         if self.num_context_samples < 1:
             raise ValueError("num_context_samples must be >= 1")
         if self.num_workers < 1:

@@ -63,6 +63,7 @@ class TestCFCommon:
         assert result.metrics[5]["ndcg"] > np.mean(chance_vals) - 0.05
 
 
+@pytest.mark.usefixtures("float64")
 class TestArchitectureSpecifics:
     def test_neumf_has_gmf_and_mlp(self, ml_dataset, ml_split):
         model = NeuMF(ml_dataset, steps=2, seed=0)

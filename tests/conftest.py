@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import nn
 from repro.data import (
     RatingGraph,
     bookcrossing_like,
@@ -49,3 +50,16 @@ def douban_split(douban_dataset):
 def ml_graph(ml_split):
     return RatingGraph(ml_split.train_ratings(), ml_split.dataset.num_users,
                        ml_split.dataset.num_items)
+
+
+@pytest.fixture(scope="class")
+def float64():
+    """Pin the float64 dtype policy for float64 numerical oracles:
+    finite-difference gradchecks and <= 1e-10 equivalence checks.
+
+    Apply it with ``pytest.mark.usefixtures("float64")`` on a class or as a
+    module's ``pytestmark``; class scope keeps it compatible with
+    Hypothesis tests, which reject function-scoped fixtures.
+    """
+    with nn.dtype_policy(np.float64):
+        yield

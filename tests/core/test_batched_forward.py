@@ -16,6 +16,7 @@ def setup(ml_dataset, ml_split):
     return model, contexts
 
 
+@pytest.mark.usefixtures("float64")
 class TestForwardMany:
     def test_matches_individual_forwards(self, setup):
         model, contexts = setup

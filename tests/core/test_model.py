@@ -94,6 +94,7 @@ class TestConfig:
         assert HIRE(book_dataset).alpha == 10.0
 
 
+@pytest.mark.usefixtures("float64")
 class TestProperty51:
     def test_permutation_equivariance_exact(self, model, context):
         """Property 5.1: Π_u ∘ Π_i ∘ R̂ == M(Π_u ∘ Π_i ∘ H)."""
@@ -116,6 +117,7 @@ class TestAttentionCapture:
         model.predict(context)
 
 
+@pytest.mark.usefixtures("float64")
 @settings(max_examples=8, deadline=None)
 @given(seed=st.integers(0, 100))
 def test_property_equivariance_random_contexts(seed):

@@ -107,6 +107,15 @@ class TestValidation:
         with pytest.raises(ValueError):
             TrainerConfig(batch_size=0)
 
+    @pytest.mark.parametrize("field", ["reveal_fraction",
+                                       "reveal_fraction_high"])
+    @pytest.mark.parametrize("fraction", [-0.1, 1.0, 1.5, float("nan")])
+    def test_config_rejects_reveal_fraction_outside_unit_interval(
+            self, field, fraction):
+        """Rejected at construction, not at the first sampled context."""
+        with pytest.raises(ValueError, match=field):
+            TrainerConfig(**{field: fraction})
+
     def test_empty_split_rejected(self, ml_dataset, ml_split):
         import dataclasses
 

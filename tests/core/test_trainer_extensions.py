@@ -1,10 +1,12 @@
 """Trainer extensions: HIM design flags."""
 
 import numpy as np
+import pytest
 
 from repro.core import HIRE, HIREConfig, HIRETrainer, TrainerConfig
 
 
+@pytest.mark.usefixtures("float64")
 class TestHIMDesignFlags:
     def test_no_residual_no_norm_still_runs(self, ml_dataset, ml_split):
         model = HIRE(ml_dataset, HIREConfig(num_blocks=1, num_heads=2, attr_dim=4,

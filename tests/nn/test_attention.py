@@ -83,6 +83,7 @@ class TestAttentionCapture:
         assert mhsa.last_attention.shape == (3, 2, 4, 4)
 
 
+@pytest.mark.usefixtures("float64")
 class TestGradients:
     def test_gradcheck_through_attention(self, rng):
         mhsa = MultiHeadSelfAttention(4, 2, rng)

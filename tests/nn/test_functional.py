@@ -12,6 +12,7 @@ from repro.nn import Tensor
 from .test_tensor import check_grad, numeric_grad
 
 
+@pytest.mark.usefixtures("float64")
 class TestSoftmax:
     def test_rows_sum_to_one(self):
         x = Tensor(np.random.default_rng(0).normal(size=(4, 6)))
@@ -40,6 +41,7 @@ class TestSoftmax:
                    np.random.default_rng(3).normal(size=(2, 3, 4)))
 
 
+@pytest.mark.usefixtures("float64")
 class TestLogSoftmax:
     def test_matches_log_of_softmax(self):
         x = np.random.default_rng(4).normal(size=(3, 5))
@@ -87,6 +89,7 @@ class TestStackConcat:
         assert F.concatenate([a, b], axis=0).shape == (4, 2)
 
 
+@pytest.mark.usefixtures("float64")
 class TestLosses:
     def test_mse_value(self):
         pred = Tensor(np.array([1.0, 2.0, 3.0]))
@@ -187,6 +190,7 @@ class TestEmbeddingLookup:
         assert table.grad[0].sum() == pytest.approx(4.0)  # index 0 used twice
 
 
+@pytest.mark.usefixtures("float64")
 class TestGelu:
     def test_known_values(self):
         out = F.gelu(Tensor(np.array([0.0]))).item()

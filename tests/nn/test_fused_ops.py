@@ -31,6 +31,7 @@ def _clone_param(t: Tensor) -> Tensor:
     return Tensor(t.data.copy(), requires_grad=True)
 
 
+@pytest.mark.usefixtures("float64")
 class TestGradchecks:
     def test_layer_norm_wrt_input(self, rng):
         gamma = Tensor(rng.normal(size=(6,)))
@@ -92,6 +93,7 @@ class TestGradchecks:
             check_grad(lambda t: op(Tensor(x0), **{name: t}), value, tol=1e-5)
 
 
+@pytest.mark.usefixtures("float64")
 class TestFusedVsReferenceEquivalence:
     def test_layer_norm(self, rng):
         x = rng.normal(size=(3, 7, 6))
@@ -263,10 +265,15 @@ class TestCheckpointCompatibility:
         np.testing.assert_array_equal(fresh.w_qkv.data, mhsa.w_qkv.data)
 
 
+def test_default_is_float32():
+    assert nn.get_default_dtype() == np.dtype(np.float32)
+    assert Tensor([1.0, 2.0]).data.dtype == np.float32
+
+
+@pytest.mark.usefixtures("float64")
 class TestDtypePolicy:
-    def test_default_is_float64(self):
-        assert nn.get_default_dtype() == np.dtype(np.float64)
-        assert Tensor([1.0, 2.0]).data.dtype == np.float64
+    """Policy mechanics, scoped from a float64 baseline so a float32
+    scope is a change."""
 
     def test_policy_scopes_new_tensors_and_params(self, rng):
         with nn.dtype_policy(np.float32):
@@ -311,15 +318,17 @@ class TestDtypePolicy:
         assert (x * 2.0 + 1.0).data.dtype == np.float32
         assert (1.0 / x).data.dtype == np.float32
 
-    def test_load_checkpoint_dtype_cast(self, rng, tmp_path):
+    def test_float64_checkpoint_loads_into_float32_model(self, rng, tmp_path):
         layer = nn.Linear(3, 2, rng)
         nn.save_module(tmp_path / "ckpt.npz", layer)
+        state, _ = nn.load_checkpoint(tmp_path / "ckpt.npz")
+        assert state["weight"].dtype == np.float64  # stored dtypes kept
         with nn.dtype_policy(np.float32):
-            state, _ = nn.load_checkpoint(tmp_path / "ckpt.npz", dtype="default")
-            assert state["weight"].dtype == np.float32
             target = nn.Linear(3, 2, rng)
-            target.load_state_dict(state)
-            assert target.weight.data.dtype == np.float32
+        target.load_state_dict(state)
+        assert target.weight.data.dtype == np.float32
+        np.testing.assert_array_equal(
+            target.weight.data, layer.weight.data.astype(np.float32))
 
     def test_rejects_non_float_dtype(self):
         with pytest.raises(ValueError):

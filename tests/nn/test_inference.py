@@ -295,9 +295,7 @@ def make_mixed_contexts(graph):
 ])
 def test_packed_identical_to_unpadded(dataset, graph, dtype, flags):
     """Padded packing is exact: every target row of a packed forward
-    matches the unpadded batch-of-one forward — bitwise at float64, within
-    the documented float32 tolerance (see docs/nn_substrate.md; empirically
-    bitwise at float32 too)."""
+    matches the unpadded batch-of-one forward bitwise, at both dtypes."""
     with nn.dtype_policy(dtype):
         model = make_model(dataset, **flags)
         model.eval()
@@ -310,11 +308,7 @@ def test_packed_identical_to_unpadded(dataset, graph, dtype, flags):
                 model, contexts, 8, 8, rows=rows)
             for i, (context, ref) in enumerate(zip(contexts, refs)):
                 out = outputs[slots[i]][:context.m]
-                if dtype is np.float64:
-                    assert ref.tobytes() == out.tobytes()
-                else:
-                    np.testing.assert_allclose(out, ref, rtol=2e-6,
-                                               atol=1e-6)
+                assert ref.tobytes() == out.tobytes()
 
 
 def test_packed_exact_shapes_match_forward_many(dataset, graph):
@@ -601,11 +595,13 @@ def arena_bytes():
 
 
 def test_one_workspace_per_thread(wide_dataset, wide_graph):
-    """One thread runs B = 1 at 8×8, B = 8 at 16×16, B = 1 again, then the
-    same model cast to float32.  Every target row equals a run on a fresh
-    thread's cache, and the thread holds each arena at the size the largest
-    plan needs: at float64 that is the largest plan's footprint, not the
-    sum over plans."""
+    """One thread runs B = 1 at 8×8, B = 8 at 16×16, B = 1 again at the
+    default dtype, then B = 8 at 16×16 with the same model cast to the other
+    dtype.  Every target row equals a run on a fresh thread's cache, and
+    the thread holds each arena at the size the largest plan needs: at the
+    default dtype that is the largest plan's footprint, not the sum over
+    plans.  The cast plan's arenas are the 16×16 plan's, sized by
+    ``itemsize``."""
     import threading
 
     model = make_model(wide_dataset)
@@ -631,14 +627,17 @@ def test_one_workspace_per_thread(wide_dataset, wide_graph):
         return result[0]
 
     small, large = contexts(1, 8), contexts(8, 16)
+    default = nn.get_default_dtype()
+    other = np.dtype(np.float64 if default == np.float32 else np.float32)
     inference.clear_cache()
     expected = {}
     footprints = []
-    for dtype, batch_contexts in [(np.float64, small), (np.float64, large),
-                                  (np.float64, small), (np.float32, large)]:
-        if dtype is np.float32:
+    fresh_arenas = []
+    for dtype, batch_contexts in [(default, small), (default, large),
+                                  (default, small), (other, large)]:
+        if dtype == other:
             for param in model.parameters():
-                param.data = param.data.astype(np.float32)
+                param.data = param.data.astype(other)
         rows = [b % c.n for b, c in enumerate(batch_contexts)]
         reference, fresh = fresh_run(batch_contexts, rows)
         got = inference.forward_inference_many(model, batch_contexts,
@@ -648,11 +647,18 @@ def test_one_workspace_per_thread(wide_dataset, wide_graph):
         for key, nbytes in fresh.items():
             expected[key] = max(expected.get(key, 0), nbytes)
         footprints.append(sum(fresh.values()))
+        fresh_arenas.append(fresh)
         assert arena_bytes() == expected
         workspace = inference.cache_stats()["workspace_bytes"]
         assert workspace == sum(expected.values())
-        if dtype is np.float64:
+        if dtype == default:
             assert workspace == max(footprints)
+    cast = {}
+    for (name, dtype), nbytes in fresh_arenas[1].items():
+        if dtype == default:
+            dtype, nbytes = other, nbytes * other.itemsize // default.itemsize
+        cast[(name, dtype)] = nbytes
+    assert fresh_arenas[3] == cast
     inference.clear_cache()
 
 

@@ -8,6 +8,9 @@ from hypothesis import strategies as st
 
 from repro.nn import Tensor, is_grad_enabled, no_grad
 
+# Finite-difference gradchecks: a float64 oracle.
+pytestmark = pytest.mark.usefixtures("float64")
+
 EPS = 1e-6
 TOL = 1e-6
 

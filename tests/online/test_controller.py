@@ -284,6 +284,48 @@ class TestBackgroundLoop:
         assert registry.active_name == "online-r0"
         assert controller.health()["closed"]
 
+    def test_failed_round_is_recorded_and_the_loop_survives(
+            self, ml_dataset, trainer, online_model, warm_deltas):
+        """A round whose gate raises used to end the controller thread
+        while health() kept reading ok."""
+        class RaisingGate(FakeGate):
+            def evaluate(self, model, tasks=None):
+                raise RuntimeError("probe failed")
+
+        registry, controller = make_controller(
+            ml_dataset, trainer, online_model, RaisingGate([]),
+            poll_interval_seconds=0.01)
+        errors = controller.metrics.counter("online.round_errors_total")
+        with controller:
+            assert controller.health()["last_error"] is None
+            controller.start()
+            controller.ingest(warm_deltas)
+            deadline = time.monotonic() + 30.0
+            # A second failure proves the loop outlived the first.
+            while errors.value < 2 and time.monotonic() < deadline:
+                time.sleep(0.02)
+            health = controller.health()
+        assert errors.value >= 2
+        assert health["last_error"] == "RuntimeError: probe failed"
+        assert health["background_running"]
+        assert health["state"] == "ok"
+        assert registry.active_name == "base"
+
+    def test_dead_loop_thread_reads_breach(self, ml_dataset, trainer,
+                                           online_model):
+        _, controller = make_controller(ml_dataset, trainer, online_model,
+                                        FakeGate([]),
+                                        poll_interval_seconds=0.01)
+        assert controller.health()["state"] == "ok"  # never started
+        controller.start()
+        assert controller.health()["state"] == "ok"
+        controller._pool.close()  # the thread ends without close()
+        health = controller.health()
+        assert not health["background_running"]
+        assert health["state"] == "breach"
+        controller.close()
+        assert controller.health()["state"] == "ok"
+
     def test_close_is_idempotent_and_start_after_close_raises(
             self, ml_dataset, trainer, online_model):
         _, controller = make_controller(ml_dataset, trainer, online_model,

@@ -72,6 +72,13 @@ class TestRollbackThreshold:
         with pytest.raises(ValueError):
             GateConfig(rollback_margin=-0.1)
 
+    @pytest.mark.parametrize("fraction", [-0.1, 1.0, 1.5, float("nan")])
+    def test_config_rejects_reveal_fraction_outside_unit_interval(
+            self, fraction):
+        """Rejected at construction, not at the first evaluate()."""
+        with pytest.raises(ValueError, match="reveal_fraction"):
+            GateConfig(reveal_fraction=fraction)
+
 
 class TestLiveTasks:
     def test_groups_deltas_per_user(self, gate):

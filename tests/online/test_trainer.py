@@ -63,6 +63,13 @@ class TestViewAssembly:
         with pytest.raises(ValueError):
             FineTuneConfig(fresh_boost=0)
 
+    @pytest.mark.parametrize("fraction", [-0.1, 1.0, 1.5, float("nan")])
+    def test_config_rejects_reveal_fraction_outside_unit_interval(
+            self, fraction):
+        """Rejected at construction, not in the first fine-tune round."""
+        with pytest.raises(ValueError, match="reveal_fraction"):
+            FineTuneConfig(reveal_fraction=fraction)
+
 
 class TestFineTune:
     def test_round_changes_the_candidate_not_the_base(
