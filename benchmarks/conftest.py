@@ -6,11 +6,9 @@ Every benchmark regenerates one paper artifact (table or figure) at the
 Benchmarks run once per session (``rounds=1``) — the quantity of interest
 is the artifact itself plus its wall-clock cost, not statistical timing.
 
-``--smoke`` shrinks every benchmark — including the systems one,
-``bench_serve_throughput`` — to a seconds-long sanity pass: reduced
-grids, no artifact writes (the ``save`` fixture is a no-op), and no
-``BENCH_serve.json`` update.  Its full run additionally asserts the
-acceptance bars of the tracing plane and the adaptive ladder.
+``--smoke`` shrinks every benchmark to a sanity pass: reduced grids
+and no artifact writes (the ``save`` fixture is a no-op).
+Serving speed is not measured here but by the ``bench/`` ledger.
 """
 
 from pathlib import Path

@@ -11,7 +11,6 @@ from .paper_numbers import (
     paper_cell,
 )
 from .models import HIREModel, MODEL_NAMES, create_model, models_for_dataset
-from .serve_bench import run_serve_benchmark, write_serve_bench_json
 from .runner import (
     prepare_workload,
     run_ablation,
@@ -48,8 +47,6 @@ __all__ = [
     "create_model",
     "models_for_dataset",
     "prepare_workload",
-    "run_serve_benchmark",
-    "write_serve_bench_json",
     "run_experiment",
     "run_overall_performance",
     "run_test_time",

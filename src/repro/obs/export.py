@@ -13,7 +13,9 @@ Shutdown is **drain-aware**: :meth:`close` stops the thread, then writes
 one final snapshot before finalizing, so the telemetry produced between
 the last tick and shutdown is never lost.  A source that raises does not
 kill the exporter — the error is counted, recorded in that tick's record,
-and the remaining sources still export.
+and the remaining sources still export.  A write that fails (a full disk)
+closes the file and ends the thread; the error is kept in
+:attr:`TelemetryExporter.write_error` and :meth:`close` still completes.
 """
 
 from __future__ import annotations
@@ -60,6 +62,7 @@ class TelemetryExporter:
         self._lock = threading.Lock()
         self._num_exports = 0
         self._num_errors = 0
+        self._write_error: str | None = None
         self._closed = False
         self._recorder = RunRecorder(
             path, run_id=run_id,
@@ -72,7 +75,7 @@ class TelemetryExporter:
         if stop_event.wait(self.interval_seconds):
             return False  # closing: the final snapshot is written by close()
         self.export_once()
-        return None
+        return False if self.write_error is not None else None
 
     def export_once(self) -> dict:
         """Write one snapshot record now (also usable without the thread)."""
@@ -88,13 +91,32 @@ class TelemetryExporter:
         if errors:
             record["source_errors"] = errors
         with self._lock:
-            if self._closed:
-                return record  # raced with close(); drop silently
+            if self._closed or self._recorder.closed:
+                return record  # raced with close() or a failed write
             record["sequence"] = self._num_exports
-            self._recorder.record("export", **record)
+            try:
+                self._recorder.record("export", **record)
+            except OSError as error:
+                self._drop_file(error)
+                return record
             self._num_exports += 1
             self._num_errors += len(errors)
         return record
+
+    def _drop_file(self, error: OSError) -> None:
+        """Close a file that failed to write and keep its error (caller
+        holds the lock)."""
+        self._write_error = f"{type(error).__name__}: {error}"
+        try:
+            self._recorder.close()
+        except OSError:
+            pass  # the buffered tail is lost with the file
+
+    @property
+    def write_error(self) -> str | None:
+        """The write error that closed the file, or ``None``."""
+        with self._lock:
+            return self._write_error
 
     @property
     def num_exports(self) -> int:
@@ -117,8 +139,13 @@ class TelemetryExporter:
         self.export_once()  # drain: capture everything since the last tick
         with self._lock:
             self._closed = True
-            self._recorder.finalize(num_exports=self._num_exports,
-                                    num_source_errors=self._num_errors)
+            if self._recorder.closed:
+                return
+            try:
+                self._recorder.finalize(num_exports=self._num_exports,
+                                        num_source_errors=self._num_errors)
+            except OSError as error:
+                self._drop_file(error)
 
     def __enter__(self) -> "TelemetryExporter":
         return self

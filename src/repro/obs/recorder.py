@@ -104,10 +104,14 @@ class RunRecorder:
         self.close()
 
     def close(self) -> None:
-        if self._file is not None:
-            self._file.flush()
-            self._file.close()
-            self._file = None
+        """Flush and close the file; it counts as closed even when the
+        flush raises."""
+        file, self._file = self._file, None
+        if file is not None:
+            try:
+                file.flush()
+            finally:
+                file.close()
 
     def __enter__(self):
         return self

@@ -16,7 +16,9 @@ tolerate crashes mid-write.
 
 Tracing is **passive**: traces only read clocks and copy floats, never
 model, optimiser, or RNG state, so predictions are bit-identical with
-tracing on or off (asserted end-to-end by the serve benchmark).
+tracing on or off.  A sink that fails to write (a full disk) is closed
+and its error kept in :attr:`Tracer.sink_error`: the request that
+completed the trace is already answered, and the ring keeps filling.
 """
 
 from __future__ import annotations
@@ -73,6 +75,7 @@ class Tracer:
         self._completed = 0
         self._sink = (RunRecorder(sink_path, config={"capacity": capacity})
                       if sink_path is not None else None)
+        self._sink_error: str | None = None
 
     def begin(self, started_at: float | None = None) -> RequestTrace:
         """Open a trace for one request (id assignment is the only state)."""
@@ -92,8 +95,27 @@ class Tracer:
             self._ring.append(record)
             self._completed += 1
             if self._sink is not None:
-                self._sink.record("trace", **record)
+                try:
+                    self._sink.record("trace", **record)
+                except OSError as error:
+                    self._drop_sink(error)
         return record
+
+    def _drop_sink(self, error: OSError) -> None:
+        """Close a sink that failed to write and keep its error (caller
+        holds the lock)."""
+        self._sink_error = f"{type(error).__name__}: {error}"
+        try:
+            self._sink.close()
+        except OSError:
+            pass  # the buffered tail is lost with the sink
+        self._sink = None
+
+    @property
+    def sink_error(self) -> str | None:
+        """The write error that closed the sink, or ``None``."""
+        with self._lock:
+            return self._sink_error
 
     def recent(self, n: int | None = None) -> list[dict]:
         """The most recent completed traces, oldest first."""
@@ -142,6 +164,9 @@ class Tracer:
     def close(self) -> None:
         """Finalize the sink (a no-op without one, or when already closed)."""
         with self._lock:
-            if self._sink is not None and not self._sink.closed:
-                self._sink.finalize(traces_completed=self._completed)
+            if self._sink is not None:
+                try:
+                    self._sink.finalize(traces_completed=self._completed)
+                except OSError as error:
+                    self._drop_sink(error)
             self._sink = None

@@ -14,10 +14,13 @@ model they resolved, later batches see the winner.
 Rounds run either synchronously (:meth:`run_round`, the deterministic path
 tests and benchmarks drive) or on a drain-aware background thread
 (:meth:`start` / :meth:`close`, one :class:`repro.concurrency.WorkerPool`
-worker polling the log).  Both paths share one lock, so a manual round
-never interleaves with the background one.  The background thread runs at
-the lowest CPU priority (Linux), so serving gets the CPU first and rounds
-take what it leaves: a round computes the same model, only later.
+worker polling the log).  The background loop runs a round only when the
+log has grown since its previous one: on an unchanged log a failed round
+would fail again and a rollback check would re-probe the same live window.
+Both paths share one lock, so a manual round never interleaves with the
+background one.  The background thread runs at the lowest CPU priority
+(Linux), so serving gets the CPU first and rounds take what it leaves: a
+round computes the same model, only later.
 
 After a promotion the controller watches the *live window* — deltas that
 arrived since the swap — and reverts to the predecessor when the promoted
@@ -139,6 +142,8 @@ class OnlineController:
         self._pool: WorkerPool | None = None
         self._closed = False
         self._last_error: str | None = None
+        # Log size the background loop last ran a round at (-1: never).
+        self._attempted_size = -1
 
     # ------------------------------------------------------------------ #
     # Ingestion
@@ -319,8 +324,11 @@ class OnlineController:
         if stop_event.is_set():
             return False
         try:
-            if (self.pending() >= self.config.min_new_ratings
+            size = len(self.log)
+            if size > self._attempted_size and (
+                    self.pending() >= self.config.min_new_ratings
                     or self._previous_name is not None):
+                self._attempted_size = size
                 self.run_round()
             else:
                 self._touch_staleness()

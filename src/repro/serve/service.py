@@ -546,6 +546,11 @@ class PredictionService:
             "workers_alive": self._pool.alive_count(),
             "closed": self._closed,
             "graph_generation": self.graph_generation,
+            # The write error that closed each telemetry file, or None.
+            "trace_sink_error": (None if self.tracer is None
+                                 else self.tracer.sink_error),
+            "export_error": (None if self.exporter is None
+                             else self.exporter.write_error),
         }
 
     def stats(self) -> dict:
@@ -561,6 +566,7 @@ class PredictionService:
             out["trace"] = {
                 "completed": self.tracer.completed,
                 "buffered": len(self.tracer),
+                "sink_error": self.tracer.sink_error,
                 "stage_totals": self.tracer.stage_totals(),
             }
         if self.cache is not None:

@@ -107,8 +107,8 @@ def synthesize_power_law_workload(tasks: list[EvalTask], num_requests: int,
     real request streams, and deliberately harsher than
     :func:`synthesize_workload`'s two-tier hot set: the head users keep
     their caches hot while the long tail keeps missing, which is what the
-    serve bench's adaptive-budget section and the ledger's hot-traffic
-    workload use to measure serving under realistic skew.
+    ledger's hot-traffic workload and the adaptive ladder's overload test
+    use to exercise serving under realistic skew.
     """
     if not tasks:
         raise ValueError("need at least one task to synthesize a workload")

@@ -268,6 +268,27 @@ class TestPruning:
         assert "base" in registry
 
 
+def wait_until(predicate, timeout=30.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "timed out"
+        time.sleep(0.005)
+
+
+def count_polls(controller) -> list[int]:
+    """Count the background loop's polls; call before ``start()``."""
+    polls = [0]
+    loop = controller._loop
+
+    def counted(stop_event):
+        result = loop(stop_event)
+        polls[0] += 1
+        return result
+
+    controller._loop = counted
+    return polls
+
+
 class TestBackgroundLoop:
     def test_background_round_promotes(self, ml_dataset, trainer,
                                        online_model, warm_deltas):
@@ -300,16 +321,72 @@ class TestBackgroundLoop:
             assert controller.health()["last_error"] is None
             controller.start()
             controller.ingest(warm_deltas)
-            deadline = time.monotonic() + 30.0
-            # A second failure proves the loop outlived the first.
-            while errors.value < 2 and time.monotonic() < deadline:
-                time.sleep(0.02)
+            wait_until(lambda: errors.value >= 1)
+            # A second failure, on new deltas, proves the loop outlived
+            # the first.
+            controller.ingest(warm_deltas)
+            wait_until(lambda: errors.value >= 2)
             health = controller.health()
-        assert errors.value >= 2
+        assert errors.value == 2
         assert health["last_error"] == "RuntimeError: probe failed"
         assert health["background_running"]
         assert health["state"] == "ok"
         assert registry.active_name == "base"
+
+    def test_failed_round_waits_for_new_deltas(self, ml_dataset,
+                                               online_model, warm_deltas):
+        """A failing round used to re-run its whole fine-tune on every
+        poll of an unchanged log."""
+        class FailingTrainer:
+            calls = 0
+
+            def fine_tune(self, *args, **kwargs):
+                self.calls += 1
+                raise RuntimeError("fine-tune failed")
+
+        failing = FailingTrainer()
+        _, controller = make_controller(ml_dataset, failing, online_model,
+                                        FakeGate([]),
+                                        poll_interval_seconds=0.01)
+        polls = count_polls(controller)
+        with controller:
+            controller.ingest(warm_deltas)
+            controller.start()
+            wait_until(lambda: polls[0] >= 10)
+            assert failing.calls == 1
+            controller.ingest(warm_deltas[:1])
+            wait_until(lambda: failing.calls >= 2)
+            settled = polls[0]
+            wait_until(lambda: polls[0] >= settled + 10)
+        assert failing.calls == 2
+
+    def test_kept_promotion_is_not_reprobed_on_an_unchanged_log(
+            self, ml_dataset, trainer, online_model, warm_deltas):
+        """After a promotion every poll used to re-probe both models on
+        the same live window."""
+        class CountingGate(FakeGate):
+            calls = 0
+
+            def evaluate(self, model, tasks=None):
+                self.calls += 1
+                return probe(1.0)
+
+        gate = CountingGate([])
+        registry, controller = make_controller(
+            ml_dataset, trainer, online_model, gate, min_new_ratings=50,
+            min_rollback_ratings=2, poll_interval_seconds=0.01)
+        controller.ingest(warm_deltas)
+        assert controller.run_round(force=True)["status"] == "promoted"
+        assert gate.calls == 2
+        gate.live = [object()]
+        controller.ingest(warm_deltas[:3])
+        polls = count_polls(controller)
+        with controller:
+            controller.start()
+            wait_until(lambda: polls[0] >= 10)
+        # One rollback check: the promoted model and its predecessor.
+        assert gate.calls == 4
+        assert registry.active_name == "online-r0"
 
     def test_dead_loop_thread_reads_breach(self, ml_dataset, trainer,
                                            online_model):

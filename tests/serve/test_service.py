@@ -8,6 +8,7 @@ import pytest
 
 from repro import nn
 from repro.core import HIRE, HIREConfig, HIREPredictor
+from repro.obs import default_serve_rules
 from repro.serve import (
     ModelRegistry,
     PredictionService,
@@ -16,6 +17,7 @@ from repro.serve import (
     ServiceClosedError,
     ServiceConfig,
     replay_workload,
+    synthesize_power_law_workload,
     synthesize_workload,
 )
 
@@ -650,3 +652,83 @@ class TestAdaptiveBudgets:
             pending.future.result(60)
         service.close()
 
+
+class CellClock:
+    """A fake service clock that only the forward pass moves: each engine
+    call costs ``SECONDS_PER_CELL`` per context cell it runs."""
+
+    SECONDS_PER_CELL = 5e-5
+
+    def __init__(self, patch):
+        self.now = 1000.0
+        many = nn.inference.forward_inference_many
+        packed = nn.inference.forward_inference_packed
+
+        def timed_many(model, contexts, *, rows):
+            self.now += self.SECONDS_PER_CELL * sum(c.n * c.m
+                                                    for c in contexts)
+            return many(model, contexts, rows=rows)
+
+        def timed_packed(model, contexts, n, m, *, rows):
+            self.now += self.SECONDS_PER_CELL * n * m * len(contexts)
+            return packed(model, contexts, n, m, rows=rows)
+
+        patch.setattr(nn.inference, "forward_inference_many", timed_many)
+        patch.setattr(nn.inference, "forward_inference_packed", timed_packed)
+
+    def __call__(self):
+        return self.now
+
+
+class TestLadderUnderOverload:
+    """The budget ladder buys tail latency under overload: a one-worker
+    service flooded with a power-law workload breaches its p99 SLO with
+    fixed budgets and holds it with the ladder on.  Time is a fake clock
+    that advances with the cells each forward runs, so the verdict does
+    not depend on the machine."""
+
+    LADDER = ((0, 32, 32), (2, 24, 24), (8, 16, 16))
+    NUM_REQUESTS = 48
+    SLO_P99_SECONDS = 1.5
+
+    def flood(self, serve_model, ml_split, serve_tasks, parked_worker,
+              **ladder):
+        """Queue the whole workload behind the parked worker, then drain
+        it; returns ``(p99 seconds, health state, degraded requests)``."""
+        config = ServiceConfig(
+            max_batch_size=4, num_workers=1,
+            queue_size=self.NUM_REQUESTS, cache_enabled=False,
+            window_seconds=600.0, short_window_seconds=60.0,
+            slo_rules=default_serve_rules(
+                max_p99_seconds=self.SLO_P99_SECONDS),
+            **ladder)
+        workload = synthesize_power_law_workload(
+            serve_tasks, self.NUM_REQUESTS, seed=4)
+        with pytest.MonkeyPatch.context() as patch:
+            service = PredictionService.from_split(
+                serve_model, ml_split, serve_tasks, config=config,
+                clock=CellClock(patch))
+            with service:
+                with parked_worker(service):
+                    futures = [service.submit(r.user, r.item_ids,
+                                              r.support_items)
+                               for r in workload]
+                for future in futures:
+                    future.result(60)
+                snapshot = service.metrics.snapshot()
+                health = service.health()["state"]
+        degraded = snapshot.get("serve.assemble.degraded_total",
+                                {"value": 0})["value"]
+        return snapshot["serve.latency_seconds"]["p99"], health, degraded
+
+    def test_ladder_holds_the_p99_slo_that_fixed_budgets_breach(
+            self, serve_model, ml_split, serve_tasks, parked_worker):
+        fixed_p99, fixed_health, fixed_degraded = self.flood(
+            serve_model, ml_split, serve_tasks, parked_worker)
+        adaptive_p99, adaptive_health, degraded = self.flood(
+            serve_model, ml_split, serve_tasks, parked_worker,
+            adaptive_budgets=True, budget_ladder=self.LADDER)
+        assert fixed_p99 > self.SLO_P99_SECONDS > adaptive_p99
+        assert (fixed_health, adaptive_health) == ("breach", "ok")
+        assert fixed_degraded == 0
+        assert degraded > 0

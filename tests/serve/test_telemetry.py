@@ -6,6 +6,7 @@ plane's own contracts: stage timings that add up, health() that breaches
 under an injected fake clock, and an exporter that drains on close.
 """
 
+import errno
 import threading
 import time
 
@@ -14,7 +15,7 @@ import pytest
 
 from repro import obs
 from repro.core import HIREPredictor
-from repro.obs import SLORule, read_run
+from repro.obs import RunRecorder, SLORule, read_run
 from repro.serve import PredictionService, QueueFullError, ServiceConfig
 
 
@@ -320,6 +321,74 @@ class TestTraceSinkFromService:
         traces = [r for r in read_run(path) if r["type"] == "trace"]
         assert len(traces) == len(serve_tasks)
         assert all(set(t["stages"]) == set(obs.TRACE_STAGES) for t in traces)
+
+
+def failing_writes(monkeypatch, record_type):
+    """Make every ``RunRecorder`` write of ``record_type`` records fail
+    the way a full disk does."""
+    write = RunRecorder._write
+
+    def failing(self, record):
+        if record["type"] == record_type:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        write(self, record)
+
+    monkeypatch.setattr(RunRecorder, "_write", failing)
+
+
+class TestTelemetryWriteErrors:
+    def test_trace_sink_error_does_not_fail_served_requests(
+            self, serve_model, ml_split, serve_tasks, sequential_scores,
+            parked_worker, monkeypatch, tmp_path):
+        """The sink's write error used to escape into the batch: of four
+        coalesced requests only the first was answered."""
+        failing_writes(monkeypatch, "trace")
+        task = serve_tasks[0]
+        with make_service(serve_model, ml_split, serve_tasks,
+                          max_batch_size=4,
+                          trace_sink=str(tmp_path / "traces.jsonl")
+                          ) as service:
+            with parked_worker(service):
+                futures = [service.submit(task.user, task.query_items,
+                                          task.support_items)
+                           for _ in range(4)]
+            scores = [future.result(60) for future in futures]
+            snapshot = service.metrics.snapshot()
+            stats = service.stats()
+            health = service.health()
+        for got in scores:
+            assert np.array_equal(got, sequential_scores[0])
+        assert "serve.failed_total" not in snapshot
+        assert snapshot["serve.completed_total"]["value"] == 4
+        assert stats["trace"]["completed"] == 4
+        assert stats["trace"]["buffered"] == 4
+        assert stats["trace"]["sink_error"].startswith("OSError")
+        assert health["trace_sink_error"] == stats["trace"]["sink_error"]
+        assert health["export_error"] is None
+
+    def test_export_error_is_surfaced_and_close_completes(
+            self, serve_model, ml_split, serve_tasks, monkeypatch, tmp_path):
+        """The exporter's write error used to end its thread silently and
+        make close() raise before the tracer finalized its sink."""
+        failing_writes(monkeypatch, "export")
+        trace_path = tmp_path / "traces.jsonl"
+        service = make_service(serve_model, ml_split, serve_tasks,
+                               trace_sink=str(trace_path),
+                               export_path=str(tmp_path / "telemetry.jsonl"),
+                               export_interval_seconds=0.01)
+        task = serve_tasks[0]
+        service.predict(task.user, task.query_items, task.support_items)
+        deadline = time.monotonic() + 30.0
+        while (service.health()["export_error"] is None
+               and time.monotonic() < deadline):
+            time.sleep(0.01)
+        assert service.health()["export_error"].startswith("OSError")
+        service.close()
+        assert service.health()["export_error"].startswith("OSError")
+        assert service.exporter.num_exports == 0
+        records = read_run(trace_path)
+        assert [r["type"] for r in records] == ["run_start", "trace",
+                                                "summary"]
 
 
 class TestConfigValidation:

@@ -1,5 +1,5 @@
-"""Docs lint: every link and code reference in README.md and docs/*.md
-must resolve, and every repro subpackage must be documented.
+"""Docs lint: every link and code reference in README.md, EXPERIMENTS.md
+and docs/*.md must resolve, and every repro subpackage must be documented.
 
 Static checks only (no network, no execution of examples):
 
@@ -30,6 +30,9 @@ import pytest
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DOC_FILES = sorted([REPO_ROOT / "README.md",
                     *(REPO_ROOT / "docs").glob("*.md")])
+# Links and references resolve in the experiment log too; the "documented
+# somewhere" checks below still need README.md or a docs/*.md page.
+LINKED_FILES = sorted([*DOC_FILES, REPO_ROOT / "EXPERIMENTS.md"])
 
 # [text](target) — excluding images; target split from any #fragment.
 MD_LINK = re.compile(r"(?<!\!)\[[^\]]+\]\(([^)\s]+)\)")
@@ -37,17 +40,17 @@ MD_LINK = re.compile(r"(?<!\!)\[[^\]]+\]\(([^)\s]+)\)")
 CODE_PATH = re.compile(
     r"`((?:tests|docs|src|benchmarks|examples|tools|results|bench)/[\w./-]+)"
     r"(?:::[\w:\[\]-]+)?`")
-# `BENCH_serve.json` — a benchmark file at the repo root.
+# `BENCH_<name>.json` — a benchmark file at the repo root.
 BENCH_FILE = re.compile(r"`(BENCH_\w+\.json)`")
 # Dotted module/attribute references: `repro.core.task_chunk_rng`, ...
 DOTTED_REF = re.compile(r"\brepro(?:\.\w+)+")
 
 
 def doc_ids():
-    return [path.relative_to(REPO_ROOT).as_posix() for path in DOC_FILES]
+    return [path.relative_to(REPO_ROOT).as_posix() for path in LINKED_FILES]
 
 
-@pytest.fixture(params=DOC_FILES, ids=doc_ids())
+@pytest.fixture(params=LINKED_FILES, ids=doc_ids())
 def doc(request):
     path = request.param
     return path, path.read_text()
