@@ -19,8 +19,8 @@ including:
 * ``repro.online`` — the incremental-learning loop: rating-delta log,
   bounded bit-reproducible fine-tune rounds, probe-gated promotion with
   rollback, zero-downtime hot swaps,
-* ``repro.concurrency`` — the bounded-queue / worker-pool primitives shared
-  by the serving, telemetry and online layers.
+* ``repro.concurrency`` — the worker-pool primitives shared by the serving,
+  telemetry and online layers.
 
 Quickstart::
 

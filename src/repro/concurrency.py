@@ -1,21 +1,8 @@
-"""Shared bounded-queue and worker-pool primitives.
+"""Shared worker-pool and background-thread primitives.
 
-Originally written for the serving layer (``repro.serve.workers``), now
-shared by the prediction service, the telemetry exporter and the online
-controller so they run on one implementation instead of copies.
-
-Backpressure is by load shedding: :meth:`BoundedQueue.put` never blocks.
-A full queue raises the configured *full* error immediately, pushing the
-wait out to the client (which can retry) instead of letting unbounded work
-pile up inside the process.
-
-Shutdown is drain-aware: :meth:`BoundedQueue.close` stops intake; getters
-keep draining until the queue is empty, at which point the configured
-*closed* error signals workers to exit.  Nothing is ever silently dropped.
-
-The error types are injectable so that subsystem façades can surface their
-own exception hierarchies (``repro.serve`` raises its typed
-``QueueFullError`` / ``ServiceClosedError``) while sharing this code.
+One :class:`WorkerPool` implementation runs the prediction service's
+workers, the telemetry exporter and the online controller instead of
+copies.
 
 Background work yields the CPU to serving: a pool built with
 ``background=True`` runs its threads at the lowest CPU priority
@@ -29,10 +16,9 @@ import math
 import os
 import sys
 import threading
-from collections import deque
 
-__all__ = ["QueueFullError", "QueueClosedError", "BoundedQueue", "WorkerPool",
-           "BACKGROUND_NICE", "lower_thread_priority", "check_wait_seconds"]
+__all__ = ["WorkerPool", "BACKGROUND_NICE", "lower_thread_priority",
+           "check_wait_seconds"]
 
 # The weakest nice value Linux schedules: a thread at 19 gets a CPU shared
 # with a nice-0 thread for about 1.5% of the time.
@@ -70,92 +56,6 @@ def check_wait_seconds(name: str, seconds: float) -> None:
     if not (math.isfinite(seconds) and 0 < seconds <= threading.TIMEOUT_MAX):
         raise ValueError(f"{name} must be finite, > 0 and "
                          "<= threading.TIMEOUT_MAX")
-
-
-class QueueFullError(RuntimeError):
-    """Default *full* error: a non-blocking put found the queue at capacity."""
-
-
-class QueueClosedError(RuntimeError):
-    """Default *closed* error: the queue no longer accepts or holds work."""
-
-
-class BoundedQueue:
-    """A bounded MPMC queue with non-blocking put and timed get."""
-
-    def __init__(self, maxsize: int, *,
-                 full_error: type[Exception] = QueueFullError,
-                 closed_error: type[Exception] = QueueClosedError):
-        if maxsize < 1:
-            raise ValueError("maxsize must be >= 1")
-        self.maxsize = maxsize
-        self._full_error = full_error
-        self._closed_error = closed_error
-        self._items: deque = deque()
-        self._lock = threading.Lock()
-        self._not_empty = threading.Condition(self._lock)
-        self._closed = False
-
-    def put(self, item) -> None:
-        """Enqueue without blocking; shed load when full.
-
-        Raises the configured *full* error when the queue is at capacity
-        and the *closed* error after :meth:`close`.
-        """
-        with self._lock:
-            if self._closed:
-                raise self._closed_error("queue is closed")
-            if len(self._items) >= self.maxsize:
-                raise self._full_error(
-                    f"queue full ({self.maxsize} pending); retry later")
-            self._items.append(item)
-            self._not_empty.notify()
-
-    def get(self, timeout: float):
-        """Dequeue one item, waiting up to ``timeout`` seconds.
-
-        Returns the item, or ``None`` on timeout.  Raises the configured
-        *closed* error once the queue is closed *and* empty — the signal
-        for a draining worker to exit.
-        """
-        with self._not_empty:
-            if not self._items:
-                if self._closed:
-                    raise self._closed_error("queue is closed and drained")
-                self._not_empty.wait(timeout)
-            if self._items:
-                return self._items.popleft()
-            if self._closed:
-                raise self._closed_error("queue is closed and drained")
-            return None
-
-    def close(self) -> list:
-        """Stop intake and wake all waiters; returns the items still queued.
-
-        The pending items stay in the queue for draining workers; the
-        returned list is a snapshot the caller may use to fail fast instead
-        (after :meth:`drain`).
-        """
-        with self._lock:
-            self._closed = True
-            self._not_empty.notify_all()
-            return list(self._items)
-
-    def drain(self) -> list:
-        """Atomically remove and return every queued item."""
-        with self._lock:
-            items = list(self._items)
-            self._items.clear()
-            self._not_empty.notify_all()
-            return items
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._items)
 
 
 class WorkerPool:

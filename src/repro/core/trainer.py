@@ -48,8 +48,6 @@ class TrainerConfig:
     reveal_fraction_high: float | None = None
     base_lr: float = 1e-3
     grad_clip: float = 1.0
-    lookahead_alpha: float = 0.5
-    lookahead_k: int = 6
     flat_fraction: float = 0.7
     seed: int = 0
     # Per-step RNG derivation (derive_step_rng(seed, step, slot)): each
@@ -96,8 +94,7 @@ class HIRETrainer:
 
         inner = nn.LAMB(model.parameters(), lr=self.config.base_lr,
                         betas=(0.9, 0.999), eps=1e-6)
-        self.optimizer = nn.Lookahead(inner, alpha=self.config.lookahead_alpha,
-                                      k=self.config.lookahead_k)
+        self.optimizer = nn.Lookahead(inner, alpha=0.5, k=6)
         self.scheduler = nn.FlatThenAnnealLR(self.optimizer, total_steps=self.config.steps,
                                              flat_fraction=self.config.flat_fraction)
         self.loss_history: list[float] = []

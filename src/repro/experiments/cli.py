@@ -197,7 +197,6 @@ def _cmd_serve(args) -> int:
         max_batch_size=args.batch_size,
         num_workers=args.workers,
         queue_size=args.queue_size,
-        cache_enabled=not args.no_cache,
         seed=args.seed,
     )
     service = PredictionService.from_split(registry, split, tasks,
@@ -290,8 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "segments (exercises the incremental data plane)")
     serve.add_argument("--burst-size", type=int, default=4,
                        help="deltas per update burst")
-    serve.add_argument("--no-cache", action="store_true",
-                       help="disable the assembled-context cache")
     serve.add_argument("-o", "--output", default=None,
                        help="directory to write serve.txt into")
     serve.set_defaults(func=_cmd_serve)

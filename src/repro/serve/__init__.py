@@ -5,20 +5,19 @@ pipeline into an always-on prediction service:
 
 * :mod:`~repro.serve.registry` — named checkpoint/model versions with
   atomic hot swap, loading HIRE + config straight from checkpoint metadata;
-* :mod:`~repro.serve.batcher` — a bounded-queue, work-conserving
+* :mod:`~repro.serve.batcher` — a bounded, load-shedding, work-conserving
   micro-batcher coalescing the ``(user, item_ids)`` requests already queued
-  into shared forward passes;
+  into shared forward passes, with drain-aware shutdown;
 * :mod:`~repro.serve.cache` — an LRU cache for assembled prediction
   contexts, with entity-tagged fine-grained invalidation driven by a
   per-entity reverse index;
 * :mod:`~repro.serve.dataplane` — the shared :class:`GraphStore`: atomic
   graph snapshots, incremental delta application
   (:meth:`RatingGraph.apply_deltas`), per-entity version tracking;
-* :mod:`~repro.serve.workers` — a thread worker pool with load-shedding
-  backpressure and graceful, drain-aware shutdown;
 * :mod:`~repro.serve.service` — the :class:`PredictionService` façade tying
-  these together behind ``submit()`` / ``predict()`` / ``close()``, with
-  latency/queue/cache telemetry through :mod:`repro.obs`;
+  these together on a :class:`repro.concurrency.WorkerPool` behind
+  ``submit()`` / ``predict()`` / ``close()``, with latency/queue/cache
+  telemetry through :mod:`repro.obs`;
 * :mod:`~repro.serve.workload` — workload synthesis (skewed, power-law,
   update bursts), JSONL persistence, and replay (the ``repro-experiments
   serve`` CLI builds on this).
@@ -48,7 +47,6 @@ from .errors import (
 )
 from .registry import ModelRegistry, ModelVersion
 from .service import PredictionService, ServiceConfig
-from .workers import BoundedQueue, WorkerPool
 from .workload import (
     WorkloadRequest,
     load_workload,
@@ -73,8 +71,6 @@ __all__ = [
     "MicroBatcher",
     "PredictRequest",
     "group_requests",
-    "BoundedQueue",
-    "WorkerPool",
     # cache
     "ContextCache",
     "CacheStats",

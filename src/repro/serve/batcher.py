@@ -1,12 +1,16 @@
-"""Request micro-batching over the bounded queue.
+"""Request micro-batching over one bounded deque.
 
-A :class:`MicroBatcher` coalesces pending requests into batches of up to
-``max_batch_size``.  Batching is *work-conserving*: after the first pop a
-worker takes every matching request that is already queued and ships at
-once, so a lone request never sits idle waiting for batch-mates.  Batches
-still fill under load, because requests pile up while the worker is busy.
-Batches are formed by whichever worker thread asks next; each request
-lands in exactly one batch (queue pops are atomic).
+A :class:`MicroBatcher` keeps every admitted, unserved request in one
+deque of at most ``queue_size`` requests and coalesces them into batches
+of up to ``max_batch_size``.  Admission sheds load: a full deque raises
+:class:`~repro.serve.errors.QueueFullError` at once instead of blocking,
+pushing the wait out to the client.  Batching is *work-conserving*: a
+worker waits only for the first request, then takes every matching
+request that is already queued and ships at once, so a lone request never
+sits idle waiting for batch-mates.  Batches still fill under load, because
+requests pile up while the worker is busy.  Batches are formed by
+whichever worker thread asks next, under one lock, so each request lands
+in exactly one batch.
 
 Identical requests inside a batch — same user, same items, same supports —
 are *coalesced* by :func:`group_requests`: the context is assembled and
@@ -17,10 +21,16 @@ users stack into one batched forward downstream (see
 
 Batches are also shaped for the padded packer by a ``bucket_key``: each
 batch holds requests of a single shape bucket (same rounded context
-budget), gathered bucket-first so one downstream packed plan execution
-covers the whole batch.  Requests of *other* buckets seen while gathering
-are parked in a pending buffer — never dropped — and lead the very next
-batch.  A partially filled bucket ships as soon as the queue is empty.
+budget), so one downstream packed plan execution covers the whole batch.
+Requests of *other* buckets keep their place in the deque — never dropped,
+and still counted against ``queue_size`` — and the oldest of them leads
+the very next batch.  A partially filled bucket ships as soon as no more
+of its requests are queued.
+
+Shutdown is drain-aware: :meth:`MicroBatcher.close` stops intake, and
+workers keep taking batches until the deque is empty, at which point
+:class:`~repro.serve.errors.ServiceClosedError` tells them to exit;
+:meth:`MicroBatcher.drain` hands the rest back to fail fast instead.
 """
 
 from __future__ import annotations
@@ -33,8 +43,7 @@ from concurrent.futures import Future
 
 import numpy as np
 
-from .errors import ServiceClosedError
-from .workers import BoundedQueue
+from .errors import QueueFullError, ServiceClosedError
 
 __all__ = ["PredictRequest", "MicroBatcher", "group_requests"]
 
@@ -50,11 +59,10 @@ class PredictRequest:
 
     The three timestamps are stamped by the batcher, **all from the
     batcher's own clock** (``MicroBatcher(clock=...)``): ``enqueued_at`` on
-    :meth:`MicroBatcher.submit`, ``dequeued_at`` when a worker pops the
-    request (re-stamped if the request is parked and re-popped), and
-    ``batch_formed_at`` when its batch ships.  One clock for every stamp
-    means the stage timings always agree — including under a fake clock in
-    tests.  ``trace`` optionally carries a :class:`repro.obs.RequestTrace`
+    :meth:`MicroBatcher.submit`, ``dequeued_at`` when a worker takes the
+    request into a batch, and ``batch_formed_at`` when its batch ships.
+    One clock for every stamp means the stage timings always agree —
+    including under a fake clock in tests.  ``trace`` optionally carries a :class:`repro.obs.RequestTrace`
     through the pipeline.
     """
 
@@ -99,33 +107,48 @@ def group_requests(batch: list[PredictRequest]
 class MicroBatcher:
     """Coalesce queued requests into bounded, work-conserving batches.
 
-    ``bucket_key`` maps a request to a hashable shape bucket, and every
-    batch is homogeneous in bucket: the first request fixes the batch's
-    bucket, same-bucket requests fill it, and other-bucket requests are
-    parked in an internal pending buffer that leads the next batch.  A
-    batch ships once it is full or nothing more is queued, so a request is
-    never held waiting for bucket-mates.
+    Every admitted, unserved request waits in one deque of at most
+    ``queue_size`` requests.  ``bucket_key`` maps a request to a hashable
+    shape bucket, and every batch is homogeneous in bucket: the oldest
+    request fixes the batch's bucket, and same-bucket requests behind it
+    fill the batch in arrival order.  Requests of other buckets keep their
+    place, so they lead a later batch.  A batch ships once it is full or
+    the deque holds no more of its bucket, so a request is never held
+    waiting for bucket-mates.
     """
 
     def __init__(self, max_batch_size: int = 8, queue_size: int = 64,
                  clock=time.monotonic, *, bucket_key):
         if max_batch_size < 1:
             raise ValueError("max_batch_size must be >= 1")
+        if queue_size < 1:
+            raise ValueError("queue_size must be >= 1")
         self.max_batch_size = max_batch_size
-        self.queue = BoundedQueue(queue_size)
+        self.queue_size = queue_size
         self._clock = clock
         self.bucket_key = bucket_key
-        self._pending: deque[PredictRequest] = deque()
-        self._pending_lock = threading.Lock()
+        self._requests: deque[PredictRequest] = deque()
+        self._ready = threading.Condition()
+        self._closed = False
 
     def submit(self, request: PredictRequest) -> None:
-        """Enqueue a request (non-blocking; sheds load when full).
+        """Enqueue a request without blocking.
 
-        Stamps ``enqueued_at`` from the batcher's clock so queue-wait
-        measurements share a timebase with the dequeue stamps.
+        Raises :class:`~repro.serve.errors.QueueFullError` when
+        ``queue_size`` requests already wait (load shedding) and
+        :class:`~repro.serve.errors.ServiceClosedError` after
+        :meth:`close`.  Stamps ``enqueued_at`` from the batcher's clock so
+        queue-wait measurements share a timebase with the dequeue stamps.
         """
-        request.enqueued_at = self._clock()
-        self.queue.put(request)
+        with self._ready:
+            if self._closed:
+                raise ServiceClosedError("queue is closed")
+            if len(self._requests) >= self.queue_size:
+                raise QueueFullError(
+                    f"queue full ({self.queue_size} pending); retry later")
+            request.enqueued_at = self._clock()
+            self._requests.append(request)
+            self._ready.notify()
 
     def next_batch(self, timeout: float = 0.05) -> list[PredictRequest]:
         """Gather the next batch, or ``[]`` if nothing arrived in time.
@@ -133,81 +156,56 @@ class MicroBatcher:
         Blocks up to ``timeout`` for the first request, then takes every
         same-bucket request already queued without blocking again; it stops
         once ``max_batch_size`` requests are in hand.  Raises
-        :class:`~repro.serve.errors.ServiceClosedError` once the queue is
-        closed and fully drained (and no requests are parked).
+        :class:`~repro.serve.errors.ServiceClosedError` once the batcher is
+        closed and fully drained.
         """
-        first = self._pop_pending()
-        if first is None:
-            try:
-                first = self.queue.get(timeout)
-            except ServiceClosedError:
-                first = self._pop_pending()  # parked after a racing close
-                if first is None:
-                    raise
-            if first is None:
+        with self._ready:
+            self._ready.wait_for(lambda: self._requests or self._closed,
+                                 timeout)
+            if not self._requests:
+                if self._closed:
+                    raise ServiceClosedError("queue is closed and drained")
                 return []
-            first.dequeued_at = self._clock()
-        bucket = self.bucket_key(first)
-        return self._gather(first,
-                            lambda request: self.bucket_key(request) == bucket)
-
-    def _gather(self, first: PredictRequest, accept) -> list[PredictRequest]:
-        batch = [first]
-        now = self._clock()
-        # Parked requests first: they have been waiting the longest.
-        with self._pending_lock:
+            now = self._clock()
+            first = self._requests.popleft()
+            first.dequeued_at = now
+            batch = [first]
+            bucket = self.bucket_key(first)
+            # Scan from the head: other buckets keep their place, so the
+            # oldest of them leads the next batch.
             kept: deque[PredictRequest] = deque()
-            while self._pending and len(batch) < self.max_batch_size:
-                request = self._pending.popleft()
-                if accept(request):
+            while self._requests and len(batch) < self.max_batch_size:
+                request = self._requests.popleft()
+                if self.bucket_key(request) == bucket:
                     request.dequeued_at = now
                     batch.append(request)
                 else:
                     kept.append(request)
-            kept.extend(self._pending)
-            self._pending = kept
-        while len(batch) < self.max_batch_size:
-            # Only what is already queued: the worker never idles beside
-            # queued work.
-            try:
-                request = self.queue.get(0.0)
-            except ServiceClosedError:
-                break  # closed-and-drained: ship what we have
-            if request is None:
-                break
-            request.dequeued_at = self._clock()
-            if accept(request):
-                batch.append(request)
-            else:
-                # Parked: dequeued_at is re-stamped at the final pop, so
-                # the enqueue stage spans the park time too.
-                with self._pending_lock:
-                    self._pending.append(request)
+            kept.extend(self._requests)
+            self._requests = kept
+            if self._requests:
+                self._ready.notify()  # hand what is left to an idle worker
         formed_at = self._clock()
         for request in batch:
             request.batch_formed_at = formed_at
         return batch
 
-    def _pop_pending(self) -> PredictRequest | None:
-        with self._pending_lock:
-            if not self._pending:
-                return None
-            request = self._pending.popleft()
-            request.dequeued_at = self._clock()
-            return request
-
     def close(self) -> None:
-        self.queue.close()
+        """Stop intake and wake every waiting worker; queued requests stay
+        for draining workers (or :meth:`drain`)."""
+        with self._ready:
+            self._closed = True
+            self._ready.notify_all()
 
     def drain(self) -> list[PredictRequest]:
         """Remove and return every queued request (non-draining shutdown)."""
-        with self._pending_lock:
-            parked = list(self._pending)
-            self._pending.clear()
-        return parked + self.queue.drain()
+        with self._ready:
+            requests = list(self._requests)
+            self._requests.clear()
+            return requests
 
     @property
     def depth(self) -> int:
-        with self._pending_lock:
-            parked = len(self._pending)
-        return parked + len(self.queue)
+        """Requests admitted and not yet taken into a batch."""
+        with self._ready:
+            return len(self._requests)

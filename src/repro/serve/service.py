@@ -3,8 +3,9 @@
 Ties the serving pieces together behind ``submit()`` / ``predict()`` /
 ``close()``:
 
-* requests enter a bounded queue (:mod:`~repro.serve.workers`) and are
-  coalesced into micro-batches (:mod:`~repro.serve.batcher`);
+* requests enter the bounded, load-shedding queue of the micro-batcher
+  (:mod:`~repro.serve.batcher`) and are coalesced into micro-batches that
+  a :class:`repro.concurrency.WorkerPool` executes;
 * context assembly reuses the offline predictor's code path
   (:func:`repro.core.assemble_user_chunks`) with the deterministic
   per-request RNG derivation (:func:`repro.core.task_chunk_rng`), so
@@ -51,7 +52,7 @@ from ..core.predictor import (
     build_serving_graph,
     task_chunk_rng,
 )
-from ..concurrency import check_wait_seconds
+from ..concurrency import WorkerPool, check_wait_seconds
 from ..core.context import check_reveal_fraction
 from ..core.sampling import ContextSampler, NeighborhoodSampler
 from ..data.bipartite import RatingGraph
@@ -60,7 +61,6 @@ from .cache import ContextCache, context_cache_key
 from .dataplane import GraphStore, UpdateResult
 from .errors import QueueFullError, RequestError, ServiceClosedError
 from .registry import ModelRegistry
-from .workers import WorkerPool
 
 __all__ = ["PredictionService", "ServiceConfig"]
 
@@ -81,18 +81,16 @@ class ServiceConfig:
     max_batch_size: int = 8
     queue_size: int = 64
     num_workers: int = 1
-    # Context cache.
-    cache_enabled: bool = True
+    # Context cache capacity (LRU entries).
     cache_entries: int = 2048
-    # Adaptive context budgets: when on, requests without explicit budget
-    # overrides get per-request (n, m) from budget_ladder — a tuple of
+    # Adaptive context budgets: a non-empty budget_ladder gives requests
+    # without explicit budget overrides per-request (n, m) — a tuple of
     # (queue_depth_threshold, context_users, context_items) rungs, first
     # threshold 0, thresholds strictly increasing, budgets non-increasing
     # (shrink under load, grow back when the queue drains).  The deepest
     # rung whose threshold <= the current queue depth wins.  Degraded
     # predictions stay bit-identical to sequential prediction at the same
-    # (n, m).
-    adaptive_budgets: bool = False
+    # (n, m).  Empty = every request runs at the default budgets.
     budget_ladder: tuple = ()
     # Padded packing: contexts whose (n, m) land in the same bucket —
     # dimensions rounded up to the next pack_bucket multiple, unless that
@@ -142,11 +140,7 @@ class ServiceConfig:
                            self.export_interval_seconds)
         self.budget_ladder = tuple(
             (int(depth), int(n), int(m)) for depth, n, m in self.budget_ladder)
-        if self.adaptive_budgets:
-            if not self.budget_ladder:
-                raise ValueError(
-                    "adaptive_budgets needs a budget_ladder of "
-                    "(queue_depth, context_users, context_items) rungs")
+        if self.budget_ladder:
             if self.budget_ladder[0][0] != 0:
                 raise ValueError("the first ladder rung must have queue "
                                  "depth threshold 0 (the idle budgets)")
@@ -198,8 +192,7 @@ class PredictionService:
         # timings.  One timebase means the numbers agree with each other —
         # and with a fake clock in tests.
         self._clock = clock
-        self.cache = (ContextCache(self.config.cache_entries)
-                      if self.config.cache_enabled else None)
+        self.cache = ContextCache(self.config.cache_entries)
         # The store owns the optional repro.online.RatingLog tee: apply()
         # appends every *applied* delta, so the incremental-training loop
         # consumes exactly what the graph absorbed.  Deltas are checked
@@ -281,8 +274,8 @@ class PredictionService:
         ``context_users`` / ``context_items`` override the service's context
         budgets for this request (latency/quality knob per caller); requests
         with nearby budgets still stack into one padded forward via shape
-        buckets.  With ``adaptive_budgets`` on, requests *without* explicit
-        overrides get their budgets from the configured ladder instead,
+        buckets.  With a ``budget_ladder`` configured, requests *without*
+        explicit overrides get their budgets from the ladder instead,
         keyed by the queue depth at admission (explicit overrides always
         win — the caller asked for a specific quality point).
 
@@ -342,7 +335,7 @@ class PredictionService:
         support_items = np.asarray(support_items, dtype=np.int64).ravel()
 
         rung = None
-        if (self.config.adaptive_budgets and context_users is None
+        if (self.config.budget_ladder and context_users is None
                 and context_items is None):
             rung, (context_users, context_items) = self._ladder_budgets(
                 self._batcher.depth)
@@ -420,14 +413,13 @@ class PredictionService:
         self._counter("updates_skipped_total").inc(result.skipped)
         if not result.applied:
             return
-        if self.cache is not None:
-            if result.full_invalidation:
-                self.cache.invalidate()
-            else:
-                evicted, spared = self.cache.invalidate_entities(
-                    result.changed_users, result.changed_items)
-                self._counter("invalidation_evicted_total").inc(evicted)
-                self._counter("invalidation_spared_total").inc(spared)
+        if result.full_invalidation:
+            self.cache.invalidate()
+        else:
+            evicted, spared = self.cache.invalidate_entities(
+                result.changed_users, result.changed_items)
+            self._counter("invalidation_evicted_total").inc(evicted)
+            self._counter("invalidation_spared_total").inc(spared)
 
     @property
     def graph_store(self) -> GraphStore:
@@ -569,8 +561,7 @@ class PredictionService:
                 "sink_error": self.tracer.sink_error,
                 "stage_totals": self.tracer.stage_totals(),
             }
-        if self.cache is not None:
-            out["cache"] = {**self.cache.stats.snapshot(), "entries": len(self.cache)}
+        out["cache"] = {**self.cache.stats.snapshot(), "entries": len(self.cache)}
         return out
 
     def report(self) -> str:
@@ -583,21 +574,20 @@ class PredictionService:
         lines.append("")
         lines.append(obs.render_slo_table(health["slos"]))
         lines.append(f"health: {health['state']}")
-        if self.cache is not None:
-            snap = self.cache.stats.snapshot()
-            lines.append("")
+        snap = self.cache.stats.snapshot()
+        lines.append("")
+        lines.append(
+            f"context cache: {len(self.cache)} entries"
+            f"   hit rate {snap['hit_rate'] * 100:.1f}%"
+            f"   ({snap['hits']} hits / {snap['misses']} misses,"
+            f" {snap['evictions']} evicted)")
+        precision = snap["invalidation_precision"]
+        if precision is not None:
             lines.append(
-                f"context cache: {len(self.cache)} entries"
-                f"   hit rate {snap['hit_rate'] * 100:.1f}%"
-                f"   ({snap['hits']} hits / {snap['misses']} misses,"
-                f" {snap['evictions']} evicted)")
-            precision = snap["invalidation_precision"]
-            if precision is not None:
-                lines.append(
-                    f"invalidation: {snap['entries_spared']} spared /"
-                    f" {snap['entries_evicted']} evicted across"
-                    f" {snap['partial_invalidations']} sweeps"
-                    f"   precision {precision * 100:.1f}%")
+                f"invalidation: {snap['entries_spared']} spared /"
+                f" {snap['entries_evicted']} evicted across"
+                f" {snap['partial_invalidations']} sweeps"
+                f"   precision {precision * 100:.1f}%")
         updates = self._store.stats()
         lines.append(
             f"graph updates: {updates['applied_total']} applied /"
@@ -788,14 +778,13 @@ class PredictionService:
                                 request.item_ids, request.support_items,
                                 context_users, context_items,
                                 cfg.reveal_fraction, cfg.seed)
-        if self.cache is not None:
-            cached = self.cache.get(key)
-            if cached is not None:
-                self._counter("cache_hits_total").inc()
-                self._window_cache_hits.inc()
-                return cached
-            self._counter("cache_misses_total").inc()
-            self._window_cache_misses.inc()
+        cached = self.cache.get(key)
+        if cached is not None:
+            self._counter("cache_hits_total").inc()
+            self._window_cache_hits.inc()
+            return cached
+        self._counter("cache_misses_total").inc()
+        self._window_cache_misses.inc()
 
         samples = []
         for sample_index in range(cfg.num_context_samples):
@@ -811,15 +800,14 @@ class PredictionService:
                 candidate_items=graph_state.candidate_items,
                 rng_factory=rng_factory,
             ))
-        if self.cache is not None:
-            touched_users = np.unique(np.concatenate(
-                [chunk.context.users for chunks in samples for chunk in chunks]))
-            touched_items = np.unique(np.concatenate(
-                [chunk.context.items for chunks in samples for chunk in chunks]))
-            self.cache.put(key, samples,
-                           users=touched_users, items=touched_items,
-                           generation=graph_state.generation,
-                           guard=self._store.changed_since)
+        touched_users = np.unique(np.concatenate(
+            [chunk.context.users for chunks in samples for chunk in chunks]))
+        touched_items = np.unique(np.concatenate(
+            [chunk.context.items for chunks in samples for chunk in chunks]))
+        self.cache.put(key, samples,
+                       users=touched_users, items=touched_items,
+                       generation=graph_state.generation,
+                       guard=self._store.changed_since)
         return samples
 
     def _score_plans(self, model: HIRE, plans) -> list[np.ndarray]:

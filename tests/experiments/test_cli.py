@@ -148,7 +148,7 @@ class TestServeCommand:
                                  synthesize_workload(tasks, 5, seed=0))
 
         code = main(["serve", "--checkpoint", str(checkpoint),
-                     "--workload", str(workload), "--no-cache"])
+                     "--workload", str(workload)])
         assert code == 0
         out = capsys.readouterr().out
         assert "model=checkpoint" in out

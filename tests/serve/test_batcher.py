@@ -1,11 +1,19 @@
 """MicroBatcher coalescing, deadlines, bucketing, and close semantics."""
 
+import sys
+import threading
 import time
 
 import numpy as np
 import pytest
 
-from repro.serve import MicroBatcher, PredictRequest, ServiceClosedError, group_requests
+from repro.serve import (
+    MicroBatcher,
+    PredictRequest,
+    QueueFullError,
+    ServiceClosedError,
+    group_requests,
+)
 
 
 def make_request(user=1, items=(2, 3), supports=(7,), budgets=(None, None)):
@@ -65,23 +73,34 @@ class TestMicroBatcher:
         assert batcher.depth == 0
 
     def test_default_window_never_blocks_after_the_first_pop(self):
-        """Work-conserving: once a request is in hand the worker only takes
-        what is already queued, so a lone request ships without idling."""
+        """Work-conserving: the worker waits only while it holds no request;
+        once one is in hand it takes what is already queued, so a lone
+        request ships without idling."""
         batcher = MicroBatcher(max_batch_size=8, bucket_key=one_bucket)
         timeouts = []
-        real_get = batcher.queue.get
+        real_wait = batcher._ready.wait
 
-        def spy_get(timeout):
+        def spy_wait(timeout=None):
             timeouts.append(timeout)
-            return real_get(timeout)
+            return real_wait(timeout)
 
-        batcher.queue.get = spy_get
+        batcher._ready.wait = spy_wait
         for user in range(3):
             batcher.submit(make_request(user=user))
         assert [r.user for r in batcher.next_batch(0.1)] == [0, 1, 2]
         batcher.submit(make_request(user=3))
         assert [r.user for r in batcher.next_batch(0.1)] == [3]
-        assert timeouts == [0.1, 0.0, 0.0, 0.0, 0.1, 0.0]
+        assert timeouts == []
+        # Nothing queued: the worker waits for the first request only, and
+        # ships it the moment it arrives.
+        late = threading.Timer(0.05, batcher.submit,
+                               args=(make_request(user=4),))
+        late.start()
+        start = time.perf_counter()
+        assert [r.user for r in batcher.next_batch(5.0)] == [4]
+        assert time.perf_counter() - start < 2.5
+        late.join(5.0)
+        assert timeouts and all(0 < t <= 5.0 for t in timeouts)
 
     def test_close_then_drained_raises(self):
         batcher = MicroBatcher(max_batch_size=4, bucket_key=one_bucket)
@@ -101,6 +120,44 @@ class TestMicroBatcher:
     def test_rejects_bad_config(self):
         with pytest.raises(ValueError):
             MicroBatcher(max_batch_size=0, bucket_key=one_bucket)
+
+    def test_rejects_nonpositive_queue_size(self):
+        with pytest.raises(ValueError):
+            MicroBatcher(queue_size=0, bucket_key=one_bucket)
+
+    def test_full_queue_sheds_without_blocking(self):
+        batcher = MicroBatcher(queue_size=2, bucket_key=one_bucket)
+        batcher.submit(make_request())
+        batcher.submit(make_request())
+        start = time.perf_counter()
+        with pytest.raises(QueueFullError):
+            batcher.submit(make_request())
+        assert time.perf_counter() - start < 0.5  # shed, not blocked
+        assert batcher.depth == 2
+
+    def test_submit_after_close_raises(self):
+        batcher = MicroBatcher(bucket_key=one_bucket)
+        batcher.close()
+        with pytest.raises(ServiceClosedError):
+            batcher.submit(make_request())
+
+    def test_close_wakes_a_blocked_next_batch(self):
+        batcher = MicroBatcher(bucket_key=one_bucket)
+        errors = []
+
+        def worker():
+            try:
+                batcher.next_batch(5.0)
+            except ServiceClosedError as error:
+                errors.append(error)
+
+        thread = threading.Thread(target=worker)
+        thread.start()
+        time.sleep(0.05)
+        batcher.close()
+        thread.join(2.0)
+        assert not thread.is_alive()
+        assert len(errors) == 1
 
     def test_budget_overrides_break_coalescing(self):
         a = make_request(budgets=(16, 16))
@@ -245,3 +302,86 @@ class TestBucketedBatcher:
         assert [r.user for r in batch] == [1]
         with pytest.raises(ServiceClosedError):
             batcher.next_batch(0.1)
+
+    def test_queue_size_bounds_waiting_requests_of_every_bucket(self):
+        """Requests left behind by a batch of another bucket still count
+        against ``queue_size``: at most that many ever wait."""
+        batcher = MicroBatcher(max_batch_size=8, queue_size=4,
+                               bucket_key=budget_bucket)
+        for budget in (8, 12, 16, 12):
+            batcher.submit(make_request(budgets=(budget, budget)))
+        assert [r.context_users for r in batcher.next_batch(0.1)] == [8]
+        assert batcher.depth == 3
+        batcher.submit(make_request(budgets=(8, 8)))
+        with pytest.raises(QueueFullError):
+            batcher.submit(make_request(budgets=(8, 8)))
+        assert batcher.depth == 4
+        assert [r.context_users for r in batcher.next_batch(0.1)] == [12, 12]
+
+
+class TestConcurrentBatcher:
+    QUEUE_SIZE = 8
+    PRODUCERS = 4
+    PER_PRODUCER = 60
+
+    def test_producers_and_consumers_share_one_bounded_queue(self):
+        """Four producers against two consumers, mixed buckets: every
+        admitted request ships in exactly one bucket-homogeneous batch, and
+        the queue never holds more than ``queue_size`` requests."""
+        batcher = MicroBatcher(max_batch_size=4, queue_size=self.QUEUE_SIZE,
+                               bucket_key=budget_bucket)
+        admitted, batches, depths = [], [], []
+        lock = threading.Lock()
+
+        def produce(index):
+            for number in range(self.PER_PRODUCER):
+                budget = (8, 12, 16)[(index + number) % 3]
+                request = make_request(user=index * 1000 + number,
+                                       budgets=(budget, budget))
+                while True:
+                    try:
+                        batcher.submit(request)
+                        break
+                    except QueueFullError:
+                        time.sleep(0.0005)
+                    finally:
+                        depths.append(batcher.depth)
+                with lock:
+                    admitted.append(request)
+
+        def consume():
+            while True:
+                try:
+                    batch = batcher.next_batch(0.01)
+                except ServiceClosedError:
+                    return
+                depths.append(batcher.depth)
+                if batch:
+                    with lock:
+                        batches.append(batch)
+
+        producers = [threading.Thread(target=produce, args=(index,))
+                     for index in range(self.PRODUCERS)]
+        consumers = [threading.Thread(target=consume) for _ in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the threads finely
+        try:
+            for thread in consumers + producers:
+                thread.start()
+            for thread in producers:
+                thread.join(30)
+            batcher.close()
+            for thread in consumers:
+                thread.join(30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in producers + consumers)
+
+        served = [id(request) for batch in batches for request in batch]
+        assert len(served) == len(set(served))
+        assert sorted(served) == sorted(id(request) for request in admitted)
+        assert len(admitted) == self.PRODUCERS * self.PER_PRODUCER
+        for batch in batches:
+            assert len({budget_bucket(request) for request in batch}) == 1
+        assert max(depths) <= self.QUEUE_SIZE
+        assert batcher.depth == 0

@@ -54,15 +54,6 @@ class TestBitIdentity:
             assert np.array_equal(expected, a)
             assert np.array_equal(expected, b)
 
-    def test_cache_off_equals_sequential(self, serve_model, ml_split,
-                                         serve_tasks, sequential_scores):
-        with make_service(serve_model, ml_split, serve_tasks,
-                          cache_enabled=False) as service:
-            got = [service.predict(t.user, t.query_items, t.support_items)
-                   for t in serve_tasks]
-        for expected, scores in zip(sequential_scores, got):
-            assert np.array_equal(expected, scores)
-
     def test_multi_sample_averaging_matches_predictor(
             self, serve_model, ml_split, serve_tasks):
         predictor = HIREPredictor(serve_model, ml_split, serve_tasks, seed=0,
@@ -550,7 +541,6 @@ class TestAdaptiveBudgets:
     LADDER = ((0, 12, 12), (2, 8, 8), (4, 4, 4))
 
     @pytest.mark.parametrize("ladder, match", [
-        ((), "needs a budget_ladder"),
         (((1, 12, 12),), "threshold 0"),
         (((0, 12, 12), (2, 8, 8), (2, 6, 6)), "strictly increasing"),
         (((0, 8, 8), (2, 12, 12)), "non-increasing"),
@@ -558,25 +548,11 @@ class TestAdaptiveBudgets:
     ])
     def test_ladder_validation(self, ladder, match):
         with pytest.raises(ValueError, match=match):
-            ServiceConfig(adaptive_budgets=True, budget_ladder=ladder)
-
-    def test_ladder_without_adaptive_flag_is_inert(self, serve_model,
-                                                   ml_split, serve_tasks,
-                                                   sequential_scores):
-        # A configured ladder only applies when adaptive_budgets is on.
-        with make_service(serve_model, ml_split, serve_tasks,
-                          budget_ladder=self.LADDER) as service:
-            request = service.submit_request(
-                serve_tasks[0].user, serve_tasks[0].query_items,
-                serve_tasks[0].support_items)
-            assert request.context_users is None
-            assert np.array_equal(request.future.result(60),
-                                  sequential_scores[0])
+            ServiceConfig(budget_ladder=ladder)
 
     def test_rung_selection_depth_mapping(self, serve_model, ml_split,
                                           serve_tasks):
         with make_service(serve_model, ml_split, serve_tasks,
-                          adaptive_budgets=True,
                           budget_ladder=self.LADDER) as service:
             assert service._ladder_budgets(0) == (0, (12, 12))
             assert service._ladder_budgets(1) == (0, (12, 12))
@@ -592,9 +568,7 @@ class TestAdaptiveBudgets:
         sequential predictor run at exactly those (n, m)."""
         service = make_service(serve_model, ml_split, serve_tasks,
                                num_workers=1, max_batch_size=1,
-                               queue_size=16, cache_enabled=False,
-                               adaptive_budgets=True,
-                               budget_ladder=self.LADDER)
+                               queue_size=16, budget_ladder=self.LADDER)
         gate = threading.Event()
         original = service._process_batch
 
@@ -628,8 +602,7 @@ class TestAdaptiveBudgets:
                                                serve_tasks, monkeypatch):
         service = make_service(serve_model, ml_split, serve_tasks,
                                num_workers=1, max_batch_size=1,
-                               queue_size=16, adaptive_budgets=True,
-                               budget_ladder=self.LADDER)
+                               queue_size=16, budget_ladder=self.LADDER)
         gate = threading.Event()
         original = service._process_batch
 
@@ -697,7 +670,7 @@ class TestLadderUnderOverload:
         it; returns ``(p99 seconds, health state, degraded requests)``."""
         config = ServiceConfig(
             max_batch_size=4, num_workers=1,
-            queue_size=self.NUM_REQUESTS, cache_enabled=False,
+            queue_size=self.NUM_REQUESTS,
             window_seconds=600.0, short_window_seconds=60.0,
             slo_rules=default_serve_rules(
                 max_p99_seconds=self.SLO_P99_SECONDS),
@@ -727,7 +700,7 @@ class TestLadderUnderOverload:
             serve_model, ml_split, serve_tasks, parked_worker)
         adaptive_p99, adaptive_health, degraded = self.flood(
             serve_model, ml_split, serve_tasks, parked_worker,
-            adaptive_budgets=True, budget_ladder=self.LADDER)
+            budget_ladder=self.LADDER)
         assert fixed_p99 > self.SLO_P99_SECONDS > adaptive_p99
         assert (fixed_health, adaptive_health) == ("breach", "ok")
         assert fixed_degraded == 0

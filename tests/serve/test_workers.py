@@ -1,76 +1,10 @@
-"""BoundedQueue backpressure and WorkerPool lifecycle."""
+"""WorkerPool lifecycle."""
 
 import threading
-import time
 
 import pytest
 
-from repro.serve import BoundedQueue, QueueFullError, ServiceClosedError, WorkerPool
-
-
-class TestBoundedQueue:
-    def test_fifo_order(self):
-        queue = BoundedQueue(4)
-        for value in range(3):
-            queue.put(value)
-        assert [queue.get(0.1) for _ in range(3)] == [0, 1, 2]
-
-    def test_put_never_blocks_sheds_load(self):
-        queue = BoundedQueue(2)
-        queue.put("a")
-        queue.put("b")
-        start = time.perf_counter()
-        with pytest.raises(QueueFullError):
-            queue.put("c")
-        assert time.perf_counter() - start < 0.5  # shed, not blocked
-        assert len(queue) == 2
-
-    def test_get_times_out_with_none(self):
-        queue = BoundedQueue(2)
-        assert queue.get(0.01) is None
-
-    def test_put_after_close_raises(self):
-        queue = BoundedQueue(2)
-        queue.close()
-        with pytest.raises(ServiceClosedError):
-            queue.put("x")
-
-    def test_get_drains_then_raises_after_close(self):
-        queue = BoundedQueue(4)
-        queue.put("a")
-        pending = queue.close()
-        assert pending == ["a"]
-        assert queue.get(0.1) == "a"  # still drainable
-        with pytest.raises(ServiceClosedError):
-            queue.get(0.1)
-
-    def test_close_wakes_blocked_getter(self):
-        queue = BoundedQueue(2)
-        errors = []
-
-        def getter():
-            try:
-                queue.get(5.0)
-            except ServiceClosedError as error:
-                errors.append(error)
-
-        thread = threading.Thread(target=getter)
-        thread.start()
-        time.sleep(0.05)
-        queue.close()
-        thread.join(2.0)
-        assert not thread.is_alive()
-
-    def test_drain_empties_queue(self):
-        queue = BoundedQueue(4)
-        for value in range(3):
-            queue.put(value)
-        assert queue.drain() == [0, 1, 2]
-        assert len(queue) == 0
-
-    def test_rejects_nonpositive_maxsize(self):
-        with pytest.raises(ValueError):
-            BoundedQueue(0)
+from repro.concurrency import WorkerPool
 
 
 class TestWorkerPool:
