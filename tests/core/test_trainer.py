@@ -4,6 +4,7 @@ scheduler wiring."""
 import numpy as np
 import pytest
 
+from repro import nn
 from repro.core import HIRE, HIREConfig, HIRETrainer, TrainerConfig
 from repro.core.sampling import RandomSampler
 
@@ -58,6 +59,17 @@ class TestTraining:
         trainer = HIRETrainer(model, ml_split, config=config)
         trainer.fit()
         assert trainer.optimizer.lr == pytest.approx(0.0, abs=1e-9)
+
+    def test_optimizer_is_lamb_inside_lookahead(self, small_trainer):
+        """The paper's optimiser: LAMB (betas 0.9/0.999, eps 1e-6) at the
+        base learning rate, wrapped in Lookahead with alpha 0.5 and k 6."""
+        optimizer = small_trainer.optimizer
+        assert isinstance(optimizer, nn.Lookahead)
+        assert (optimizer.alpha, optimizer.k) == (0.5, 6)
+        inner = optimizer.inner
+        assert isinstance(inner, nn.LAMB)
+        assert (inner.beta1, inner.beta2, inner.eps) == (0.9, 0.999, 1e-6)
+        assert inner.lr == small_trainer.config.base_lr
 
     def test_custom_sampler(self, ml_dataset, ml_split):
         model = HIRE(ml_dataset, HIREConfig(num_blocks=1, num_heads=2,

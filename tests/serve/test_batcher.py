@@ -1,5 +1,6 @@
 """MicroBatcher coalescing, deadlines, bucketing, and close semantics."""
 
+import itertools
 import sys
 import threading
 import time
@@ -65,6 +66,35 @@ class TestMicroBatcher:
         batcher = MicroBatcher(bucket_key=one_bucket)
         assert batcher.next_batch(0.01) == []
 
+    def test_fifo_order(self):
+        batcher = MicroBatcher(max_batch_size=2, bucket_key=one_bucket)
+        for user in range(5):
+            batcher.submit(make_request(user=user))
+        batches = [[r.user for r in batcher.next_batch(0.1)]
+                   for _ in range(3)]
+        assert batches == [[0, 1], [2, 3], [4]]
+
+    def test_times_out_with_empty_batch(self):
+        """An idle worker sleeps out its timeout instead of spinning, then
+        gets an empty batch."""
+        batcher = MicroBatcher(bucket_key=one_bucket)
+        start = time.perf_counter()
+        assert batcher.next_batch(0.05) == []
+        assert time.perf_counter() - start >= 0.04
+
+    def test_taking_a_batch_frees_admission(self):
+        batcher = MicroBatcher(max_batch_size=2, queue_size=2,
+                               bucket_key=one_bucket)
+        batcher.submit(make_request(user=0))
+        batcher.submit(make_request(user=1))
+        with pytest.raises(QueueFullError):
+            batcher.submit(make_request(user=2))
+        assert [r.user for r in batcher.next_batch(0.1)] == [0, 1]
+        batcher.submit(make_request(user=3))
+        batcher.submit(make_request(user=4))
+        assert batcher.depth == 2
+        assert [r.user for r in batcher.next_batch(0.1)] == [3, 4]
+
     def test_zero_wait_takes_every_queued_request(self):
         batcher = MicroBatcher(max_batch_size=8, bucket_key=one_bucket)
         batcher.submit(make_request())
@@ -116,6 +146,33 @@ class TestMicroBatcher:
         batcher.submit(request)
         batcher.close()
         assert batcher.drain() == [request]
+
+    def test_drain_empties_queue(self):
+        """Drain hands back every bucket's requests in arrival order; a
+        closed, drained batcher then tells workers to exit at once."""
+        batcher = MicroBatcher(bucket_key=budget_bucket)
+        requests = [make_request(user=user, budgets=(budget, budget))
+                    for user, budget in enumerate((8, 16, 8))]
+        for request in requests:
+            batcher.submit(request)
+        assert batcher.drain() == requests
+        assert batcher.depth == 0
+        batcher.close()
+        with pytest.raises(ServiceClosedError):
+            batcher.next_batch(5.0)
+
+    def test_close_drains_every_bucket_then_raises(self):
+        batcher = MicroBatcher(max_batch_size=4, bucket_key=budget_bucket)
+        for user, budget in enumerate((8, 16, 8, 32, 16)):
+            batcher.submit(make_request(user=user, budgets=(budget, budget)))
+        batcher.close()
+        with pytest.raises(ServiceClosedError):
+            batcher.submit(make_request())
+        batches = [[r.user for r in batcher.next_batch(0.1)]
+                   for _ in range(3)]
+        assert batches == [[0, 2], [1, 4], [3]]
+        with pytest.raises(ServiceClosedError):
+            batcher.next_batch(0.1)
 
     def test_rejects_bad_config(self):
         with pytest.raises(ValueError):
@@ -188,6 +245,20 @@ class TestClockStamps:
         assert request.enqueued_at != 500.0  # default stamp, pre-submit
         batcher.submit(request)
         assert request.enqueued_at == 500.0
+
+    def test_refused_request_is_not_stamped(self):
+        clock = FakeClock(now=500.0)
+        batcher = MicroBatcher(queue_size=1, clock=clock,
+                               bucket_key=one_bucket)
+        batcher.submit(make_request())
+        shed, late = make_request(), make_request()
+        with pytest.raises(QueueFullError):
+            batcher.submit(shed)
+        batcher.close()
+        with pytest.raises(ServiceClosedError):
+            batcher.submit(late)
+        assert 500.0 not in (shed.enqueued_at, late.enqueued_at)
+        assert batcher.depth == 1
 
     def test_dequeue_and_batch_form_stamps(self):
         clock = FakeClock(now=10.0)
@@ -268,6 +339,18 @@ class TestBucketedBatcher:
         batcher.submit(make_request(user=2, budgets=(32, 32)))
         batch = batcher.next_batch(0.1)
         assert [r.user for r in batch] == [1, 2]
+
+    def test_full_batch_leaves_the_rest_in_arrival_order(self):
+        """A batch that fills stops its scan: same-bucket requests behind
+        it wait their turn, and the oldest leftover of any bucket leads."""
+        batcher = MicroBatcher(max_batch_size=2, bucket_key=budget_bucket)
+        for user, budget in enumerate((8, 16, 8, 8, 16)):
+            batcher.submit(make_request(user=user, budgets=(budget, budget)))
+        assert [r.user for r in batcher.next_batch(0.1)] == [0, 2]
+        assert batcher.depth == 3
+        assert [r.user for r in batcher.next_batch(0.1)] == [1, 4]
+        assert [r.user for r in batcher.next_batch(0.1)] == [3]
+        assert batcher.depth == 0
 
     def test_deadline_flushes_partial_bucket_with_bounded_latency(self):
         """A lone request in its bucket ships at once — it is never held
@@ -384,4 +467,64 @@ class TestConcurrentBatcher:
         for batch in batches:
             assert len({budget_bucket(request) for request in batch}) == 1
         assert max(depths) <= self.QUEUE_SIZE
+        assert batcher.depth == 0
+
+    def test_close_under_load_serves_every_admitted_request(self):
+        """Closing while producers still submit: each request is either
+        refused with ServiceClosedError or shipped in exactly one batch —
+        none is admitted and then lost."""
+        batcher = MicroBatcher(max_batch_size=4, queue_size=self.QUEUE_SIZE,
+                               bucket_key=budget_bucket)
+        admitted, refused, batches = [], [], []
+        lock = threading.Lock()
+        started = threading.Event()
+
+        def produce(index):
+            for number in itertools.count():
+                budget = (8, 12, 16)[(index + number) % 3]
+                request = make_request(user=index * 1000 + number,
+                                       budgets=(budget, budget))
+                try:
+                    batcher.submit(request)
+                except QueueFullError:
+                    time.sleep(0.0005)
+                    continue
+                except ServiceClosedError:
+                    with lock:
+                        refused.append(request)
+                    return
+                started.set()
+                with lock:
+                    admitted.append(request)
+
+        def consume():
+            while True:
+                try:
+                    batch = batcher.next_batch(0.01)
+                except ServiceClosedError:
+                    return
+                if batch:
+                    with lock:
+                        batches.append(batch)
+
+        producers = [threading.Thread(target=produce, args=(index,))
+                     for index in range(self.PRODUCERS)]
+        consumers = [threading.Thread(target=consume) for _ in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the threads finely
+        try:
+            for thread in consumers + producers:
+                thread.start()
+            assert started.wait(30)
+            batcher.close()
+            for thread in producers + consumers:
+                thread.join(30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in producers + consumers)
+
+        assert admitted and len(refused) == self.PRODUCERS
+        served = [id(request) for batch in batches for request in batch]
+        assert len(served) == len(set(served))
+        assert sorted(served) == sorted(id(request) for request in admitted)
         assert batcher.depth == 0

@@ -268,6 +268,48 @@ class TestBackpressure:
             assert isinstance(future.result(60), np.ndarray)
         service.close()
 
+    def test_queue_size_counts_requests_of_every_bucket(
+            self, serve_model, ml_split, serve_tasks, monkeypatch):
+        """Requests a batch of another bucket leaves behind still hold
+        their queue slots: at most ``queue_size`` ever wait."""
+        service = make_service(serve_model, ml_split, serve_tasks,
+                               num_workers=1, queue_size=4, max_batch_size=4)
+        entered, gate = threading.Event(), threading.Event()
+        original = service._process_batch
+
+        def gated(batch):
+            entered.set()
+            gate.wait(30)
+            original(batch)
+
+        monkeypatch.setattr(service, "_process_batch", gated)
+        budgets = (8, 32, 32, 32, 32, 32)
+        tasks = serve_tasks[:len(budgets)]
+
+        def submit(task, budget):
+            return service.submit_request(task.user, task.query_items,
+                                          task.support_items,
+                                          context_users=budget,
+                                          context_items=budget)
+
+        # Admit four at once, so the worker's first batch takes the lone
+        # small-budget request and leaves the three large ones queued.
+        with service._batcher._ready:
+            requests = [submit(task, budget)
+                        for task, budget in zip(tasks[:4], budgets)]
+        assert (service._request_bucket(requests[0])
+                != service._request_bucket(requests[1]))
+        assert entered.wait(30)
+        assert service._batcher.depth == 3
+        requests.append(submit(tasks[4], budgets[4]))
+        with pytest.raises(QueueFullError):
+            submit(tasks[5], budgets[5])
+        assert service._batcher.depth == 4
+        gate.set()
+        for request in requests:
+            assert isinstance(request.future.result(60), np.ndarray)
+        service.close()
+
 
 class TestValidation:
     @pytest.fixture(scope="class")
@@ -549,6 +591,44 @@ class TestAdaptiveBudgets:
     def test_ladder_validation(self, ladder, match):
         with pytest.raises(ValueError, match=match):
             ServiceConfig(budget_ladder=ladder)
+
+    def test_ladder_rungs_are_normalised_to_int_triples(self):
+        config = ServiceConfig(budget_ladder=[[0, 12.0, 12], (2.0, 8, 8)])
+        assert config.budget_ladder == ((0, 12, 12), (2, 8, 8))
+        assert all(isinstance(value, int)
+                   for rung in config.budget_ladder for value in rung)
+        assert ServiceConfig().budget_ladder == ()
+
+    def test_no_ladder_keeps_fixed_budgets_under_a_deep_queue(
+            self, serve_model, ml_split, serve_tasks, sequential_scores,
+            monkeypatch):
+        """The default empty ladder is off: however deep the queue, every
+        request keeps the service budgets and the sequential scores."""
+        service = make_service(serve_model, ml_split, serve_tasks,
+                               num_workers=1, max_batch_size=1,
+                               queue_size=16)
+        gate = threading.Event()
+        original = service._process_batch
+
+        def gated(batch):
+            gate.wait(30)
+            original(batch)
+
+        monkeypatch.setattr(service, "_process_batch", gated)
+        requests = [service.submit_request(t.user, t.query_items,
+                                           t.support_items)
+                    for t in serve_tasks]
+        depth = service._batcher.depth
+        gate.set()
+        assert depth >= self.LADDER[-1][0]
+        assert all((r.context_users, r.context_items) == (None, None)
+                   for r in requests)
+        scores = [r.future.result(60) for r in requests]
+        snapshot = service.metrics.snapshot()
+        service.close()
+        assert "serve.assemble.degraded_total" not in snapshot
+        for expected, got in zip(sequential_scores, scores):
+            assert np.array_equal(expected, got)
 
     def test_rung_selection_depth_mapping(self, serve_model, ml_split,
                                           serve_tasks):
