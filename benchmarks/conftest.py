@@ -6,8 +6,10 @@ Every benchmark regenerates one paper artifact (table or figure) at the
 Benchmarks run once per session (``rounds=1``) — the quantity of interest
 is the artifact itself plus its wall-clock cost, not statistical timing.
 
-``--smoke`` shrinks every benchmark to a sanity pass: reduced grids
-and no artifact writes (the ``save`` fixture is a no-op).
+``--smoke`` skips the artifact writes (the ``save`` fixture is a no-op)
+but runs the same ``fast``-scale grids, so it costs about as much as a
+full run: 551 s against 580 s on a 2-vCPU box (EXPERIMENTS.md lists the
+time of each benchmark).
 Serving speed is not measured here but by the ``bench/`` ledger.
 """
 
@@ -21,8 +23,9 @@ RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
 def pytest_addoption(parser):
     parser.addoption(
         "--smoke", action="store_true", default=False,
-        help="run benchmarks at a shrunken smoke scale (seconds, not minutes); "
-             "smoke runs skip artifact/JSON writes",
+        help="run every benchmark without writing its artifact; the grids "
+             "are those of a full run, so this takes minutes (about 9 on "
+             "two CPUs)",
     )
 
 

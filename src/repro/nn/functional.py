@@ -170,9 +170,11 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     parents = (x, weight) if bias is None else (x, weight, bias)
 
     def backward(g):
-        gx = g @ weight.data.T
+        # Both GEMMs run 2-D over the folded leading axes: a stacked
+        # ``g @ Wᵀ`` makes one small BLAS call per leading index.
         x2 = x.data.reshape(-1, x.data.shape[-1])
         g2 = g.reshape(-1, g.shape[-1])
+        gx = (g2 @ weight.data.T).reshape(x.shape)
         gw = x2.T @ g2
         if bias is None:
             return ((x, gx), (weight, gw))
@@ -532,8 +534,21 @@ def layer_norm_into(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
 
 
 def softmax_into(scores: np.ndarray, red: np.ndarray) -> np.ndarray:
-    """In-place softmax over the last axis."""
-    np.amax(scores, axis=-1, keepdims=True, out=red)
+    """In-place softmax over the last axis.
+
+    The row max is taken by pairwise halving, ``max(cur[:h], cur[L-h:])``
+    with ``h = ceil(L/2)``, into a half-size scratch and then ``red``:
+    numpy's ``amax`` over a short last axis is slow, and max is exact, so
+    the result is bitwise ``amax``'s (the overlapping middle element of an
+    odd length is harmless, and NaN propagates the same way).
+    """
+    cur = scores
+    while (length := cur.shape[-1]) > 2:
+        half = (length + 1) // 2
+        out = (np.empty((*scores.shape[:-1], half), scores.dtype)
+               if cur is scores else cur[..., :half])
+        cur = np.maximum(cur[..., :half], cur[..., length - half:], out=out)
+    np.maximum(cur[..., :1], cur[..., -1:], out=red)
     np.subtract(scores, red, out=scores)
     np.exp(scores, out=scores)
     np.sum(scores, axis=-1, keepdims=True, out=red)

@@ -140,6 +140,20 @@ class TestFusedVsReferenceEquivalence:
         np.testing.assert_allclose(w1.grad, w2.grad, atol=EQ_TOL, rtol=0)
         np.testing.assert_allclose(b1.grad, b2.grad, atol=EQ_TOL, rtol=0)
 
+    def test_linear_input_grad_from_a_strided_upstream(self, rng):
+        """MBU's output projection receives a ``swapaxes`` view as its
+        upstream gradient; the folded 2-D input-gradient GEMM must match the
+        stacked ``g @ Wᵀ`` and keep ``x``'s shape."""
+        x = Tensor(rng.normal(size=(2, 3, 4, 5)), requires_grad=True)
+        w = Tensor(rng.normal(size=(5, 6)), requires_grad=True)
+        out = F.linear(x, w).swapaxes(-3, -2)
+        upstream = rng.normal(size=out.shape)
+        out.backward(upstream)
+        g = np.swapaxes(upstream, -3, -2)
+        assert not g.flags.c_contiguous
+        assert x.grad.shape == x.shape
+        np.testing.assert_allclose(x.grad, g @ w.data.T, atol=1e-12, rtol=0)
+
     def test_packed_attention_forward_and_grads(self, rng):
         """Fused MHSA matches the three-matmul reference: output, captured
         weights and every gradient."""
@@ -193,6 +207,52 @@ class TestFusedVsReferenceEquivalence:
         for name in grads_f:
             np.testing.assert_allclose(grads_f[name], grads_r[name],
                                        atol=EQ_TOL, rtol=0, err_msg=name)
+
+
+def _softmax_amax_reference(scores, red):
+    np.amax(scores, axis=-1, keepdims=True, out=red)
+    np.subtract(scores, red, out=scores)
+    np.exp(scores, out=scores)
+    np.sum(scores, axis=-1, keepdims=True, out=red)
+    np.divide(scores, red, out=scores)
+    return scores
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+class TestSoftmaxInto:
+    """The halving row max is exact, so ``softmax_into`` stays bitwise the
+    ``np.amax`` formulation."""
+
+    @pytest.mark.parametrize("length", [1, 2, 3, 9, 16, 17, 32])
+    def test_bitwise_equal_to_amax(self, dtype, length):
+        scores = np.random.default_rng(length).normal(
+            scale=4.0, size=(3, 5, length)).astype(dtype)
+        scores[0, 1, length // 2] = -np.inf
+        scores[1, 2, :] = -np.inf
+        scores[2, 3, length - 1] = np.nan
+        scores[2, 4, length // 2] = np.inf
+        red = np.empty((3, 5, 1), dtype)
+        with np.errstate(invalid="ignore"):   # inf - inf and NaN rows
+            ref = _softmax_amax_reference(scores.copy(), red.copy())
+            got = F.softmax_into(scores, red)
+        assert got is scores
+        assert got.tobytes() == ref.tobytes()
+        assert np.isnan(got[2, 3]).all()
+
+    def test_strided_span_views(self, dtype):
+        """On the ``scores_s``/``red_s`` views ``mha_qkv_into`` is given per
+        span: bitwise equal there, and nothing outside a span is written."""
+        batch, g, heads, t = 4, 6, 2, 17
+        rng = np.random.default_rng(7)
+        scores = rng.normal(size=(batch, g, heads, t, t)).astype(dtype)
+        red = rng.normal(size=(batch, g, heads, t, 1)).astype(dtype)
+        ref_scores, ref_red = scores.copy(), red.copy()
+        for (b0, b1, gg, tt) in [(0, 1, 6, 17), (1, 3, 5, 9), (3, 4, 2, 3)]:
+            span = (slice(b0, b1), slice(0, gg), slice(None), slice(0, tt))
+            F.softmax_into(scores[span][..., :tt], red[span])
+            _softmax_amax_reference(ref_scores[span][..., :tt], ref_red[span])
+        assert scores.tobytes() == ref_scores.tobytes()
+        assert red.tobytes() == ref_red.tobytes()
 
 
 class TestAttributeAttentionBatchInvariance:
