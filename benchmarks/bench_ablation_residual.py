@@ -10,39 +10,17 @@ Expected shape: the full wrapping (residual + norm) trains to the lowest
 loss / best NDCG; removing both degrades or destabilises training.
 """
 
-import numpy as np
 import pytest
 
-from repro.core import HIREConfig, TrainerConfig
-from repro.eval import build_eval_tasks, evaluate_model
-from repro.experiments import EXPERIMENTS, HIREModel, prepare_workload
+from repro.experiments import run_residual_ablation
 
 
 @pytest.mark.benchmark(group="ablation-residual")
 def test_ablation_residual_and_layernorm(benchmark, save):
-    def run():
-        from repro.experiments.runner import _sweep_settings
-
-        dataset, split = prepare_workload(EXPERIMENTS["table6"], scale="fast", seed=0)
-        tasks = build_eval_tasks(split, "user", min_query=8, seed=0, max_tasks=8)
-        rows = []
-        for residual in (True, False):
-            for norm in (True, False):
-                config, trainer_config = _sweep_settings(
-                    "fast", seed=0,
-                    flags={"use_residual": residual, "use_layer_norm": norm},
-                )
-                model = HIREModel(dataset, config=config,
-                                  trainer_config=trainer_config, seed=0)
-                result = evaluate_model(model, split, "user", ks=(5,), tasks=tasks)
-                rows.append({
-                    "residual": residual,
-                    "layer_norm": norm,
-                    **result.metrics[5],
-                })
-        return rows
-
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+    rows = benchmark.pedantic(
+        lambda: run_residual_ablation(scale="fast", max_tasks=8, seed=0),
+        rounds=1, iterations=1,
+    )
     lines = [f"{'residual':>9s} | {'layernorm':>9s} | {'Pre@5':>7s} | "
              f"{'NDCG@5':>7s} | {'MAP@5':>7s}"]
     lines.append("-" * len(lines[0]))

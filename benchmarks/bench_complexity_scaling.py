@@ -11,58 +11,15 @@ independently and checks the growth direction (and rough factor) matches:
 Absolute times are machine-specific; the *ratios* are the reproduced claim.
 """
 
-import time
-
-import numpy as np
 import pytest
 
-from repro.core import HIRE, HIREConfig, build_context
-from repro.data import RatingGraph, movielens_like, make_cold_start_split
-
-
-def _forward_seconds(model, context, repeats: int = 3) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        model.predict(context)
-        best = min(best, time.perf_counter() - start)
-    return best
+from repro.experiments import run_complexity_scaling
 
 
 @pytest.mark.benchmark(group="complexity")
 def test_complexity_scaling_matches_paper_analysis(benchmark, save):
-    dataset = movielens_like(num_users=200, num_items=150, seed=0,
-                             ratings_per_user=30.0)
-    split = make_cold_start_split(dataset, 0.2, 0.2, seed=0)
-    graph = RatingGraph(split.train_ratings(), dataset.num_users, dataset.num_items)
-    rng = np.random.default_rng(0)
-
-    def context_of(size: int):
-        users = rng.permutation(split.train_users)[:size]
-        items = rng.permutation(split.train_items)[:size]
-        return build_context(graph, users, items, np.random.default_rng(0))
-
-    def run():
-        timings = {}
-        base_ctx = context_of(12)
-        # K sweep.
-        for blocks in (1, 2, 4):
-            model = HIRE(dataset, HIREConfig(num_blocks=blocks, num_heads=2,
-                                             attr_dim=8, seed=0))
-            timings[f"K={blocks}"] = _forward_seconds(model, base_ctx)
-        # context-size sweep (n = m).
-        model = HIRE(dataset, HIREConfig(num_blocks=2, num_heads=2,
-                                         attr_dim=8, seed=0))
-        for size in (8, 16, 32):
-            timings[f"nm={size}"] = _forward_seconds(model, context_of(size))
-        # attribute-width sweep (e = h·f with h fixed).
-        for attr_dim in (4, 8, 16):
-            model = HIRE(dataset, HIREConfig(num_blocks=2, num_heads=2,
-                                             attr_dim=attr_dim, seed=0))
-            timings[f"f={attr_dim}"] = _forward_seconds(model, base_ctx)
-        return timings
-
-    timings = benchmark.pedantic(run, rounds=1, iterations=1)
+    timings = benchmark.pedantic(lambda: run_complexity_scaling(seed=0),
+                                 rounds=1, iterations=1)
 
     lines = [f"{name:>8s}: {seconds * 1e3:9.2f} ms" for name, seconds in timings.items()]
     text = "\n".join(lines)

@@ -10,28 +10,23 @@ Expected shape: HIRE ≥ IGMC — IGMC sees only the rating structure, HIRE
 additionally attends over attributes and the full context block.
 """
 
-import numpy as np
+from dataclasses import replace
+
 import pytest
 
-from repro.eval import build_eval_tasks, evaluate_model
-from repro.experiments import EXPERIMENTS, create_model, prepare_workload
+from repro.experiments import EXPERIMENTS, run_overall_performance
 
 
 @pytest.mark.benchmark(group="extension-igmc")
 def test_extension_igmc_vs_hire(benchmark, save):
-    def run():
-        dataset, split = prepare_workload(EXPERIMENTS["table3"], scale="fast", seed=0)
-        tasks = build_eval_tasks(split, "user", min_query=8, seed=0, max_tasks=8)
-        rows = []
-        for name in ("IGMC", "HIRE"):
-            model = create_model(name, dataset, seed=0, preset="fast")
-            result = evaluate_model(model, split, "user", ks=(5,), tasks=tasks)
-            rows.append({"model": name, **result.metrics[5],
-                         "fit_seconds": result.fit_seconds,
-                         "predict_seconds": result.predict_seconds})
-        return rows
-
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+    # Table III's user cold-start cell (k = 10 sets its min_query to 8).
+    spec = replace(EXPERIMENTS["table3"], scenarios=("user",))
+    rows = benchmark.pedantic(
+        lambda: run_overall_performance(spec, scale="fast", max_tasks=8, seed=0,
+                                        models=("IGMC", "HIRE")),
+        rounds=1, iterations=1,
+    )
+    rows = [r for r in rows if r["k"] == 5]
     lines = [f"{'model':<6s} | {'Pre@5':>7s} | {'NDCG@5':>7s} | {'MAP@5':>7s} | "
              f"{'fit':>6s} | {'pred':>6s}"]
     lines.append("-" * len(lines[0]))

@@ -57,17 +57,6 @@ class PredictionContext:
     def num_query(self) -> int:
         return int(self.query.sum())
 
-    def permuted(self, user_perm: np.ndarray, item_perm: np.ndarray) -> "PredictionContext":
-        """Reorder users/items — used to test Property 5.1 (equivariance)."""
-        return PredictionContext(
-            users=self.users[user_perm],
-            items=self.items[item_perm],
-            ratings=self.ratings[np.ix_(user_perm, item_perm)],
-            observed=self.observed[np.ix_(user_perm, item_perm)],
-            revealed=self.revealed[np.ix_(user_perm, item_perm)],
-            query=self.query[np.ix_(user_perm, item_perm)],
-        )
-
 
 def check_reveal_fraction(name: str, value: float) -> None:
     """Reject a reveal fraction outside [0, 1); the chained test fails NaN

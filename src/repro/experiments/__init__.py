@@ -15,8 +15,10 @@ from .runner import (
     prepare_workload,
     run_ablation,
     run_case_study,
+    run_complexity_scaling,
     run_experiment,
     run_overall_performance,
+    run_residual_ablation,
     run_sampling_ablation,
     run_sensitivity,
     run_test_time,
@@ -53,7 +55,9 @@ __all__ = [
     "run_sensitivity",
     "run_ablation",
     "run_sampling_ablation",
+    "run_residual_ablation",
     "run_case_study",
+    "run_complexity_scaling",
     "render_overall_table",
     "render_ablation_table",
     "render_timing_table",

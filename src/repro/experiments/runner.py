@@ -4,18 +4,28 @@ Each ``run_*`` function returns plain data structures (lists of row dicts or
 arrays) that :mod:`repro.experiments.tables` renders as paper-style text
 tables; the ``benchmarks/`` suite calls the same functions under
 pytest-benchmark.
+
+HIRE trains on the warm quadrant only, never on the eval tasks, so one
+trained module serves every cold-start scenario.  The fit plan
+(:func:`_trained`) trains each distinct HIRE once per process and keeps it;
+each scenario scores it through its own predictor.  Baselines fit per
+scenario, because their ``fit`` reads the tasks' support ratings.
 """
 
 from __future__ import annotations
 
+import time
+import timeit
+from dataclasses import astuple, replace
+
 import numpy as np
 
 from .. import obs
-from ..core import HIRE, HIREConfig, HIRETrainer, TrainerConfig, build_context
+from ..core import HIRE, HIREConfig, TrainerConfig, build_context
 from ..core.sampling import NeighborhoodSampler
-from ..data import dataset_by_name, make_cold_start_split
+from ..data import dataset_by_name, make_cold_start_split, movielens_like
 from ..data.bipartite import RatingGraph
-from ..eval import build_eval_tasks, evaluate_model, measure_test_time
+from ..eval import ScenarioResult, build_eval_tasks, evaluate_model, measure_test_time
 from .configs import DATASET_SCALES, EXPERIMENTS, ExperimentSpec
 from .models import HIREModel, create_model, models_for_dataset
 
@@ -26,7 +36,9 @@ __all__ = [
     "run_sensitivity",
     "run_ablation",
     "run_sampling_ablation",
+    "run_residual_ablation",
     "run_case_study",
+    "run_complexity_scaling",
     "run_experiment",
 ]
 
@@ -45,6 +57,45 @@ def _workload(profile: str, scale: str, seed: int):
     return dataset, split
 
 
+# Fit key -> (trained module, seconds its fit took), for the whole process.
+_FITS: dict[tuple, tuple[HIRE, float]] = {}
+
+
+def _trained(model: HIREModel, workload: tuple[str, str, int],
+             split) -> tuple[HIRE, float]:
+    """The fit plan: ``model``'s trained module on ``workload`` =
+    ``(profile, scale, seed)``, whose split is ``split``, and the seconds
+    of its fit.  The key is every input of a fit: the workload, every
+    ``HIREConfig`` and ``TrainerConfig`` field and the sampler."""
+    key = (workload, astuple(model.config), astuple(model.trainer_config),
+           model.sampler_name)
+    if key not in _FITS:
+        start = time.perf_counter()
+        module = model.train(split)
+        _FITS[key] = (module, time.perf_counter() - start)
+    return _FITS[key]
+
+
+def _fit(model, workload: tuple[str, str, int], split, tasks) -> float:
+    """Fit ``model`` for ``tasks`` (HIRE through the plan); returns the
+    seconds of the fit that produced it, also on a memo hit."""
+    if isinstance(model, HIREModel):
+        module, seconds = _trained(model, workload, split)
+        model.attach(module, split, tasks)
+        return seconds
+    start = time.perf_counter()
+    model.fit(split, tasks)
+    return time.perf_counter() - start
+
+
+def _evaluate(model, workload: tuple[str, str, int], split, scenario: str,
+              ks: tuple[int, ...], tasks) -> ScenarioResult:
+    with obs.span("evaluate/fit"):
+        seconds = _fit(model, workload, split, tasks)
+    result = evaluate_model(model, split, scenario, ks=ks, tasks=tasks, fit=False)
+    return replace(result, fit_seconds=seconds)
+
+
 def prepare_workload(spec: ExperimentSpec, scale: str = "fast", seed: int = 0):
     """Dataset + split for one experiment at a given scale."""
     return _workload(spec.dataset, scale, seed)
@@ -60,7 +111,8 @@ def run_overall_performance(spec: ExperimentSpec, scale: str = "fast",
                             max_tasks: int | None = 10, seed: int = 0,
                             models: tuple[str, ...] | None = None) -> list[dict]:
     """Tables III-V: every model × scenario × k × metric."""
-    dataset, split = prepare_workload(spec, scale, seed)
+    workload = (spec.dataset, scale, seed)
+    dataset, split = _workload(*workload)
     model_names = models or spec.models or models_for_dataset(dataset)
     preset = "fast" if scale == "fast" else "full"
     rows: list[dict] = []
@@ -72,8 +124,7 @@ def run_overall_performance(spec: ExperimentSpec, scale: str = "fast",
         for name in model_names:
             model = create_model(name, dataset, seed=seed, preset=preset)
             with obs.span(f"runner/{spec.experiment_id}/{scenario}/{name}"):
-                result = evaluate_model(model, split, scenario, ks=spec.ks,
-                                        tasks=tasks)
+                result = _evaluate(model, workload, split, scenario, spec.ks, tasks)
             for k in spec.ks:
                 rows.append({
                     "experiment": spec.experiment_id,
@@ -105,7 +156,7 @@ def run_test_time(scale: str = "fast", max_tasks: int | None = 8,
             model = create_model(name, dataset, seed=seed, preset=preset)
             with obs.span(f"runner/fig6/{profile}/{name}"):
                 with obs.span("fit"):
-                    model.fit(split, tasks)
+                    _fit(model, (profile, scale, seed), split, tasks)
                 seconds = measure_test_time(model, tasks)
             rows.append({"dataset": profile, "model": name,
                          "test_seconds": float(seconds),
@@ -118,11 +169,13 @@ def run_test_time(scale: str = "fast", max_tasks: int | None = 8,
 def _sweep_settings(scale: str, seed: int, blocks: int | None = None,
                     context: int | None = None,
                     flags: dict | None = None) -> tuple[HIREConfig, TrainerConfig]:
-    """HIRE config/trainer used by the fig7/table6/fig8 sweeps.
+    """HIRE config/trainer of the Fig. 7 / Table VI / Fig. 8 / Fig. 9 grids.
 
-    The sweeps train one model per (variant, scenario) cell, so the fast
-    scale uses a cheaper budget than the headline tables; relative ordering
-    between variants is what these artifacts report.
+    The fast scale trains on a cheaper budget than the headline tables;
+    relative ordering between variants is what these artifacts report.
+    At the fast scale, Fig. 7's K = 2 and context-48 points, Table VI's
+    full model, Fig. 8's neighbourhood sampler and Fig. 9 all land on the
+    default settings, so the fit plan trains that model once for all five.
     """
     if scale == "fast":
         config = HIREConfig(num_blocks=blocks or 2, num_heads=4, attr_dim=8,
@@ -142,60 +195,58 @@ def _sweep_settings(scale: str, seed: int, blocks: int | None = None,
     return config, trainer
 
 
+def _variant(label: dict, scale: str, seed: int, sampler: str = "neighborhood",
+             **settings) -> tuple:
+    """One grid variant: ``(label, HIREConfig, TrainerConfig, sampler)``."""
+    return (label, *_sweep_settings(scale, seed, **settings), sampler)
+
+
+def _grid(experiment: str, variants: list[tuple], scale: str,
+          max_tasks: int | None, seed: int, scenarios: tuple[str, ...],
+          min_query: int = 5) -> list[dict]:
+    """Metrics@5 and ``fit_seconds`` of each HIRE variant in each scenario,
+    one row per cell, keyed by the variant's ``label``."""
+    workload = (EXPERIMENTS[experiment].dataset, scale, seed)
+    dataset, split = _workload(*workload)
+    tasks = {scenario: build_eval_tasks(split, scenario, min_query=min_query,
+                                        seed=seed, max_tasks=max_tasks)
+             for scenario in scenarios}
+    rows: list[dict] = []
+    for label, config, trainer_config, sampler in variants:
+        for scenario in scenarios:
+            if not tasks[scenario]:
+                continue
+            model = HIREModel(dataset, config=config, trainer_config=trainer_config,
+                              sampler=sampler, seed=seed)
+            cell = "/".join(str(value) for value in label.values())
+            with obs.span(f"runner/{experiment}/{cell}/{scenario}"):
+                result = _evaluate(model, workload, split, scenario, (5,),
+                                   tasks[scenario])
+            rows.append({**label, "scenario": scenario, **result.metrics[5],
+                         "fit_seconds": result.fit_seconds})
+    return rows
+
+
 def run_sensitivity(scale: str = "fast", max_tasks: int | None = 8, seed: int = 0,
                     num_blocks: tuple[int, ...] = (1, 2, 3, 4),
                     context_sizes: tuple[int, ...] = (16, 32, 48, 64),
                     scenarios: tuple[str, ...] = ("user", "item", "both")) -> list[dict]:
     """Fig. 7: metrics@5 as K (HIM blocks) and context size vary."""
-    spec = EXPERIMENTS["fig7"]
-    dataset, split = prepare_workload(spec, scale, seed)
-    rows: list[dict] = []
-
-    def eval_hire(config: HIREConfig, trainer_config: TrainerConfig,
-                  sweep: str, value) -> None:
-        for scenario in scenarios:
-            tasks = build_eval_tasks(split, scenario, min_query=5, seed=seed,
-                                     max_tasks=max_tasks)
-            if not tasks:
-                continue
-            model = HIREModel(dataset, config=config, trainer_config=trainer_config,
-                              seed=seed)
-            with obs.span(f"runner/fig7/{sweep}={value}/{scenario}"):
-                result = evaluate_model(model, split, scenario, ks=(5,), tasks=tasks)
-            rows.append({"sweep": sweep, "value": value, "scenario": scenario,
-                         **result.metrics[5]})
-
-    for blocks in num_blocks:
-        config, trainer_config = _sweep_settings(scale, seed, blocks=blocks)
-        eval_hire(config, trainer_config, "num_him_blocks", blocks)
-    for context in context_sizes:
-        # Scale down the context sweep on the fast preset, preserving order.
-        effective = context if scale == "full" else max(context // 4, 4)
-        config, trainer_config = _sweep_settings(scale, seed, context=effective)
-        eval_hire(config, trainer_config, "context_size", context)
-    return rows
+    variants = [_variant({"sweep": "num_him_blocks", "value": blocks}, scale, seed,
+                         blocks=blocks) for blocks in num_blocks]
+    # Scale down the context sweep on the fast preset, preserving order.
+    variants += [_variant({"sweep": "context_size", "value": context}, scale, seed,
+                          context=context if scale == "full" else max(context // 4, 4))
+                 for context in context_sizes]
+    return _grid("fig7", variants, scale, max_tasks, seed, scenarios)
 
 
 def run_ablation(scale: str = "fast", max_tasks: int | None = 8, seed: int = 0,
                  scenarios: tuple[str, ...] = ("user", "item", "both")) -> list[dict]:
     """Table VI: removing attention layers from every HIM block."""
-    spec = EXPERIMENTS["table6"]
-    dataset, split = prepare_workload(spec, scale, seed)
-    rows: list[dict] = []
-    for variant, flags in spec.extra["variants"].items():
-        config, trainer_config = _sweep_settings(scale, seed, flags=flags)
-        for scenario in scenarios:
-            tasks = build_eval_tasks(split, scenario, min_query=5, seed=seed,
-                                     max_tasks=max_tasks)
-            if not tasks:
-                continue
-            model = HIREModel(dataset, config=config, trainer_config=trainer_config,
-                              seed=seed)
-            with obs.span(f"runner/table6/{variant}/{scenario}"):
-                result = evaluate_model(model, split, scenario, ks=(5,), tasks=tasks)
-            rows.append({"variant": variant, "scenario": scenario,
-                         **result.metrics[5]})
-    return rows
+    variants = [_variant({"variant": variant}, scale, seed, flags=flags)
+                for variant, flags in EXPERIMENTS["table6"].extra["variants"].items()]
+    return _grid("table6", variants, scale, max_tasks, seed, scenarios)
 
 
 def run_sampling_ablation(scale: str = "fast", max_tasks: int | None = 8,
@@ -203,23 +254,19 @@ def run_sampling_ablation(scale: str = "fast", max_tasks: int | None = 8,
                           samplers: tuple[str, ...] = ("neighborhood", "random", "feature"),
                           scenarios: tuple[str, ...] = ("user", "item", "both")) -> list[dict]:
     """Fig. 8: neighbourhood vs random vs feature-similarity sampling."""
-    spec = EXPERIMENTS["fig8"]
-    dataset, split = prepare_workload(spec, scale, seed)
-    rows: list[dict] = []
-    for sampler in samplers:
-        config, trainer_config = _sweep_settings(scale, seed)
-        for scenario in scenarios:
-            tasks = build_eval_tasks(split, scenario, min_query=5, seed=seed,
-                                     max_tasks=max_tasks)
-            if not tasks:
-                continue
-            model = HIREModel(dataset, config=config,
-                              trainer_config=trainer_config, sampler=sampler, seed=seed)
-            with obs.span(f"runner/fig8/{sampler}/{scenario}"):
-                result = evaluate_model(model, split, scenario, ks=(5,), tasks=tasks)
-            rows.append({"sampler": sampler, "scenario": scenario,
-                         **result.metrics[5]})
-    return rows
+    variants = [_variant({"sampler": sampler}, scale, seed, sampler=sampler)
+                for sampler in samplers]
+    return _grid("fig8", variants, scale, max_tasks, seed, scenarios)
+
+
+def run_residual_ablation(scale: str = "fast", max_tasks: int | None = 8,
+                          seed: int = 0) -> list[dict]:
+    """Our residual + pre-layer-norm wrapping of HIM's attention layers
+    (DESIGN.md), each on or off, on user cold-start (not a paper artifact)."""
+    variants = [_variant({"residual": residual, "layer_norm": norm}, scale, seed,
+                         flags={"use_residual": residual, "use_layer_norm": norm})
+                for residual in (True, False) for norm in (True, False)]
+    return _grid("table6", variants, scale, max_tasks, seed, ("user",), min_query=8)
 
 
 def run_case_study(scale: str = "fast", seed: int = 0,
@@ -230,15 +277,13 @@ def run_case_study(scale: str = "fast", seed: int = 0,
     the context entities, and predictions vs ground truth on the masked
     cells — everything the paper's heatmaps and narrative use.
     """
-    spec = EXPERIMENTS["fig9"]
-    dataset, split = prepare_workload(spec, scale, seed)
+    workload = (EXPERIMENTS["fig9"].dataset, scale, seed)
+    dataset, split = _workload(*workload)
     context_size = context_size or (12 if scale == "fast" else 16)
     config, trainer_config = _sweep_settings(scale, seed, context=context_size)
-
-    model = HIRE(dataset, config)
-    trainer = HIRETrainer(model, split, config=trainer_config)
     with obs.span("runner/fig9/fit"):
-        trainer.fit()
+        model, _ = _trained(HIREModel(dataset, config, trainer_config, seed=seed),
+                            workload, split)
 
     rng = np.random.default_rng(seed)
     graph = RatingGraph(split.train_ratings(), dataset.num_users, dataset.num_items)
@@ -250,25 +295,22 @@ def run_case_study(scale: str = "fast", seed: int = 0,
     )
     context = build_context(graph, users, items, rng, reveal_fraction=0.1)
 
+    # The module is the plan's, shared: capture for this one forward only.
     model.capture_attention(True)
-    with obs.span("runner/fig9/predict"):
-        predictions = model.predict(context)
-    model.capture_attention(False)
+    try:
+        with obs.span("runner/fig9/predict"):
+            predictions = model.predict(context)
+    finally:
+        model.capture_attention(False)
     captured = model.captured_attention()[-1]  # last HIM block
 
-    # Head-averaged matrices; MBU/MBI pick the column/row of the seed entities.
-    attention = {}
-    if "user" in captured:
-        # (m, heads, n, n) -> pick the seed item's column, average heads.
-        seed_col = int(np.flatnonzero(items == int(seed_row[1]))[0])
-        attention["user"] = captured["user"][seed_col].mean(axis=0)
-    if "item" in captured:
-        seed_rowidx = int(np.flatnonzero(users == int(seed_row[0]))[0])
-        attention["item"] = captured["item"][seed_rowidx].mean(axis=0)
-    if "attr" in captured:
-        seed_rowidx = int(np.flatnonzero(users == int(seed_row[0]))[0])
-        seed_col = int(np.flatnonzero(items == int(seed_row[1]))[0])
-        attention["attr"] = captured["attr"][seed_rowidx, seed_col].mean(axis=0)
+    # Head-averaged matrices; MBU/MBI pick the column/row of the seed entities
+    # (MBU's are (m, heads, n, n): the seed item's column, averaged over heads).
+    seed_rowidx = int(np.flatnonzero(users == int(seed_row[0]))[0])
+    seed_col = int(np.flatnonzero(items == int(seed_row[1]))[0])
+    picks = {"user": seed_col, "item": seed_rowidx, "attr": (seed_rowidx, seed_col)}
+    attention = {key: captured[key][index].mean(axis=0)
+                 for key, index in picks.items() if key in captured}
 
     query_cells = np.argwhere(context.query)
     return {
@@ -281,6 +323,35 @@ def run_case_study(scale: str = "fast", seed: int = 0,
         "ground_truth": context.ratings,
         "query_cells": query_cells,
     }
+
+
+def run_complexity_scaling(seed: int = 0) -> dict[str, float]:
+    """§V-B: best-of-3 forward seconds of an untrained HIRE as K, the
+    context size n = m and the attribute width f each grow alone."""
+    dataset = movielens_like(num_users=200, num_items=150, seed=seed,
+                             ratings_per_user=30.0)
+    split = make_cold_start_split(dataset, 0.2, 0.2, seed=seed)
+    graph = RatingGraph(split.train_ratings(), dataset.num_users, dataset.num_items)
+    rng = np.random.default_rng(seed)
+
+    def context_of(size: int):
+        users = rng.permutation(split.train_users)[:size]
+        items = rng.permutation(split.train_items)[:size]
+        return build_context(graph, users, items, np.random.default_rng(seed))
+
+    def hire(blocks: int = 2, attr_dim: int = 8) -> HIRE:
+        return HIRE(dataset, HIREConfig(num_blocks=blocks, num_heads=2,
+                                        attr_dim=attr_dim, seed=seed))
+
+    def seconds(model: HIRE, context) -> float:
+        return min(timeit.repeat(lambda: model.predict(context), number=1, repeat=3))
+
+    base_ctx = context_of(12)
+    timings = {f"K={k}": seconds(hire(blocks=k), base_ctx) for k in (1, 2, 4)}
+    model = hire()
+    timings |= {f"nm={n}": seconds(model, context_of(n)) for n in (8, 16, 32)}
+    timings |= {f"f={f}": seconds(hire(attr_dim=f), base_ctx) for f in (4, 8, 16)}
+    return timings
 
 
 def run_experiment(experiment_id: str, scale: str = "fast", **kwargs):

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from repro.core import PredictionContext, build_context
 from repro.data import RatingGraph, movielens_like
 
+from .permute import permute_context
+
 
 @pytest.fixture
 def graph():
@@ -130,7 +132,7 @@ class TestPermuted:
         ctx = build_context(graph, USERS, ITEMS, np.random.default_rng(0),
                             reveal_fraction=0.4)
         up, ip = np.array([2, 0, 1]), np.array([1, 2, 0])
-        permuted = ctx.permuted(up, ip)
+        permuted = permute_context(ctx, up, ip)
         np.testing.assert_array_equal(permuted.users, ctx.users[up])
         np.testing.assert_array_equal(permuted.ratings,
                                       ctx.ratings[np.ix_(up, ip)])

@@ -5,6 +5,8 @@ import pytest
 
 from repro.core import HIRE, HIREConfig, HIRETrainer, TrainerConfig
 
+from .permute import permute_context
+
 
 @pytest.mark.usefixtures("float64")
 class TestHIMDesignFlags:
@@ -35,5 +37,5 @@ class TestHIMDesignFlags:
         ctx = build_context(ml_graph, np.arange(5), np.arange(4), rng)
         up, ip = rng.permutation(5), rng.permutation(4)
         base = model.predict(ctx)
-        permuted = model.predict(ctx.permuted(up, ip))
+        permuted = model.predict(permute_context(ctx, up, ip))
         np.testing.assert_allclose(base[np.ix_(up, ip)], permuted, atol=1e-9)
