@@ -12,24 +12,16 @@ loss / best NDCG; removing both degrades or destabilises training.
 
 import pytest
 
-from repro.experiments import run_residual_ablation
+from repro.experiments import run_experiment
 
 
 @pytest.mark.benchmark(group="ablation-residual")
 def test_ablation_residual_and_layernorm(benchmark, save):
     rows = benchmark.pedantic(
-        lambda: run_residual_ablation(scale="fast", max_tasks=8, seed=0),
+        lambda: run_experiment("ablation_residual", scale="fast", seed=0),
         rounds=1, iterations=1,
     )
-    lines = [f"{'residual':>9s} | {'layernorm':>9s} | {'Pre@5':>7s} | "
-             f"{'NDCG@5':>7s} | {'MAP@5':>7s}"]
-    lines.append("-" * len(lines[0]))
-    for r in rows:
-        lines.append(f"{str(r['residual']):>9s} | {str(r['layer_norm']):>9s} | "
-                     f"{r['precision']:7.4f} | {r['ndcg']:7.4f} | {r['map']:7.4f}")
-    text = "\n".join(lines)
-    save("ablation_residual", text)
-    print("\nImplementation-choice ablation (residual / layer-norm)\n" + text)
+    save("ablation_residual", rows)
 
     assert len(rows) == 4
     full = next(r for r in rows if r["residual"] and r["layer_norm"])

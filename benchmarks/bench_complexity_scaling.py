@@ -13,18 +13,16 @@ Absolute times are machine-specific; the *ratios* are the reproduced claim.
 
 import pytest
 
-from repro.experiments import run_complexity_scaling
+from repro.experiments import run_experiment
 
 
 @pytest.mark.benchmark(group="complexity")
 def test_complexity_scaling_matches_paper_analysis(benchmark, save):
-    timings = benchmark.pedantic(lambda: run_complexity_scaling(seed=0),
-                                 rounds=1, iterations=1)
-
-    lines = [f"{name:>8s}: {seconds * 1e3:9.2f} ms" for name, seconds in timings.items()]
-    text = "\n".join(lines)
-    save("complexity_scaling", text)
-    print("\nComplexity scaling (§V-B)\n" + text)
+    timings = benchmark.pedantic(
+        lambda: run_experiment("complexity_scaling", seed=0),
+        rounds=1, iterations=1,
+    )
+    save("complexity_scaling", timings)
 
     # K term: linear in the number of blocks (allow generous slack).
     assert timings["K=4"] > timings["K=1"] * 1.5

@@ -10,33 +10,19 @@ Expected shape: HIRE ≥ IGMC — IGMC sees only the rating structure, HIRE
 additionally attends over attributes and the full context block.
 """
 
-from dataclasses import replace
-
 import pytest
 
-from repro.experiments import EXPERIMENTS, run_overall_performance
+from repro.experiments import run_experiment
 
 
 @pytest.mark.benchmark(group="extension-igmc")
 def test_extension_igmc_vs_hire(benchmark, save):
-    # Table III's user cold-start cell (k = 10 sets its min_query to 8).
-    spec = replace(EXPERIMENTS["table3"], scenarios=("user",))
     rows = benchmark.pedantic(
-        lambda: run_overall_performance(spec, scale="fast", max_tasks=8, seed=0,
-                                        models=("IGMC", "HIRE")),
+        lambda: run_experiment("extension_igmc", scale="fast", seed=0),
         rounds=1, iterations=1,
     )
+    save("extension_igmc", rows)
     rows = [r for r in rows if r["k"] == 5]
-    lines = [f"{'model':<6s} | {'Pre@5':>7s} | {'NDCG@5':>7s} | {'MAP@5':>7s} | "
-             f"{'fit':>6s} | {'pred':>6s}"]
-    lines.append("-" * len(lines[0]))
-    for r in rows:
-        lines.append(f"{r['model']:<6s} | {r['precision']:7.4f} | {r['ndcg']:7.4f} "
-                     f"| {r['map']:7.4f} | {r['fit_seconds']:5.1f}s | "
-                     f"{r['predict_seconds']:5.1f}s")
-    text = "\n".join(lines)
-    save("extension_igmc", text)
-    print("\nExtension: IGMC vs HIRE (user cold-start)\n" + text)
 
     by_model = {r["model"]: r for r in rows}
     benchmark.extra_info["igmc_ndcg5"] = by_model["IGMC"]["ndcg"]

@@ -8,21 +8,17 @@ magnitude slower than HIRE.
 
 import pytest
 
-from repro.experiments import render_timing_table, run_test_time
+from repro.experiments import run_experiment
 
 
 @pytest.mark.benchmark(group="fig6")
 def test_fig6_total_test_time(benchmark, save):
     rows = benchmark.pedantic(
-        lambda: run_test_time(scale="fast", max_tasks=5, seed=0),
+        lambda: run_experiment("fig6", scale="fast", seed=0),
         rounds=1, iterations=1,
     )
     assert rows, "fig6 produced no rows"
-    table = render_timing_table(rows)
-    save("fig6_test_time", table)
-    from repro.viz import fig6_svg
-    save("fig6_test_time.svg", fig6_svg(rows))
-    print("\nFig. 6 (total test time, seconds)\n" + table)
+    save("fig6", rows)
 
     by_model: dict[str, float] = {}
     for row in rows:

@@ -7,13 +7,13 @@ accuracy is non-monotonic in the context size with 32 the sweet spot.
 
 import pytest
 
-from repro.experiments import render_sweep_table, run_sensitivity
+from repro.experiments import run_experiment
 
 
 @pytest.mark.benchmark(group="fig7")
 def test_fig7_sensitivity_blocks_and_context(benchmark, save):
     rows = benchmark.pedantic(
-        lambda: run_sensitivity(scale="fast", max_tasks=5, seed=0),
+        lambda: run_experiment("fig7", scale="fast", seed=0),
         rounds=1, iterations=1,
     )
     assert rows, "fig7 produced no rows"
@@ -23,13 +23,7 @@ def test_fig7_sensitivity_blocks_and_context(benchmark, save):
     assert {r["value"] for r in block_rows} == {1, 2, 3, 4}
     assert {r["value"] for r in context_rows} == {16, 32, 48, 64}
 
-    table = ("HIM blocks sweep\n" + render_sweep_table(block_rows, "value")
-             + "\n\nContext size sweep\n" + render_sweep_table(context_rows, "value"))
-    save("fig7_sensitivity", table)
-    from repro.viz import fig7_svg
-    save("fig7_blocks.svg", fig7_svg(block_rows, sweep="num_him_blocks"))
-    save("fig7_context.svg", fig7_svg(context_rows, sweep="context_size"))
-    print("\nFig. 7 (sensitivity)\n" + table)
+    save("fig7", rows)
 
     for r in rows:
         for metric in ("precision", "ndcg", "map"):

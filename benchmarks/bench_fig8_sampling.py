@@ -8,21 +8,17 @@ weaker when items are cold.
 import numpy as np
 import pytest
 
-from repro.experiments import render_sweep_table, run_sampling_ablation
+from repro.experiments import run_experiment
 
 
 @pytest.mark.benchmark(group="fig8")
 def test_fig8_sampling_strategies(benchmark, save):
     rows = benchmark.pedantic(
-        lambda: run_sampling_ablation(scale="fast", max_tasks=5, seed=0),
+        lambda: run_experiment("fig8", scale="fast", seed=0),
         rounds=1, iterations=1,
     )
     assert rows, "fig8 produced no rows"
-    table = render_sweep_table(rows, "sampler")
-    save("fig8_sampling", table)
-    from repro.viz import fig8_svg
-    save("fig8_sampling.svg", fig8_svg(rows))
-    print("\nFig. 8 (sampling strategies)\n" + table)
+    save("fig8", rows)
 
     samplers = {r["sampler"] for r in rows}
     assert samplers == {"neighborhood", "random", "feature"}

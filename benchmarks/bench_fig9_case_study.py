@@ -10,42 +10,18 @@ cites.
 import numpy as np
 import pytest
 
-from repro.experiments import render_attention_matrix, run_case_study
+from repro.experiments import run_experiment
 
 
 @pytest.mark.benchmark(group="fig9")
 def test_fig9_attention_case_study(benchmark, save):
     out = benchmark.pedantic(
-        lambda: run_case_study(scale="fast", seed=0, context_size=12),
+        lambda: run_experiment("fig9", scale="fast", seed=0),
         rounds=1, iterations=1,
     )
 
     assert set(out["attention"]) == {"user", "item", "attr"}
-    sections = []
-    sections.append("MBU attention between users (seed item column)")
-    sections.append(render_attention_matrix(
-        out["attention"]["user"], [f"u{u}" for u in out["users"]]))
-    sections.append("\nMBI attention between items (seed user row)")
-    sections.append(render_attention_matrix(
-        out["attention"]["item"], [f"i{i}" for i in out["items"]]))
-    sections.append("\nMBA attention between attributes (seed cell)")
-    sections.append(render_attention_matrix(
-        out["attention"]["attr"], list(out["attribute_names"])))
-
-    # Predicted vs ground truth on a few masked cells (the paper's table).
-    sections.append("\npredicted vs actual on masked cells")
-    for row, col in out["query_cells"][:8]:
-        sections.append(
-            f"  user {out['users'][row]:>4d} item {out['items'][col]:>4d}: "
-            f"predicted {out['predictions'][row, col]:.2f} "
-            f"actual {out['ground_truth'][row, col]:.0f}"
-        )
-    text = "\n".join(sections)
-    save("fig9_case_study", text)
-    from repro.viz import fig9_svg
-    for which in ("user", "item", "attr"):
-        save(f"fig9_{which}.svg", fig9_svg(out, which=which))
-    print("\nFig. 9 (case study)\n" + text)
+    save("fig9", out)
 
     # Attention matrices are row-stochastic, asymmetric in general.
     for key, matrix in out["attention"].items():

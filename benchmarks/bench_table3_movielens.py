@@ -8,21 +8,17 @@ baselines (TaNP/MeLU/MAMO) beat the CF family; HIN baselines sit between.
 import numpy as np
 import pytest
 
-from repro.experiments import EXPERIMENTS, render_overall_table, run_overall_performance
+from repro.experiments import run_experiment
 
 
 @pytest.mark.benchmark(group="table3")
 def test_table3_overall_performance_movielens(benchmark, save):
-    spec = EXPERIMENTS["table3"]
-
     rows = benchmark.pedantic(
-        lambda: run_overall_performance(spec, scale="fast", max_tasks=12, seed=0),
+        lambda: run_experiment("table3", scale="fast", seed=0),
         rounds=1, iterations=1,
     )
     assert rows, "table3 produced no rows"
-    table = render_overall_table(rows, ks=spec.ks)
-    save("table3_movielens", table)
-    print("\nTable III (MovieLens-like)\n" + table)
+    save("table3", rows)
 
     # Sanity: every metric in [0, 1]; all scenarios and HIRE present.
     for row in rows:

@@ -8,21 +8,17 @@ meta-learners second tier.
 import numpy as np
 import pytest
 
-from repro.experiments import EXPERIMENTS, render_overall_table, run_overall_performance
+from repro.experiments import run_experiment
 
 
 @pytest.mark.benchmark(group="table4")
 def test_table4_overall_performance_bookcrossing(benchmark, save):
-    spec = EXPERIMENTS["table4"]
-
     rows = benchmark.pedantic(
-        lambda: run_overall_performance(spec, scale="fast", max_tasks=12, seed=0),
+        lambda: run_experiment("table4", scale="fast", seed=0),
         rounds=1, iterations=1,
     )
     assert rows, "table4 produced no rows"
-    table = render_overall_table(rows, ks=spec.ks)
-    save("table4_bookcrossing", table)
-    print("\nTable IV (Bookcrossing-like)\n" + table)
+    save("table4", rows)
 
     models = {r["model"] for r in rows}
     # HIN/social baselines are not applicable on this dataset (as in paper).

@@ -7,21 +7,17 @@ relations help cold users) but weaker with cold items; HIRE leads overall.
 import numpy as np
 import pytest
 
-from repro.experiments import EXPERIMENTS, render_overall_table, run_overall_performance
+from repro.experiments import run_experiment
 
 
 @pytest.mark.benchmark(group="table5")
 def test_table5_overall_performance_douban(benchmark, save):
-    spec = EXPERIMENTS["table5"]
-
     rows = benchmark.pedantic(
-        lambda: run_overall_performance(spec, scale="fast", max_tasks=12, seed=0),
+        lambda: run_experiment("table5", scale="fast", seed=0),
         rounds=1, iterations=1,
     )
     assert rows, "table5 produced no rows"
-    table = render_overall_table(rows, ks=spec.ks)
-    save("table5_douban", table)
-    print("\nTable V (Douban-like)\n" + table)
+    save("table5", rows)
 
     models = {r["model"] for r in rows}
     assert "GraphRec" in models, "GraphRec must run on the social dataset"

@@ -10,19 +10,17 @@ Paper shape: the full model is best overall; user-attention alone
 import numpy as np
 import pytest
 
-from repro.experiments import render_ablation_table, run_ablation
+from repro.experiments import run_experiment
 
 
 @pytest.mark.benchmark(group="table6")
 def test_table6_attention_ablation(benchmark, save):
     rows = benchmark.pedantic(
-        lambda: run_ablation(scale="fast", max_tasks=5, seed=0),
+        lambda: run_experiment("table6", scale="fast", seed=0),
         rounds=1, iterations=1,
     )
     assert rows, "table6 produced no rows"
-    table = render_ablation_table(rows)
-    save("table6_ablation", table)
-    print("\nTable VI (attention-layer ablation)\n" + table)
+    save("table6", rows)
 
     variants = {r["variant"] for r in rows}
     assert len(variants) == 7

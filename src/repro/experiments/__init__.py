@@ -25,6 +25,7 @@ from .runner import (
 )
 from .tables import (
     render_ablation_table,
+    render_artifact,
     render_attention_matrix,
     render_overall_table,
     render_sweep_table,
@@ -58,6 +59,7 @@ __all__ = [
     "run_residual_ablation",
     "run_case_study",
     "run_complexity_scaling",
+    "render_artifact",
     "render_overall_table",
     "render_ablation_table",
     "render_timing_table",

@@ -3,17 +3,23 @@
 Examples::
 
     python -m repro.experiments.cli list
-    python -m repro.experiments.cli run table3 --scale fast --max-tasks 6
-    python -m repro.experiments.cli run fig9 --scale fast -o results/
+    python -m repro.experiments.cli run table3 --scale fast
+    python -m repro.experiments.cli run table6 --max-tasks 2   # a quick check
     python -m repro.experiments.cli run all --scale fast -o results/
+    python -m repro.experiments.cli compare table3
     python -m repro.experiments.cli serve --requests 64 --workers 2
     python -m repro.experiments.cli serve --checkpoint ckpt.npz \
         --workload traffic.jsonl -o results/
 
-``run`` prints the paper-style rendering of the chosen artifact and, with
-``--output``, writes it to ``<output>/<experiment>.txt``.  ``serve`` stands
-up a :class:`repro.serve.PredictionService`, replays a workload through it,
-and prints the service's latency/queue/cache report.
+``run`` runs an artifact under its registry protocol (``EXPERIMENTS``),
+prints its text files and, with ``--output``, writes every file of
+:func:`repro.experiments.render_artifact` — text and SVG — into that
+directory: ``run all --scale fast -o results/`` writes the same files
+``pytest benchmarks/`` does.  ``--max-tasks`` overrides the artifact's
+task count.  ``compare`` runs an overall or ablation table under the same
+protocol and prints it beside the paper's numbers.  ``serve`` stands up a
+:class:`repro.serve.PredictionService`, replays a workload through it, and
+prints the service's latency/queue/cache report.
 """
 
 from __future__ import annotations
@@ -24,47 +30,12 @@ import time
 from pathlib import Path
 
 from .compare import render_comparison
-from .configs import DATASET_SCALES, EXPERIMENTS
+from .configs import EXPERIMENTS
 from .paper_numbers import _TABLES
 from .runner import run_experiment
-from .tables import (
-    render_ablation_table,
-    render_attention_matrix,
-    render_overall_table,
-    render_sweep_table,
-    render_timing_table,
-)
+from .tables import render_artifact
 
-__all__ = ["main", "render_experiment"]
-
-
-def render_experiment(experiment_id: str, result) -> str:
-    """Render one experiment's result in the paper's layout."""
-    if experiment_id in ("table3", "table4", "table5"):
-        return render_overall_table(result, ks=EXPERIMENTS[experiment_id].ks)
-    if experiment_id == "fig6":
-        return render_timing_table(result)
-    if experiment_id == "fig7":
-        blocks = [r for r in result if r["sweep"] == "num_him_blocks"]
-        contexts = [r for r in result if r["sweep"] == "context_size"]
-        return ("HIM blocks sweep\n" + render_sweep_table(blocks, "value")
-                + "\n\nContext size sweep\n" + render_sweep_table(contexts, "value"))
-    if experiment_id == "table6":
-        return render_ablation_table(result)
-    if experiment_id == "fig8":
-        return render_sweep_table(result, "sampler")
-    if experiment_id == "fig9":
-        parts = []
-        for key, title in (("user", "MBU (between users)"),
-                           ("item", "MBI (between items)"),
-                           ("attr", "MBA (between attributes)")):
-            labels = None
-            if key == "attr":
-                labels = list(result["attribute_names"])
-            parts.append(title)
-            parts.append(render_attention_matrix(result["attention"][key], labels))
-        return "\n".join(parts)
-    raise KeyError(f"unknown experiment {experiment_id!r}")
+__all__ = ["main"]
 
 
 def _cmd_list(_args) -> int:
@@ -85,44 +56,19 @@ def _cmd_run(args) -> int:
         output_dir.mkdir(parents=True, exist_ok=True)
 
     for experiment_id in targets:
-        kwargs = {}
-        if experiment_id != "fig9" and args.max_tasks is not None:
-            kwargs["max_tasks"] = args.max_tasks
         start = time.perf_counter()
         result = run_experiment(experiment_id, scale=args.scale, seed=args.seed,
-                                **kwargs)
+                                max_tasks=args.max_tasks)
         elapsed = time.perf_counter() - start
-        text = render_experiment(experiment_id, result)
-        banner = (f"== {EXPERIMENTS[experiment_id].paper_artifact} "
-                  f"({experiment_id}, scale={args.scale}, {elapsed:.1f}s) ==")
-        print(banner)
-        print(text)
-        print()
-        if output_dir:
-            (output_dir / f"{experiment_id}.txt").write_text(text + "\n")
-            if getattr(args, "svg", False):
-                for name, svg in _render_svgs(experiment_id, result).items():
-                    (output_dir / name).write_text(svg + "\n")
+        files = render_artifact(experiment_id, result)
+        print(f"== {EXPERIMENTS[experiment_id].paper_artifact} "
+              f"({experiment_id}, scale={args.scale}, {elapsed:.1f}s) ==")
+        for name, text in files.items():
+            if output_dir:
+                (output_dir / name).write_text(text)
+            if not name.endswith(".svg"):
+                print(text)
     return 0
-
-
-def _render_svgs(experiment_id: str, result) -> dict[str, str]:
-    """SVG charts for the figure experiments (empty for tables)."""
-    from ..viz import fig6_svg, fig7_svg, fig8_svg, fig9_svg
-
-    if experiment_id == "fig6":
-        return {"fig6.svg": fig6_svg(result)}
-    if experiment_id == "fig7":
-        return {
-            "fig7_blocks.svg": fig7_svg(result, sweep="num_him_blocks"),
-            "fig7_context.svg": fig7_svg(result, sweep="context_size"),
-        }
-    if experiment_id == "fig8":
-        return {"fig8.svg": fig8_svg(result)}
-    if experiment_id == "fig9":
-        return {f"fig9_{which}.svg": fig9_svg(result, which=which)
-                for which in ("user", "item", "attr")}
-    return {}
 
 
 def _cmd_compare(args) -> int:
@@ -146,7 +92,6 @@ def _cmd_serve(args) -> int:
     import numpy as np
 
     from ..core import HIRE, HIREConfig, HIRETrainer, TrainerConfig
-    from ..data import dataset_by_name, make_cold_start_split
     from ..eval.tasks import build_eval_tasks
     from ..serve import (
         ModelRegistry,
@@ -157,16 +102,9 @@ def _cmd_serve(args) -> int:
         synthesize_update_bursts,
         synthesize_workload,
     )
-    from .runner import _SPLIT_FRACTIONS
+    from .runner import _workload
 
-    sizes = DATASET_SCALES[args.scale]
-    dataset = dataset_by_name(
-        args.dataset, seed=args.seed,
-        num_users=sizes["num_users"], num_items=sizes["num_items"],
-        ratings_per_user=sizes["ratings_per_user"][args.dataset],
-    )
-    fraction = _SPLIT_FRACTIONS[args.dataset]
-    split = make_cold_start_split(dataset, fraction, fraction, seed=args.seed)
+    dataset, split = _workload(args.dataset, args.scale, args.seed)
     tasks = build_eval_tasks(split, "user", min_query=2, seed=args.seed,
                              max_tasks=args.max_tasks)
 
@@ -244,12 +182,11 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("experiment", help="experiment id (see 'list') or 'all'")
     run.add_argument("--scale", choices=("fast", "full"), default="fast")
     run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--max-tasks", type=int, default=6,
-                     help="evaluation tasks per scenario (None = all)")
+    run.add_argument("--max-tasks", type=int, default=None,
+                     help="evaluation tasks per scenario (default: the "
+                          "artifact's own count)")
     run.add_argument("-o", "--output", default=None,
-                     help="directory to write rendered artifacts into")
-    run.add_argument("--svg", action="store_true",
-                     help="also write SVG charts for figure experiments")
+                     help="directory to write the artifact's files into")
     run.set_defaults(func=_cmd_run)
 
     compare = sub.add_parser(
@@ -257,7 +194,9 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("experiment", help="table3 | table4 | table5 | table6")
     compare.add_argument("--scale", choices=("fast", "full"), default="fast")
     compare.add_argument("--seed", type=int, default=0)
-    compare.add_argument("--max-tasks", type=int, default=6)
+    compare.add_argument("--max-tasks", type=int, default=None,
+                         help="evaluation tasks per scenario (default: the "
+                              "artifact's own count)")
     compare.add_argument("-o", "--output", default=None)
     compare.set_defaults(func=_cmd_compare)
 

@@ -2,8 +2,9 @@
 
 Each ``run_*`` function returns plain data structures (lists of row dicts or
 arrays) that :mod:`repro.experiments.tables` renders as paper-style text
-tables; the ``benchmarks/`` suite calls the same functions under
-pytest-benchmark.
+tables.  :func:`run_experiment` runs a registry artifact under its own
+protocol (``EXPERIMENTS``); the CLI and the ``benchmarks/`` suite both
+call it.
 
 HIRE trains on the warm quadrant only, never on the eval tasks, so one
 trained module serves every cold-start scenario.  The fit plan
@@ -108,7 +109,7 @@ def _min_query(scenario: str, ks: tuple[int, ...]) -> int:
 
 
 def run_overall_performance(spec: ExperimentSpec, scale: str = "fast",
-                            max_tasks: int | None = 10, seed: int = 0,
+                            max_tasks: int | None = None, seed: int = 0,
                             models: tuple[str, ...] | None = None) -> list[dict]:
     """Tables III-V: every model × scenario × k × metric."""
     workload = (spec.dataset, scale, seed)
@@ -140,7 +141,7 @@ def run_overall_performance(spec: ExperimentSpec, scale: str = "fast",
     return rows
 
 
-def run_test_time(scale: str = "fast", max_tasks: int | None = 8,
+def run_test_time(scale: str = "fast", max_tasks: int | None = None,
                   seed: int = 0, datasets: tuple[str, ...] = ("movielens", "douban", "bookcrossing"),
                   models: tuple[str, ...] | None = None) -> list[dict]:
     """Fig. 6: total prediction time per method (user cold-start)."""
@@ -227,7 +228,7 @@ def _grid(experiment: str, variants: list[tuple], scale: str,
     return rows
 
 
-def run_sensitivity(scale: str = "fast", max_tasks: int | None = 8, seed: int = 0,
+def run_sensitivity(scale: str = "fast", max_tasks: int | None = None, seed: int = 0,
                     num_blocks: tuple[int, ...] = (1, 2, 3, 4),
                     context_sizes: tuple[int, ...] = (16, 32, 48, 64),
                     scenarios: tuple[str, ...] = ("user", "item", "both")) -> list[dict]:
@@ -241,15 +242,27 @@ def run_sensitivity(scale: str = "fast", max_tasks: int | None = 8, seed: int = 
     return _grid("fig7", variants, scale, max_tasks, seed, scenarios)
 
 
-def run_ablation(scale: str = "fast", max_tasks: int | None = 8, seed: int = 0,
+# Table VI's variants: the HIREConfig flags each one switches off.
+_ABLATION_VARIANTS = {
+    "wo/ Item & Attribute": {"use_item": False, "use_attr": False},
+    "wo/ User & Attribute": {"use_user": False, "use_attr": False},
+    "wo/ User & Item": {"use_user": False, "use_item": False},
+    "wo/ User": {"use_user": False},
+    "wo/ Item": {"use_item": False},
+    "wo/ Attribute": {"use_attr": False},
+    "full model": {},
+}
+
+
+def run_ablation(scale: str = "fast", max_tasks: int | None = None, seed: int = 0,
                  scenarios: tuple[str, ...] = ("user", "item", "both")) -> list[dict]:
     """Table VI: removing attention layers from every HIM block."""
     variants = [_variant({"variant": variant}, scale, seed, flags=flags)
-                for variant, flags in EXPERIMENTS["table6"].extra["variants"].items()]
+                for variant, flags in _ABLATION_VARIANTS.items()]
     return _grid("table6", variants, scale, max_tasks, seed, scenarios)
 
 
-def run_sampling_ablation(scale: str = "fast", max_tasks: int | None = 8,
+def run_sampling_ablation(scale: str = "fast", max_tasks: int | None = None,
                           seed: int = 0,
                           samplers: tuple[str, ...] = ("neighborhood", "random", "feature"),
                           scenarios: tuple[str, ...] = ("user", "item", "both")) -> list[dict]:
@@ -259,14 +272,15 @@ def run_sampling_ablation(scale: str = "fast", max_tasks: int | None = 8,
     return _grid("fig8", variants, scale, max_tasks, seed, scenarios)
 
 
-def run_residual_ablation(scale: str = "fast", max_tasks: int | None = 8,
+def run_residual_ablation(scale: str = "fast", max_tasks: int | None = None,
                           seed: int = 0) -> list[dict]:
     """Our residual + pre-layer-norm wrapping of HIM's attention layers
     (DESIGN.md), each on or off, on user cold-start (not a paper artifact)."""
     variants = [_variant({"residual": residual, "layer_norm": norm}, scale, seed,
                          flags={"use_residual": residual, "use_layer_norm": norm})
                 for residual in (True, False) for norm in (True, False)]
-    return _grid("table6", variants, scale, max_tasks, seed, ("user",), min_query=8)
+    return _grid("ablation_residual", variants, scale, max_tasks, seed, ("user",),
+                 min_query=8)
 
 
 def run_case_study(scale: str = "fast", seed: int = 0,
@@ -350,23 +364,34 @@ def run_complexity_scaling(seed: int = 0) -> dict[str, float]:
     timings = {f"K={k}": seconds(hire(blocks=k), base_ctx) for k in (1, 2, 4)}
     model = hire()
     timings |= {f"nm={n}": seconds(model, context_of(n)) for n in (8, 16, 32)}
-    timings |= {f"f={f}": seconds(hire(attr_dim=f), base_ctx) for f in (4, 8, 16)}
+    # f = 8 is K = 2's model on the same context: one point, timed once.
+    timings |= {f"f={f}": (timings["K=2"] if f == 8
+                           else seconds(hire(attr_dim=f), base_ctx))
+                for f in (4, 8, 16)}
     return timings
 
 
-def run_experiment(experiment_id: str, scale: str = "fast", **kwargs):
-    """Dispatch an experiment by registry id."""
+# Registry id -> its runner, called with the artifact's spec, scale, seed
+# and task count.
+_PROTOCOLS = {
+    **dict.fromkeys(
+        ("table3", "table4", "table5", "extension_igmc"),
+        lambda spec, **kw: run_overall_performance(spec, **kw)),
+    "fig6": lambda spec, **kw: run_test_time(**kw),
+    "fig7": lambda spec, **kw: run_sensitivity(**kw),
+    "table6": lambda spec, **kw: run_ablation(**kw),
+    "fig8": lambda spec, **kw: run_sampling_ablation(**kw),
+    "ablation_residual": lambda spec, **kw: run_residual_ablation(**kw),
+    "fig9": lambda spec, max_tasks, **kw: run_case_study(**kw),
+    "complexity_scaling": lambda spec, seed, **kw: run_complexity_scaling(seed),
+}
+
+
+def run_experiment(experiment_id: str, scale: str = "fast", seed: int = 0,
+                   max_tasks: int | None = None):
+    """Run a registry artifact under its own protocol: the spec's task
+    count, unless ``max_tasks`` overrides it for a quick check."""
     spec = EXPERIMENTS[experiment_id]
-    if experiment_id in ("table3", "table4", "table5"):
-        return run_overall_performance(spec, scale=scale, **kwargs)
-    if experiment_id == "fig6":
-        return run_test_time(scale=scale, **kwargs)
-    if experiment_id == "fig7":
-        return run_sensitivity(scale=scale, **kwargs)
-    if experiment_id == "table6":
-        return run_ablation(scale=scale, **kwargs)
-    if experiment_id == "fig8":
-        return run_sampling_ablation(scale=scale, **kwargs)
-    if experiment_id == "fig9":
-        return run_case_study(scale=scale, **kwargs)
-    raise KeyError(f"unknown experiment {experiment_id!r}")
+    return _PROTOCOLS[experiment_id](
+        spec, scale=scale, seed=seed,
+        max_tasks=spec.max_tasks if max_tasks is None else max_tasks)

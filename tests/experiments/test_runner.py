@@ -2,6 +2,7 @@
 and the fit plan that trains each distinct HIRE once."""
 
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,11 +24,25 @@ from repro.experiments import (
 from repro.experiments import runner
 
 
+RESULTS = Path(__file__).resolve().parents[2] / "results"
+
+
 class TestRegistry:
     def test_all_paper_artifacts_present(self):
         assert set(EXPERIMENTS) == {
             "table3", "table4", "table5", "fig6", "fig7", "table6", "fig8", "fig9",
+            "ablation_residual", "extension_igmc", "complexity_scaling",
         }
+
+    def test_files_are_the_committed_results(self):
+        """No orphan file in ``results/`` and no artifact file it lacks."""
+        registry = sorted(name for spec in EXPERIMENTS.values() for name in spec.files)
+        assert registry == sorted(path.name for path in RESULTS.iterdir())
+
+    def test_every_artifact_writes_a_file(self):
+        for spec in EXPERIMENTS.values():
+            assert spec.files, spec.experiment_id
+            assert not set(spec.quality) & set(spec.timing), spec.experiment_id
 
     def test_specs_have_workloads(self):
         for spec in EXPERIMENTS.values():
