@@ -17,11 +17,10 @@ attributes are rich enough to build a meaningful HIN.
 
 from __future__ import annotations
 
-import networkx as nx
 import numpy as np
 
 from .. import nn
-from ..data.hin import build_hin, metapath_neighbors, node_id
+from ..data.hin import HIN, build_hin, metapath_neighbors, node_id
 from ..data.schema import RatingDataset
 from ..data.splits import ColdStartSplit
 from ..eval.tasks import EvalTask
@@ -69,7 +68,7 @@ class GraphHINGE(RatingModel):
         self.rng = np.random.default_rng(seed)
         self.alpha = float(dataset.rating_range[1])
         self.network: _GraphHINGENetwork | None = None
-        self.hin: nx.Graph | None = None
+        self.hin: HIN | None = None
         self.loss_history: list[float] = []
 
     # ------------------------------------------------------------------ #

@@ -15,11 +15,10 @@ attributes → meaningful HIN).
 
 from __future__ import annotations
 
-import networkx as nx
 import numpy as np
 
 from .. import nn
-from ..data.hin import build_hin, metapath_neighbors, node_id
+from ..data.hin import HIN, build_hin, metapath_neighbors, node_id
 from ..data.schema import RatingDataset
 from ..data.splits import ColdStartSplit
 from ..eval.tasks import EvalTask
@@ -67,7 +66,7 @@ class MetaHIN(EpisodicMetaModel):
         self.inner_steps = inner_steps
         self.inner_lr = inner_lr
         self.max_context_items = max_context_items
-        self.hin: nx.Graph | None = None
+        self.hin: HIN | None = None
 
     def build(self, rng: np.random.Generator) -> nn.Module:
         self.network = _MetaHINNetwork(self.dataset, self.attr_dim, self.hidden, rng)

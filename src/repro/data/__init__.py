@@ -8,7 +8,8 @@
 * :mod:`repro.data.bipartite` — the user-item rating graph the context
   sampler walks.
 * :mod:`repro.data.hin` — heterogeneous information network for the HIN
-  baselines.
+  baselines: a plain dict from each typed node ``(ntype, index)`` to the
+  set of its neighbours.
 """
 
 from .bipartite import RatingGraph

@@ -18,11 +18,18 @@ CF_FAMILY = ("NeuMF", "Wide&Deep", "DeepFM", "AFN")
 META_FAMILY = ("MAMO", "TaNP", "MeLU")
 
 
+def _row_name(row: dict) -> str | None:
+    """The system a row measures: an overall table's ``model``, or an
+    ablation's ``variant`` (Table VI's labels are ``PAPER_TABLE6``'s keys)."""
+    return row.get("model", row.get("variant"))
+
+
 def _measured_cell(rows: list[dict], scenario: str, model: str, metric: str,
                    k: int = 5) -> float | None:
+    # Ablation rows hold metrics@5 and carry no ``k`` column.
     values = [r[metric] for r in rows
-              if r.get("scenario") == scenario and r.get("model") == model
-              and r.get("k") == k]
+              if r.get("scenario") == scenario and _row_name(r) == model
+              and r.get("k", 5) == k]
     return float(np.mean(values)) if values else None
 
 
@@ -81,7 +88,7 @@ def shape_checks(table: str, rows: list[dict], tolerance: float = 0.02) -> dict[
 
     top2 = []
     for s in scenarios:
-        models = sorted({r["model"] for r in rows if r["scenario"] == s})
+        models = sorted({_row_name(r) for r in rows if r["scenario"] == s})
         scored = [(m, _measured_cell(rows, s, m, "ndcg")) for m in models]
         scored = [(m, v) for m, v in scored if v is not None]
         if not scored or "HIRE" not in dict(scored):
@@ -109,7 +116,8 @@ def shape_checks(table: str, rows: list[dict], tolerance: float = 0.02) -> dict[
 def render_comparison(table: str, rows: list[dict]) -> str:
     """Text table: paper vs measured NDCG@5 / Precision@5 per cell."""
     records = compare_overall(table, rows)
-    lines = [f"{'scenario':>8s} | {'model':<12s} | "
+    width = max(12, *(len(rec["model"]) for rec in records))
+    lines = [f"{'scenario':>8s} | {'model':<{width}s} | "
              f"{'paper N@5':>9s} {'ours N@5':>9s} | "
              f"{'paper P@5':>9s} {'ours P@5':>9s}"]
     lines.append("-" * len(lines[0]))
@@ -117,7 +125,7 @@ def render_comparison(table: str, rows: list[dict]) -> str:
         def fmt(v):
             return f"{v:9.4f}" if v is not None else f"{'—':>9s}"
         lines.append(
-            f"{rec['scenario']:>8s} | {rec['model']:<12s} | "
+            f"{rec['scenario']:>8s} | {rec['model']:<{width}s} | "
             f"{fmt(rec['paper']['ndcg'])} {fmt(rec['measured']['ndcg'])} | "
             f"{fmt(rec['paper']['precision'])} {fmt(rec['measured']['precision'])}"
         )

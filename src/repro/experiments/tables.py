@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .. import viz
 from .configs import EXPERIMENTS
 
 __all__ = [
@@ -189,24 +190,23 @@ def _render_igmc(rows: list[dict]) -> tuple[str, str]:
     return metrics, seconds
 
 
-# Registry id -> (result, spec, repro.viz) -> the text of each of the
-# artifact's files, in ``ExperimentSpec.files`` order.
+# Registry id -> (result, spec) -> the text of each of the artifact's
+# files, in ``ExperimentSpec.files`` order.
 _RENDERERS = {
-    **dict.fromkeys(("table3", "table4", "table5"), lambda rows, spec, viz: (
+    **dict.fromkeys(("table3", "table4", "table5"), lambda rows, spec: (
         render_overall_table(rows, ks=spec.ks),)),
-    "fig6": lambda rows, spec, viz: (render_timing_table(rows), viz.fig6_svg(rows)),
-    "fig7": lambda rows, spec, viz: (_render_sensitivity(rows),
-                                     viz.fig7_svg(rows, sweep="num_him_blocks"),
-                                     viz.fig7_svg(rows, sweep="context_size")),
-    "table6": lambda rows, spec, viz: (render_ablation_table(rows),),
-    "fig8": lambda rows, spec, viz: (render_sweep_table(rows, "sampler"),
-                                     viz.fig8_svg(rows)),
-    "fig9": lambda case, spec, viz: (_render_case_study(case),
-                                     *(viz.fig9_svg(case, which=which)
-                                       for which in ("user", "item", "attr"))),
-    "ablation_residual": lambda rows, spec, viz: (_render_residual(rows),),
-    "extension_igmc": lambda rows, spec, viz: _render_igmc(rows),
-    "complexity_scaling": lambda timings, spec, viz: ("\n".join(
+    "fig6": lambda rows, spec: (render_timing_table(rows), viz.fig6_svg(rows)),
+    "fig7": lambda rows, spec: (_render_sensitivity(rows),
+                                viz.fig7_svg(rows, sweep="num_him_blocks"),
+                                viz.fig7_svg(rows, sweep="context_size")),
+    "table6": lambda rows, spec: (render_ablation_table(rows),),
+    "fig8": lambda rows, spec: (render_sweep_table(rows, "sampler"), viz.fig8_svg(rows)),
+    "fig9": lambda case, spec: (_render_case_study(case),
+                                *(viz.fig9_svg(case, which=which)
+                                  for which in ("user", "item", "attr"))),
+    "ablation_residual": lambda rows, spec: (_render_residual(rows),),
+    "extension_igmc": lambda rows, spec: _render_igmc(rows),
+    "complexity_scaling": lambda timings, spec: ("\n".join(
         f"{name:>8s}: {seconds * 1e3:9.2f} ms"
         for name, seconds in timings.items()),),
 }
@@ -218,12 +218,8 @@ def render_artifact(experiment_id: str, result) -> dict[str, str]:
     The names are the spec's ``quality`` and ``timing`` files; each text is
     the file's exact contents, so every writer writes the same bytes.
     """
-    # repro.viz loads xml.sax and with it urllib and http.client, so it is
-    # imported when an artifact renders, not with the package.
-    from .. import viz
-
     spec = EXPERIMENTS[experiment_id]
-    texts = _RENDERERS[experiment_id](result, spec, viz)
+    texts = _RENDERERS[experiment_id](result, spec)
     return {name: text + "\n" for name, text in zip(spec.files, texts, strict=True)}
 
 

@@ -12,7 +12,6 @@ sensitivity sweeps, and value-annotated heatmaps for attention matrices.
 from __future__ import annotations
 
 import math
-from xml.sax.saxutils import escape
 
 __all__ = ["line_chart", "bar_chart", "heatmap"]
 
@@ -21,6 +20,12 @@ PALETTE = ("#0072B2", "#E69F00", "#009E73", "#CC79A7",
            "#56B4E9", "#D55E00", "#F0E442", "#000000")
 
 _FONT = 'font-family="Helvetica,Arial,sans-serif"'
+
+
+def escape(text: str) -> str:
+    """Escape ``&``, ``<`` and ``>`` for SVG text (``&`` first, so the
+    entities the later replacements insert stay intact)."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _header(width: int, height: int, title: str) -> list[str]:

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import repro.experiments.cli as cli
-from repro.experiments import EXPERIMENTS, render_artifact, runner
+from repro.experiments import EXPERIMENTS, PAPER_TABLE6, render_artifact, runner
 from repro.experiments.cli import build_parser, main
 
 BENCHMARKS = Path(__file__).resolve().parents[2] / "benchmarks"
@@ -128,6 +128,23 @@ class TestCompareCommand:
         out = capsys.readouterr().out
         assert "paper N@5" in out and "PASS" in out or "MISS" in out
         assert (tmp_path / "table4_compare.txt").exists()
+
+    def test_compare_table6_reads_variant_rows(self, capsys, monkeypatch):
+        """Ablation rows name their system by ``variant`` and carry no ``k``."""
+        def fake_run(experiment_id, scale="fast", seed=0, **kwargs):
+            assert experiment_id == "table6"
+            return [{"variant": variant, "scenario": scenario, "precision": 0.6,
+                     "ndcg": 0.8123 if variant == "full model" else 0.7,
+                     "map": 0.5, "fit_seconds": 1.0}
+                    for variant in PAPER_TABLE6["user"]
+                    for scenario in ("user", "item", "both")]
+
+        monkeypatch.setattr(cli, "run_experiment", fake_run)
+        assert main(["compare", "table6"]) == 0
+        full = [line for line in capsys.readouterr().out.splitlines()
+                if "full model" in line]
+        assert len(full) == 3
+        assert all("0.8123" in line for line in full)
 
     def test_compare_rejects_figures(self, capsys):
         assert main(["compare", "fig6"]) == 2

@@ -1,11 +1,13 @@
 """SVG chart rendering: structural validity and content."""
 
 import xml.etree.ElementTree as ET
+from xml.sax import saxutils
 
 import numpy as np
 import pytest
 
 from repro.viz import bar_chart, fig6_svg, fig7_svg, fig8_svg, fig9_svg, heatmap, line_chart
+from repro.viz.svg import escape
 
 
 def parse(svg: str) -> ET.Element:
@@ -63,6 +65,13 @@ class TestPrimitives:
     def test_labels_escaped(self):
         svg = bar_chart({"a<b>&c": 1.0})
         parse(svg)  # would fail on unescaped '<'
+
+    @pytest.mark.parametrize("text", [
+        "", "plain", "a<b>&c", "&amp; &lt;b&gt; &#38;", "\"quoted\" 'single'",
+        "<<&&>>", "wo/ Item & Attribute",
+    ])
+    def test_escape_matches_saxutils(self, text):
+        assert escape(text) == saxutils.escape(text)
 
 
 class TestFigureRenderers:
